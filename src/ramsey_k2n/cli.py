@@ -100,10 +100,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                               "pair": list(witness.pair),
                               "common": sorted(witness.common)}
     if args.cycle is not None:
-        if args.cycle > g.order:
-            witness = None
-        else:
-            witness = has_cycle_of_length(g, args.cycle)
+        witness = has_cycle_of_length(g, args.cycle)
         if witness is None:
             results["cycle"] = {"length": args.cycle, "found": False}
         else:
@@ -197,7 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ramsey-k2n",
         description="Witness constructions and exhaustive verification for "
                     "Ramsey numbers of K_{2,n} versus cycles.")
-    default_workers = max(1, int(os.environ.get("RAMSEY_WORKERS", "1")))
+    try:
+        default_workers = max(1, int(os.environ.get("RAMSEY_WORKERS", "1")))
+    except ValueError:
+        parser.error("RAMSEY_WORKERS must be an integer")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -254,6 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     try:
         if args.command == "construct":
             return cmd_construct(args)
@@ -264,9 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_ramsey(args)
     except (ParameterError, FormatError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except TypeError as exc:
-        print(f"error: missing or invalid parameters ({exc})", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -91,12 +91,6 @@ class ConstructionReport:
         }
 
 
-def _cycle_absent(g: Graph, length: int) -> bool:
-    if length > g.order:
-        return True
-    return has_cycle_of_length(g, length) is None
-
-
 def _apex_over_cliques(sizes: list[int]) -> Graph:
     """K_1 joined to a disjoint union of cliques of the given sizes."""
     body = complete_graph(sizes[0])
@@ -125,7 +119,7 @@ def _measure(
         skipped.append("forbidden_cycle_length")
     else:
         measured["forbidden_cycle_length"] = (
-            length if _cycle_absent(gbar, length) else None
+            length if has_cycle_of_length(gbar, length) is None else None
         )
     return measured, tuple(skipped)
 
@@ -150,7 +144,7 @@ def star_witness(m: int) -> ConstructionReport:
     measured, skipped = _measure(g, gbar, claimed)
     checks = {
         "k2n_free_n2": k2n_free(g, 2),
-        "no_forbidden_cycle_plus_one": _cycle_absent(gbar, m + 1),
+        "no_forbidden_cycle_plus_one": has_cycle_of_length(gbar, m + 1) is None,
     }
     return ConstructionReport(
         name="star",
@@ -208,10 +202,10 @@ def burr_witness(g_order: int, pattern: PatternParams) -> ConstructionReport:
     if pattern.kind == "k2n":
         checks["pattern_absent"] = k2n_free(blue, pattern.size)
     else:
-        checks["pattern_absent"] = _cycle_absent(blue, pattern.size)
+        checks["pattern_absent"] = has_cycle_of_length(blue, pattern.size) is None
         if pattern.kind == "cycle_pair":
-            checks["pattern_plus_one_absent"] = _cycle_absent(
-                blue, pattern.size + 1
+            checks["pattern_plus_one_absent"] = (
+                has_cycle_of_length(blue, pattern.size + 1) is None
             )
     return ConstructionReport(
         name="burr",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from multiprocessing import get_context
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .canon import canonical_form, canonical_labeling
 from .graphs import Graph, add_vertex, bits, empty_graph, induced_subgraph
@@ -24,15 +24,12 @@ _ORBIT_BFS_CAP = 4096
 class GenerationFilter:
     """Pruning predicate for generation.
 
-    ``hereditary`` filters must be closed under vertex deletion; they are
-    applied at every intermediate order.  Non-hereditary filters are applied
-    only to the final graphs.  ``candidate_masks``, when given, restricts the
+    Filters must be hereditary, i.e. closed under vertex deletion: they are
+    applied at every order, so a graph is reached only through ancestors
+    that pass.  ``candidate_masks``, when given, restricts the
     neighborhoods tried for the new vertex (an optimization; it must not
     exclude any mask whose child passes the filter).
     """
-
-    name = "custom"
-    hereditary = False
 
     def accepts(self, g: Graph) -> bool:
         raise NotImplementedError
@@ -42,23 +39,17 @@ class GenerationFilter:
 
 
 class AllGraphs(GenerationFilter):
-    name = "all"
-    hereditary = True
-
     def accepts(self, g: Graph) -> bool:
         return True
 
 
 class K2nFreeFilter(GenerationFilter):
-    """K_{2,n}-free graphs; hereditary, with candidate-mask pruning."""
-
-    hereditary = True
+    """K_{2,n}-free graphs, with candidate-mask pruning."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-        self.name = f"k2n_free({n})"
 
     def accepts(self, g: Graph) -> bool:
         from .invariants import k2n_free
@@ -99,18 +90,6 @@ class K2nFreeFilter(GenerationFilter):
         ]
 
 
-class PredicateFilter(GenerationFilter):
-    """Wrap a module-level predicate (must be picklable for parallel runs)."""
-
-    def __init__(self, pred: Callable[[Graph], bool], hereditary: bool, name: str = "custom"):
-        self.pred = pred
-        self.hereditary = hereditary
-        self.name = name
-
-    def accepts(self, g: Graph) -> bool:
-        return self.pred(g)
-
-
 ALL_GRAPHS = AllGraphs()
 
 
@@ -137,7 +116,7 @@ def _orbit_min(mask: int, tables: list[list[int]]) -> int:
 
 
 def _children(
-    g: Graph, form: bytes, auts: list[tuple[int, ...]], flt: GenerationFilter, final: bool
+    g: Graph, form: bytes, auts: list[tuple[int, ...]], flt: GenerationFilter
 ) -> Iterator[tuple[Graph, bytes, list[tuple[int, ...]]]]:
     """Accepted one-vertex extensions of g (exactly one per class)."""
     k = g.order
@@ -155,7 +134,7 @@ def _children(
                 continue
             seen_orbit.add(rep)
         child = add_vertex(g, s)
-        if (flt.hereditary or final) and not flt.accepts(child):
+        if not flt.accepts(child):
             continue
         perm, cform, cauts = canonical_labeling(child)
         if cform in seen_children:
@@ -185,8 +164,7 @@ def _extend_to(
     if g.order == order:
         yield g
         return
-    final = g.order + 1 == order
-    for child, cform, cauts in _children(g, form, auts, flt, final):
+    for child, cform, cauts in _children(g, form, auts, flt):
         yield from _extend_to(child, cform, cauts, order, flt)
 
 
@@ -198,11 +176,7 @@ def enumerate_graphs(order: int, flt: GenerationFilter = ALL_GRAPHS) -> Iterator
     if order < 1:
         raise ValueError("order must be >= 1")
     g1 = empty_graph(1)
-    if order == 1:
-        if flt.hereditary or flt.accepts(g1):
-            yield g1
-        return
-    if flt.hereditary and not flt.accepts(g1):
+    if not flt.accepts(g1):
         return
     perm, form, auts = canonical_labeling(g1)
     yield from _extend_to(g1, form, auts, order, flt)
@@ -238,17 +212,6 @@ def enumerate_parallel(
         for chunk in pool.imap(_parallel_task, [(s, order, flt) for s in seeds]):
             for g6 in chunk:
                 yield decode_graph6(g6)
-
-
-def write_graph6_stream(graphs: Iterable[Graph], fp) -> int:
-    """Sink: one graph6 string per line.  Returns the number written."""
-    from .graphs import encode_graph6
-
-    count = 0
-    for g in graphs:
-        fp.write(encode_graph6(g) + "\n")
-        count += 1
-    return count
 
 
 # Independent counting oracle (no generation involved).

@@ -7,7 +7,6 @@ All mutators return new graphs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -194,13 +193,6 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
     return Graph(len(vertices), tuple(rows))
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    _check_vertex(g, v)
-    if g.order == 1:
-        raise GraphError("cannot delete the only vertex")
-    return induced_subgraph(g, [u for u in range(g.order) if u != v])
-
-
 def add_vertex(g: Graph, neighbors_mask: int) -> Graph:
     """New graph with one extra vertex adjacent to ``neighbors_mask``."""
     if g.order + 1 > MAX_ORDER:
@@ -310,10 +302,6 @@ def decode_graph6(text: str) -> Graph:
 
 def to_json_dict(g: Graph) -> dict:
     return {"order": g.order, "edges": [[u, v] for u, v in g.edges()]}
-
-
-def to_json(g: Graph) -> str:
-    return json.dumps(to_json_dict(g), sort_keys=True)
 
 
 def from_json_dict(d: dict) -> Graph:

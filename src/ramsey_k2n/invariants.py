@@ -1,5 +1,5 @@
-"""Exact structural invariants: degrees, connectivity, cycles, independence,
-K_{2,n}-freeness, and the hypothesis predicates of the cited cycle lemmas.
+"""Exact structural invariants: degrees, connectivity, cycles, independence
+and K_{2,n}-freeness.
 
 Everything here is exact search, no heuristics.  Cycle searches are
 backtracking over bitmasks with reachability pruning, which is fast on the
@@ -12,13 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import (
-    Graph,
-    GraphError,
-    bits,
-    common_neighbors,
-    union_neighborhood_excl,
-)
+from .graphs import Graph, GraphError, bits
 
 INFINITY = math.inf
 
@@ -259,34 +253,35 @@ def circumference(g: Graph) -> int:
     return w.length if w else 0
 
 
-def has_cycle_of_length(g: Graph, m: int) -> CycleWitness | None:
-    """Exact search for a cycle of length exactly m; witness or None.
+def all_cycles_of_length(
+    g: Graph, m: int, cap: int = 10_000
+) -> tuple[list[CycleWitness], bool]:
+    """All cycles of length exactly m, each once; returns (cycles, cap_hit).
 
-    Deterministic: extensions are tried in ascending vertex order, so the
-    returned witness is reproducible.
+    A cycle starts at its lowest vertex and runs toward the smaller of that
+    vertex's two cycle neighbors, and cycles come in lexicographic order.
+    A graph has no C_m when m exceeds its order.
     """
-    n = g.order
-    if not 3 <= m <= n:
-        raise GraphError(f"cycle length {m} outside 3..{n}")
+    if m < 3:
+        raise GraphError(f"cycle length {m} below 3")
     adj = g.adj
+    out: list[CycleWitness] = []
 
-    for s in range(n - m + 1):
+    for s in range(g.order - m + 1):
         gt = g.vertices_mask() & ~((1 << (s + 1)) - 1)
         stack_path = [s]
-        found: list[tuple[int, ...]] = []
 
         def dfs(v: int, used: int) -> bool:
+            """Extend the path; True once the cap is reached."""
             depth = len(stack_path)
             if depth == m:
-                if adj[v] >> s & 1:
-                    found.append(tuple(stack_path))
-                    return True
+                if adj[v] >> s & 1 and stack_path[1] < stack_path[-1]:
+                    out.append(CycleWitness(tuple(stack_path)))
+                    return len(out) >= cap
                 return False
             rem = gt & ~used
             reach = _reachable(adj, v, rem)
-            if reach.bit_count() < m - depth:
-                return False
-            if not adj[s] & reach:
+            if reach.bit_count() < m - depth or not adj[s] & reach:
                 return False
             for w in bits(adj[v] & rem):
                 stack_path.append(w)
@@ -296,53 +291,14 @@ def has_cycle_of_length(g: Graph, m: int) -> CycleWitness | None:
             return False
 
         if dfs(s, 1 << s):
-            return CycleWitness(found[0])
-    return None
+            return out, True
+    return out, False
 
 
-def all_longest_cycles(g: Graph, cap: int = 10_000) -> tuple[list[CycleWitness], bool]:
-    """All maximum-length cycles up to rotation and reflection.
-
-    Returns (cycles, cap_hit).  Normalization: the cycle starts at its
-    lowest vertex and runs toward the smaller of its two neighbors.
-    """
-    first = longest_cycle(g)
-    if first is None:
-        return [], False
-    ln = first.length
-    adj = g.adj
-    n = g.order
-    out: list[CycleWitness] = []
-    cap_hit = False
-
-    for s in range(n - ln + 1):
-        if cap_hit:
-            break
-        gt = g.vertices_mask() & ~((1 << (s + 1)) - 1)
-        stack_path = [s]
-
-        def dfs(v: int, used: int) -> None:
-            nonlocal cap_hit
-            if cap_hit:
-                return
-            depth = len(stack_path)
-            if depth == ln:
-                if adj[v] >> s & 1 and stack_path[1] < stack_path[-1]:
-                    out.append(CycleWitness(tuple(stack_path)))
-                    if len(out) >= cap:
-                        cap_hit = True
-                return
-            rem = gt & ~used
-            reach = _reachable(adj, v, rem)
-            if reach.bit_count() < ln - depth or not adj[s] & reach:
-                return
-            for w in bits(adj[v] & rem):
-                stack_path.append(w)
-                dfs(w, used | (1 << w))
-                stack_path.pop()
-
-        dfs(s, 1 << s)
-    return out, cap_hit
+def has_cycle_of_length(g: Graph, m: int) -> CycleWitness | None:
+    """The first cycle of all_cycles_of_length(g, m), or None."""
+    cycles, _ = all_cycles_of_length(g, m, cap=1)
+    return cycles[0] if cycles else None
 
 
 def cycle_spectrum(g: Graph) -> set[int]:
@@ -435,50 +391,3 @@ def is_bipartite(g: Graph) -> bool:
                 elif color[w] == color[u]:
                     return False
     return True
-
-
-# Hypothesis predicates of the cited lemmas (exact truth values).
-
-def dirac_cycle_bound_hypothesis(g: Graph, k: int) -> bool:
-    """2-connected and every nonadjacent pair has degree sum >= k."""
-    if connectivity(g) < 2:
-        return False
-    return all(
-        g.degree(u) + g.degree(v) >= k
-        for u, v in combinations(range(g.order), 2)
-        if not g.has_edge(u, v)
-    )
-
-
-def dirac_hamiltonian_hypothesis(g: Graph) -> bool:
-    """order >= 3 and min degree >= order/2 (exact rational comparison)."""
-    return g.order >= 3 and 2 * min_degree(g) >= g.order
-
-
-def nash_williams_hypothesis(g: Graph) -> bool:
-    """2-connected with min degree >= max{(order+2)/3, independence number}."""
-    if connectivity(g) < 2:
-        return False
-    d = min_degree(g)
-    return 3 * d >= g.order + 2 and d >= independence_number(g)
-
-
-def brandt_hypothesis(g: Graph) -> bool:
-    """2-connected, nonbipartite, min degree >= order/4 + 250.
-
-    Non-vacuous only from order 335 up; implemented for completeness but
-    never empirically asserted at desk scale.
-    """
-    if is_bipartite(g) or connectivity(g) < 2:
-        return False
-    return 4 * min_degree(g) >= g.order + 1000
-
-
-def cycle_lemma_hypothesis(g: Graph, k: int) -> bool:
-    """2-connected and |(N(u) u N(v)) \\ {u,v}| >= k for all pairs u != v."""
-    if connectivity(g) < 2:
-        return False
-    return all(
-        union_neighborhood_excl(g, u, v) >= k
-        for u, v in combinations(range(g.order), 2)
-    )

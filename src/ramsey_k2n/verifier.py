@@ -25,12 +25,11 @@ from .constructions import (
     badness_parameter_cover,
     lemma41_witness,
     lemma42_witness,
-    star_witness,
 )
 from .enumeration import GenerationFilter, K2nFreeFilter, enumerate_parallel
-from .graphs import Graph, bits, complement, encode_graph6
+from .graphs import Graph, bits, complement, encode_graph6, union_neighborhood_excl
 from .invariants import (
-    all_longest_cycles,
+    all_cycles_of_length,
     circumference,
     connectivity,
     has_cycle_of_length,
@@ -39,7 +38,6 @@ from .invariants import (
     k2n_free,
     longest_cycle,
     min_degree,
-    union_neighborhood_excl,
 )
 
 UPPER_BOUND_MAX_ORDER = 16
@@ -92,12 +90,6 @@ def _pick(current: dict | None, candidate: dict) -> dict:
     return current
 
 
-def _complement_has_cycle(g: Graph, length: int) -> bool:
-    if length > g.order:
-        return False
-    return has_cycle_of_length(complement(g), length) is not None
-
-
 def verify_upper_bound(
     n: int, m: int, variant: str = "pair", workers: int = 1
 ) -> VerificationReport:
@@ -134,8 +126,9 @@ def verify_upper_bound(
     cex: dict | None = None
     for g in enumerate_parallel(m + 1, K2nFreeFilter(n), workers):
         count += 1
-        ok = _complement_has_cycle(g, m) or (
-            variant == "pair" and _complement_has_cycle(g, m + 1)
+        gbar = complement(g)
+        ok = has_cycle_of_length(gbar, m) is not None or (
+            variant == "pair" and has_cycle_of_length(gbar, m + 1) is not None
         )
         if not ok:
             wanted = f"C_{m}" if variant == "single" else f"C_{m} or C_{m + 1}"
@@ -148,41 +141,6 @@ def verify_upper_bound(
     return _finish({"claim": claim, "params": params, "outcome": outcome,
                     "hypothesis_count": count, "counterexample": cex,
                     "notes": tuple(notes)}, start)
-
-
-def verify_lower_bound(n: int, m: int, variant: str = "pair") -> VerificationReport:
-    """The star K_{1,m-1} witnesses R(K_{2,n}, target) > m."""
-    claim = "thm1.3-lower" if variant == "pair" else "thm1.6-lower"
-    params = {"n": n, "m": m, "variant": variant, "order": m}
-    start = time.monotonic()
-    if n < 2:
-        return _finish({"claim": claim, "params": params, "outcome": "infeasible",
-                        "notes": ("n >= 2 required: two star leaves share the "
-                                  "center, so K_{2,1} is present",)}, start)
-    try:
-        report = star_witness(m)
-    except ParameterError as exc:
-        return _finish({"claim": claim, "params": params, "outcome": "infeasible",
-                        "notes": (str(exc),)}, start)
-    g, gbar = report.graph, report.complement_graph
-    problems = []
-    if not k2n_free(g, n):
-        problems.append(f"witness is not K_2,{n}-free")
-    if m <= gbar.order and has_cycle_of_length(gbar, m) is not None:
-        problems.append(f"complement contains C_{m}")
-    if variant == "pair" and m + 1 <= gbar.order \
-            and has_cycle_of_length(gbar, m + 1) is not None:
-        problems.append(f"complement contains C_{m + 1}")
-    if report.failed:
-        problems.append("construction report flagged FAILED")
-    if problems:
-        cex = {"graph6": encode_graph6(g), "detail": "; ".join(problems)}
-        return _finish({"claim": claim, "params": params,
-                        "outcome": "counterexample", "hypothesis_count": 1,
-                        "counterexample": cex}, start)
-    return _finish({"claim": claim, "params": params, "outcome": "verified",
-                    "hypothesis_count": 1,
-                    "extra": {"witness_graph6": encode_graph6(g)}}, start)
 
 
 def verify_badness(n: int, m: int) -> VerificationReport:
@@ -211,7 +169,7 @@ def verify_badness(n: int, m: int) -> VerificationReport:
         problems.append(f"witness order {g.order} != {n + m + 1}")
     if not k2n_free(g, n):
         problems.append(f"witness is not K_2,{n}-free")
-    if 2 * m <= gbar.order and has_cycle_of_length(gbar, 2 * m) is not None:
+    if has_cycle_of_length(gbar, 2 * m) is not None:
         problems.append(f"complement contains C_{2 * m}")
     if report.failed:
         problems.append("construction report flagged FAILED")
@@ -301,9 +259,9 @@ def verify_lemma_3_1(max_order: int, workers: int = 1,
         for g in enumerate_parallel(order, workers=workers):
             graphs_seen += 1
             best = longest_cycle(g)
-            if best is None or len(best.vertices) > order - 2:
+            if best is None or best.length > order - 2:
                 continue
-            cycles, capped = all_longest_cycles(g, cap=cycle_cap)
+            cycles, capped = all_cycles_of_length(g, best.length, cycle_cap)
             if capped:
                 cap_hits += 1
             for wit in cycles:
@@ -335,11 +293,8 @@ class HamiltonianHypothesisFilter(GenerationFilter):
     are checked only at the top.
     """
 
-    hereditary = True
-
     def __init__(self, m: int):
         self.m = m
-        self.name = f"hamiltonian_hypothesis({m})"
 
     def pair_bound_holds(self, g: Graph, adjacent: bool) -> bool:
         """2 * (|N(u) | N(v) - {u, v}| + m+1-k) >= m for every adjacent
@@ -363,7 +318,7 @@ class HamiltonianHypothesisFilter(GenerationFilter):
     def accepts(self, g: Graph) -> bool:
         if not self.pair_bound_holds(g, adjacent=False):
             return False
-        return g.order < self.m or has_cycle_of_length(g, self.m) is None
+        return has_cycle_of_length(g, self.m) is None
 
 
 def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
@@ -379,6 +334,10 @@ def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
     """
     params = {"m": m, "order": m + 1}
     start = time.monotonic()
+    if m < 3:
+        return _finish({"claim": "thm1.5", "params": params,
+                        "outcome": "infeasible",
+                        "notes": ("m >= 3 required",)}, start)
     if m + 1 > HAMILTONIAN_LEMMA_MAX_ORDER:
         return _finish({"claim": "thm1.5", "params": params,
                         "outcome": "infeasible",
@@ -415,6 +374,10 @@ def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> Verification
     2-connected complement."""
     params = {"n": n, "m": m, "order": m + 1}
     start = time.monotonic()
+    if n < 1 or m < 3:
+        return _finish({"claim": "lemma2.6", "params": params,
+                        "outcome": "infeasible",
+                        "notes": ("n >= 1 and m >= 3 required",)}, start)
     if m + 1 > HAMILTONIAN_LEMMA_MAX_ORDER:
         return _finish({"claim": "lemma2.6", "params": params,
                         "outcome": "infeasible",
@@ -456,6 +419,11 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
     """
     params = {"max_order": max_order}
     start = time.monotonic()
+    if max_order > LEMMA_3_1_MAX_ORDER:
+        return _finish({"claim": "lemma-props", "params": params,
+                        "outcome": "infeasible",
+                        "notes": (f"max_order beyond guideline "
+                                  f"{LEMMA_3_1_MAX_ORDER}",)}, start)
     counts = {"degree_sum_cycle": 0, "min_degree_hamiltonian": 0,
               "nash_williams": 0, "neighborhood_union_cycle": 0}
     cex: dict | None = None
@@ -519,12 +487,9 @@ def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
                         "notes": ("n >= 1 and m >= 3 required",)}, start)
 
     def target_free(gbar: Graph) -> bool:
-        if m <= gbar.order and has_cycle_of_length(gbar, m) is not None:
-            return False
-        if kind == "cycle_pair" and m + 1 <= gbar.order \
-                and has_cycle_of_length(gbar, m + 1) is not None:
-            return False
-        return True
+        return has_cycle_of_length(gbar, m) is None and (
+            kind == "cycle" or has_cycle_of_length(gbar, m + 1) is None
+        )
 
     witness: str | None = None
     examined = 0

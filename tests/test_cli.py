@@ -1,4 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import random
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_k2n.cli import main
 from ramsey_k2n.graphs import (
@@ -7,6 +17,13 @@ from ramsey_k2n.graphs import (
     encode_graph6,
     from_edges,
 )
+
+from conftest import random_graph
+
+
+# --output json payloads of fast runs, minus ``elapsed``; every reported
+# value must stay byte-identical.
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -160,3 +177,76 @@ def test_check_reads_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--circumference")
     assert code == 0
     assert "circumference: 4" in out
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: "_".join(c["argv"][:2]))
+def test_json_output_matches_golden(capsys, case):
+    code, out, err = run(capsys, *case["argv"], "--output", "json",
+                         "--workers", "1")
+    payload = json.loads(out)
+    payload.pop("elapsed", None)
+    assert code == case["exit"] and err == ""
+    assert json.dumps(payload, sort_keys=True) \
+        == json.dumps(case["output"], sort_keys=True)
+
+
+def _option(draw, argv, flag, values):
+    value = draw(st.one_of(st.none(), values))
+    if value is not None:
+        argv += [flag, str(value)]
+
+
+@st.composite
+def cli_invocations(draw):
+    """verify, ramsey and check argument lists, valid or not, whose runs
+    stay at order <= 7; plus a RAMSEY_WORKERS value or None."""
+    small = st.integers(-1, 6)
+    command = draw(st.sampled_from(["verify", "ramsey", "check"]))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(["thm1.3", "thm1.6", "thm1.4",
+                                          "lemma2.6", "lemma3.1", "thm1.5",
+                                          "lemma-props"])))
+        _option(draw, argv, "--n", st.integers(-1, 4))
+        _option(draw, argv, "--m", small)
+        argv += ["--max-order", str(draw(st.integers(-1, 7)))]
+    elif command == "ramsey":
+        argv += ["--n", str(draw(st.integers(-1, 3)))]
+        targets = draw(st.sampled_from([["--cycle"], ["--pair"], [],
+                                        ["--cycle", "--pair"]] * 2 + [[]]))
+        for flag in targets:
+            argv += [flag, str(draw(small))]
+        argv += ["--max-order", str(draw(st.integers(-1, 7)))]
+    else:
+        seed = draw(st.integers(0, 2**16))
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(1, 7), rng.random(), rng)
+        argv.append(draw(st.sampled_from([encode_graph6(g)] * 3 + ["", "~~"])))
+        _option(draw, argv, "--cycle", st.integers(0, 9))
+        _option(draw, argv, "--k2n", st.integers(0, 4))
+        for flag in ("--circumference", "--girth", "--spectrum",
+                     "--connectivity", "--alpha"):
+            if draw(st.booleans()):
+                argv.append(flag)
+    _option(draw, argv, "--workers", st.sampled_from([1, 1, 2, 2, 0, -1]))
+    if draw(st.booleans()):
+        argv += ["--output", "json"]
+    env = draw(st.sampled_from([None, None, None, "2", "0", "abc"]))
+    return argv, env
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_invocations())
+def test_every_invocation_exits_0_1_or_2_without_traceback(invocation):
+    argv, env = invocation
+    environ = {} if env is None else {"RAMSEY_WORKERS": env}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO("")):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,17 +1,15 @@
-import io
 import itertools
 
 from ramsey_k2n.canon import canonical_form
 from ramsey_k2n.enumeration import (
     AllGraphs,
+    GenerationFilter,
     K2nFreeFilter,
-    PredicateFilter,
     enumerate_graphs,
     enumerate_parallel,
     unlabeled_graph_count,
-    write_graph6_stream,
 )
-from ramsey_k2n.graphs import Graph, decode_graph6, encode_graph6
+from ramsey_k2n.graphs import Graph, encode_graph6
 from ramsey_k2n.invariants import k2n_free
 
 KNOWN_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
@@ -71,33 +69,17 @@ def test_parallel_equals_sequential():
     assert len(one) == 1044
 
 
-def _is_triangle_free(g: Graph) -> bool:
-    return all(not (g.adj[u] & g.adj[v])
-               for u in range(g.order) for v in range(u + 1, g.order)
-               if g.adj[u] >> v & 1)
+class TriangleFree(GenerationFilter):
+    def accepts(self, g: Graph) -> bool:
+        return all(not (g.adj[u] & g.adj[v])
+                   for u in range(g.order) for v in range(u + 1, g.order)
+                   if g.adj[u] >> v & 1)
 
 
 def test_custom_predicate_filter():
-    flt = PredicateFilter(_is_triangle_free, hereditary=True,
-                          name="triangle_free")
+    flt = TriangleFree()
     counts = [sum(1 for _ in enumerate_graphs(n, flt)) for n in range(1, 8)]
     assert counts == [1, 2, 3, 7, 14, 38, 107]  # triangle-free classes
-
-
-def test_non_hereditary_filter_applied_at_top_only():
-    flt = PredicateFilter(lambda g: g.edge_count() == 3, hereditary=False)
-    got = {canonical_form(g) for g in enumerate_graphs(4, flt)}
-    want = {canonical_form(g) for g in enumerate_graphs(4)
-            if g.edge_count() == 3}
-    assert got == want and len(want) == 3
-
-
-def test_graph6_sink():
-    buf = io.StringIO()
-    count = write_graph6_stream(enumerate_graphs(4), buf)
-    lines = buf.getvalue().splitlines()
-    assert count == len(lines) == 11
-    assert all(decode_graph6(line).order == 4 for line in lines)
 
 
 def test_all_graphs_filter_is_default():

@@ -16,14 +16,14 @@ from ramsey_k2n.graphs import (
     empty_graph,
     join,
     path_graph,
+    union_neighborhood_excl,
 )
 from ramsey_k2n.invariants import (
     PatternParams,
-    all_longest_cycles,
+    all_cycles_of_length,
     circumference,
     connectivity,
     cycle_spectrum,
-    dirac_hamiltonian_hypothesis,
     find_k2n,
     girth,
     has_cycle_of_length,
@@ -37,7 +37,6 @@ from ramsey_k2n.invariants import (
     max_common_neighborhood,
     max_degree,
     min_degree,
-    union_neighborhood_excl,
 )
 
 from conftest import random_graph
@@ -114,12 +113,14 @@ def test_cycle_witness_validates(rng):
         wit = longest_cycle(g)
         if wit is not None:
             wit.validate(g)  # raises on a bogus cycle
-        for m in range(3, g.order + 1):
+        for m in range(3, g.order + 3):
             w = has_cycle_of_length(g, m)
             assert (w is not None) == (m in cycle_spectrum(g))
             if w is not None:
                 assert len(w.vertices) == m
                 w.validate(g)
+        with pytest.raises(GraphError):
+            has_cycle_of_length(g, 2)
 
 
 def test_fixed_length_search_is_deterministic():
@@ -137,13 +138,20 @@ def test_clique_union_apex_circumference_is_fast():
     assert circumference(big) == 11
 
 
-def test_all_longest_cycles_dedup_and_cap():
-    cycles, capped = all_longest_cycles(cycle_graph(6))
+def test_all_longest_cycles_dedup_and_cap(rng):
+    cycles, capped = all_cycles_of_length(cycle_graph(6), 6)
     assert len(cycles) == 1 and not capped
-    cycles, capped = all_longest_cycles(complete_graph(5))
+    cycles, capped = all_cycles_of_length(complete_graph(5), 5)
     assert len(cycles) == 12 and not capped  # (5-1)!/2
-    cycles, capped = all_longest_cycles(complete_graph(5), cap=5)
+    cycles, capped = all_cycles_of_length(complete_graph(5), 5, cap=5)
     assert len(cycles) == 5 and capped
+    for _ in range(30):
+        g = random_graph(rng.randint(3, 8), rng.random(), rng)
+        h = to_nx(g)
+        for m in range(3, g.order + 1):
+            want = sum(1 for c in nx.simple_cycles(h, length_bound=m)
+                       if len(c) == m)
+            assert len(all_cycles_of_length(g, m)[0]) == want
 
 
 def test_hamiltonicity_and_pancyclicity():
@@ -215,9 +223,3 @@ def test_degrees_bipartite_independence(rng):
         assert is_bipartite(g) == nx.is_bipartite(to_nx(g))
         cliques = list(nx.find_cliques(to_nx(complement(g))))
         assert independence_number(g) == max(len(c) for c in cliques)
-
-
-def test_dirac_hypothesis_predicate():
-    assert dirac_hamiltonian_hypothesis(complete_graph(4))
-    assert not dirac_hamiltonian_hypothesis(path_graph(4))
-    assert not dirac_hamiltonian_hypothesis(complete_graph(2))  # order < 3

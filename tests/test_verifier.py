@@ -4,14 +4,19 @@ import json
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
+from ramsey_k2n.constructions import star_witness
 from ramsey_k2n.enumeration import enumerate_graphs
-from ramsey_k2n.graphs import bits, complement, decode_graph6
+from ramsey_k2n.graphs import (
+    bits,
+    complement,
+    decode_graph6,
+    union_neighborhood_excl,
+)
 from ramsey_k2n.invariants import (
     connectivity,
     has_cycle_of_length,
     is_hamiltonian,
     k2n_free,
-    union_neighborhood_excl,
 )
 from ramsey_k2n.verifier import (
     compute_ramsey,
@@ -19,7 +24,6 @@ from ramsey_k2n.verifier import (
     verify_cited_lemmas,
     verify_hamiltonian_lemma,
     verify_lemma_3_1,
-    verify_lower_bound,
     verify_two_connected_lemma,
     verify_upper_bound,
 )
@@ -54,16 +58,6 @@ def test_upper_bound_workers_do_not_change_values():
     d1, d4 = r1.to_json_dict(), r4.to_json_dict()
     d1.pop("elapsed"), d4.pop("elapsed")
     assert d1 == d4
-
-
-def test_lower_bound():
-    r = verify_lower_bound(2, 6, "pair")
-    assert r.outcome == "verified"
-    assert r.extra["witness_graph6"]
-    r = verify_lower_bound(3, 10, "single")
-    assert r.outcome == "verified"
-    r = verify_lower_bound(1, 6, "pair")
-    assert r.outcome == "infeasible"
 
 
 def test_badness():
@@ -152,9 +146,9 @@ def test_compute_ramsey_pair():
 def test_compute_ramsey_cross_check():
     # verified upper + lower bounds at (2, pair 6) force the exact value
     up = verify_upper_bound(2, 6, "pair")
-    low = verify_lower_bound(2, 6, "pair")
+    low = star_witness(6)
     exact = compute_ramsey(2, "cycle_pair", 6)
-    assert up.outcome == "verified" and low.outcome == "verified"
+    assert up.outcome == "verified" and not low.failed
     assert exact.extra["value"] == 7
 
 
