@@ -64,6 +64,11 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int
     ``form`` is equal across all graphs isomorphic to g and only those.
     The generator list contains genuine automorphisms of g (possibly not
     the whole group).
+
+    ``perm[-1]`` always has maximum degree in g: the base partition orders
+    the degree cells ascending, and refinement and individualization only
+    split cells in place.  ``enumeration._children`` relies on this to
+    reject extensions before labeling them.
     """
     n = g.order
     adj = g.adj

@@ -6,6 +6,15 @@ vertex.  A child is accepted iff that canonical deletion is isomorphic to the
 parent it was extended from, so each isomorphism class appears exactly once
 globally.  Hereditary filters prune the search tree safely because a filtered
 class's canonical parent also passes the filter.
+
+Two exact shortcuts (McKay, "Isomorph-free exhaustive generation", 1998)
+keep most children away from the expensive steps.  The canonically-last
+vertex always has maximum degree, so a mask whose new vertex would not have
+the child's maximum degree is rejected before orbit pruning, the filter and
+labeling.  A labeled child whose new vertex lies in the orbit of its
+canonically-last vertex, under the automorphisms the labeling found, is
+accepted without labeling the deleted-vertex parent.  Neither changes which
+representative is emitted or the order of the stream.
 """
 
 from __future__ import annotations
@@ -115,6 +124,24 @@ def _orbit_min(mask: int, tables: list[list[int]]) -> int:
     return best
 
 
+def _in_orbit(v: int, u: int, gens: list[tuple[int, ...]]) -> bool:
+    """Whether some product of the permutations ``gens`` maps u to v."""
+    if u == v:
+        return True
+    orbit = {u}
+    frontier = [u]
+    while frontier:
+        w = frontier.pop()
+        for a in gens:
+            x = a[w]
+            if x == v:
+                return True
+            if x not in orbit:
+                orbit.add(x)
+                frontier.append(x)
+    return False
+
+
 def _children(
     g: Graph, form: bytes, auts: list[tuple[int, ...]], flt: GenerationFilter
 ) -> Iterator[tuple[Graph, bytes, list[tuple[int, ...]]]]:
@@ -122,12 +149,25 @@ def _children(
     k = g.order
     cand = flt.candidate_masks(g)
     masks: Iterable[int] = range(1 << k) if cand is None else cand
-    g_edges = g.edge_count()
     g_degseq = sorted(row.bit_count() for row in g.adj)
+    # The canonically-last vertex has the child's maximum degree, so only a
+    # new vertex of maximum degree can be it: |s| above every degree of g,
+    # or equal to the top degree D with no degree-D vertex of g in s.  The
+    # test is invariant under Aut(g) and only drops masks whose class fails
+    # the parent test whichever mask produced it, so the accepted children
+    # and their order are unchanged.
+    top = g_degseq[-1]
+    top_mask = 0
+    for v, row in enumerate(g.adj):
+        if row.bit_count() == top:
+            top_mask |= 1 << v
     tables = [list(a) for a in auts]
     seen_orbit: set[int] = set()
     seen_children: set[bytes] = set()
     for s in masks:
+        size = s.bit_count()
+        if size < top or (size == top and s & top_mask):
+            continue
         if tables:
             rep = _orbit_min(s, tables)
             if rep in seen_orbit:
@@ -140,17 +180,16 @@ def _children(
         if cform in seen_children:
             continue
         seen_children.add(cform)
-        # canonical-deletion parent test
-        last = perm[-1]
-        if child.adj[last].bit_count() != s.bit_count():
-            continue
-        parent = induced_subgraph(child, list(perm[:-1]))
-        if parent.edge_count() != g_edges:
-            continue
-        if sorted(row.bit_count() for row in parent.adj) != g_degseq:
-            continue
-        if canonical_form(parent) != form:
-            continue
+        # Canonical-deletion parent test.  If an automorphism of the child
+        # maps the canonically-last vertex to the new vertex k, deleting
+        # either leaves g.  Otherwise compare forms; the pretest already
+        # gives the deleted vertex degree |s|, so the edge counts agree.
+        if not _in_orbit(k, perm[-1], cauts):
+            parent = induced_subgraph(child, list(perm[:-1]))
+            if sorted(row.bit_count() for row in parent.adj) != g_degseq:
+                continue
+            if canonical_form(parent) != form:
+                continue
         yield child, cform, cauts
 
 

@@ -17,8 +17,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from ramsey_k2n.enumeration import (
     K2nFreeFilter,
     enumerate_graphs,
@@ -171,7 +169,6 @@ def test_criterion_09_cited_lemma_suite():
                   f"counts {counts}, {r.elapsed:.1f}s < 120s")
 
 
-@pytest.mark.slow
 def test_criterion_10_enumeration_counts():
     expected = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
     got = []

@@ -1,12 +1,20 @@
 import random
 
 import networkx as nx
+from networkx.generators.atlas import graph_atlas_g
 
 from ramsey_k2n.canon import (
     are_isomorphic,
     canonical_form,
     canonical_labeling,
     canonical_parent,
+)
+from ramsey_k2n.enumeration import (
+    ALL_GRAPHS,
+    K2nFreeFilter,
+    _children,
+    _in_orbit,
+    enumerate_graphs,
 )
 from ramsey_k2n.graphs import (
     Graph,
@@ -91,3 +99,48 @@ def test_symmetric_graphs_fast():
         perm, form, auts = canonical_labeling(g)
         assert canonical_form(relabel(g, perm)) is not None
         assert auts  # symmetric graphs must expose generators
+
+
+def _from_nx(h: nx.Graph) -> Graph:
+    adj = [0] * h.number_of_nodes()
+    for u, v in h.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(len(adj), tuple(adj))
+
+
+def test_last_canonical_vertex_has_maximum_degree(rng):
+    # enumeration._children rejects extensions on this property alone;
+    # checked on every class of order 1..7 and random graphs of order 8..12
+    graphs = [_from_nx(h) for h in graph_atlas_g() if h.number_of_nodes()]
+    graphs += [random_graph(rng.randint(8, 12), rng.random(), rng)
+               for _ in range(300)]
+    for g in graphs:
+        perm, _, _ = canonical_labeling(g)
+        top = max(row.bit_count() for row in g.adj)
+        assert g.adj[perm[-1]].bit_count() == top, g
+
+
+def _orbit_accepted(order: int, flt) -> list[tuple[Graph, tuple, bytes]]:
+    """(child, its canonical perm, parent form) for every child of the given
+    order that _children accepts by orbit, i.e. without labeling the parent."""
+    out = []
+    for g in enumerate_graphs(order - 1, flt):
+        _, form, auts = canonical_labeling(g)
+        for child, _, cauts in _children(g, form, auts, flt):
+            perm, _, _ = canonical_labeling(child)
+            if _in_orbit(g.order, perm[-1], cauts):
+                out.append((child, perm, form))
+    return out
+
+
+def test_orbit_acceptance_is_sound():
+    # deleting the canonically-last vertex must leave the parent's class
+    cases = [(order, ALL_GRAPHS) for order in range(2, 8)]
+    cases.append((9, K2nFreeFilter(2)))
+    for order, flt in cases:
+        accepted = _orbit_accepted(order, flt)
+        assert accepted, order
+        for child, perm, form in accepted:
+            parent = induced_subgraph(child, list(perm[:-1]))
+            assert canonical_form(parent) == form, child
