@@ -7,8 +7,8 @@ values).  Exit codes: 0 success/verified, 1 counterexample or pattern
 found, 2 invalid parameters or infeasible.
 
 Graphs are exchanged as graph6 strings.  ``--output json`` emits a stable
-schema; the worker count (``--workers`` or RAMSEY_WORKERS) never changes
-reported values, only timing.
+schema.  ``verify`` and ``ramsey`` take a worker count (``--workers`` or
+RAMSEY_WORKERS), which never changes reported values, only timing.
 """
 
 from __future__ import annotations
@@ -145,17 +145,34 @@ def _print_verification(report: verifier.VerificationReport, output: str) -> int
     return report.exit_code
 
 
+# The options each verify claim reads.  ``--n`` and ``--m`` are required
+# where read; ``--max-order`` defaults to VERIFY_MAX_ORDER.
+VERIFY_READS = {"thm1.3": ("n", "m"), "thm1.6": ("n", "m"),
+                "thm1.4": ("n", "m"), "lemma2.6": ("n", "m"), "thm1.5": ("m",),
+                "lemma3.1": ("max_order",), "lemma-props": ("max_order",)}
+VERIFY_MAX_ORDER = 7
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     claim = args.claim
     w = args.workers
-    needs = {"thm1.3": ("n", "m"), "thm1.6": ("n", "m"), "thm1.4": ("n", "m"),
-             "lemma2.6": ("n", "m"), "thm1.5": ("m",),
-             "lemma3.1": (), "lemma-props": ()}
-    missing = [f"--{name}" for name in needs[claim]
-               if getattr(args, name) is None]
+    reads = VERIFY_READS[claim]
+    unread = [_flag(name) for name in ("n", "m", "max_order")
+              if name not in reads and getattr(args, name) is not None]
+    if unread:
+        print(f"error: {claim} does not read {' '.join(unread)}",
+              file=sys.stderr)
+        return EXIT_ERROR
+    missing = [_flag(name) for name in ("n", "m")
+               if name in reads and getattr(args, name) is None]
     if missing:
         print(f"error: {claim} requires {' '.join(missing)}", file=sys.stderr)
         return EXIT_ERROR
+    max_order = VERIFY_MAX_ORDER if args.max_order is None else args.max_order
     if claim == "thm1.3":
         report = verifier.verify_upper_bound(args.n, args.m, "pair", w)
     elif claim == "thm1.6":
@@ -165,11 +182,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif claim == "lemma2.6":
         report = verifier.verify_two_connected_lemma(args.n, args.m, w)
     elif claim == "lemma3.1":
-        report = verifier.verify_lemma_3_1(args.max_order, w)
+        report = verifier.verify_lemma_3_1(max_order, w)
     elif claim == "thm1.5":
         report = verifier.verify_hamiltonian_lemma(args.m, w)
     else:  # lemma-props
-        report = verifier.verify_cited_lemmas(args.max_order, w)
+        report = verifier.verify_cited_lemmas(max_order, w)
     return _print_verification(report, args.output)
 
 
@@ -200,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         parser.error("RAMSEY_WORKERS must be an integer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, workers=False):
         p.add_argument("--output", choices=["human", "json"], default="human")
-        p.add_argument("--workers", type=int, default=default_workers)
+        if workers:
+            p.add_argument("--workers", type=int, default=default_workers)
 
     pc = sub.add_parser("construct", help="build a witness graph")
     kinds = pc.add_subparsers(dest="kind", required=True)
@@ -233,16 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", action="store_true")
 
     p = sub.add_parser("verify", help="run an exhaustive theorem harness")
-    common(p)
+    common(p, workers=True)
     p.add_argument("claim", choices=["thm1.3", "thm1.6", "thm1.4",
                                      "lemma2.6", "lemma3.1", "thm1.5",
                                      "lemma-props"])
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--max-order", dest="max_order", type=int, default=7)
+    p.add_argument("--max-order", dest="max_order", type=int)
 
     p = sub.add_parser("ramsey", help="compute an exact small Ramsey value")
-    common(p)
+    common(p, workers=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cycle", type=int)
     p.add_argument("--pair", type=int)
@@ -254,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
+    if "workers" in args and args.workers < 1:
         parser.error("--workers must be >= 1")
     try:
         if args.command == "construct":

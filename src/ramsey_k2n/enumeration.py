@@ -7,14 +7,17 @@ parent it was extended from, so each isomorphism class appears exactly once
 globally.  Hereditary filters prune the search tree safely because a filtered
 class's canonical parent also passes the filter.
 
-Two exact shortcuts (McKay, "Isomorph-free exhaustive generation", 1998)
-keep most children away from the expensive steps.  The canonically-last
-vertex always has maximum degree, so a mask whose new vertex would not have
-the child's maximum degree is rejected before orbit pruning, the filter and
-labeling.  A labeled child whose new vertex lies in the orbit of its
+Three exact shortcuts (McKay, "Isomorph-free exhaustive generation", 1998)
+keep most masks away from the expensive steps.  The canonically-last vertex
+always has maximum degree, so a mask whose new vertex would not have the
+child's maximum degree is rejected before orbit pruning, the filter and
+labeling.  Masks in one Aut(g)-orbit give isomorphic children, so each orbit
+is expanded once, when its first mask is met, and its other masks are
+skipped.  A labeled child whose new vertex lies in the orbit of its
 canonically-last vertex, under the automorphisms the labeling found, is
-accepted without labeling the deleted-vertex parent.  Neither changes which
-representative is emitted or the order of the stream.
+accepted without labeling the deleted-vertex parent.  None of them changes
+which representative is emitted or the order of the stream.  A filter whose
+candidate masks are exact is not asked again about the children they give.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .canon import canonical_form, canonical_labeling
 from .graphs import Graph, add_vertex, bits, empty_graph, induced_subgraph
 
 _PARALLEL_SPLIT_ORDER = 5
-_ORBIT_BFS_CAP = 4096
 
 
 class GenerationFilter:
@@ -35,9 +37,10 @@ class GenerationFilter:
 
     Filters must be hereditary, i.e. closed under vertex deletion: they are
     applied at every order, so a graph is reached only through ancestors
-    that pass.  ``candidate_masks``, when given, restricts the
-    neighborhoods tried for the new vertex (an optimization; it must not
-    exclude any mask whose child passes the filter).
+    that pass.  ``candidate_masks``, when given, lists the neighborhoods
+    tried for the new vertex, and they must be exactly the masks whose child
+    passes, given a parent that passes: generation does not call
+    ``accepts`` on those children.
     """
 
     def accepts(self, g: Graph) -> bool:
@@ -66,11 +69,13 @@ class K2nFreeFilter(GenerationFilter):
         return k2n_free(g, self.n)
 
     def candidate_masks(self, g: Graph) -> Iterable[int]:
-        """Masks S keeping the extension K_{2,n}-free.
+        """Masks S keeping the extension K_{2,n}-free, in increasing
+        lexicographic order of their vertex lists.
 
         The new vertex w creates a K_{2,n} only through pairs inside S
         (their common count grows by one) or pairs (w, u) with
-        |S & N(u)| >= n.
+        |S & N(u)| >= n.  So once u has n-1 neighbours in S, N(u) leaves
+        the vertices S may still take.
         """
         n = self.n
         adj = g.adj
@@ -84,30 +89,40 @@ class K2nFreeFilter(GenerationFilter):
 
         out: list[int] = []
 
-        def rec(mask: int, allowed: int, start: int) -> None:
+        def rec(mask: int, allowed: int, start: int, hits: list[int]) -> None:
+            # hits[j]: the vertices with more than j neighbours in mask
             out.append(mask)
-            m = allowed & ~((1 << start) - 1)
-            for v in bits(m):
-                rec(mask | (1 << v), allowed & ok[v], v + 1)
+            for v in bits(allowed & ~((1 << start) - 1)):
+                rest = allowed & ok[v]
+                grown = hits
+                if hits:
+                    nbrs = adj[v]
+                    grown = [hits[0] | nbrs]
+                    for j in range(1, n - 1):
+                        grown.append(hits[j] | (hits[j - 1] & nbrs))
+                    for u in bits(grown[-1] & ~hits[-1]):
+                        rest &= ~adj[u]
+                rec(mask | (1 << v), rest, v + 1, grown)
 
-        rec(0, (1 << k) - 1, 0)
-        full = (1 << k) - 1
-        return [
-            s
-            for s in out
-            if all((s & adj[u]).bit_count() <= n - 1 for u in bits(full))
-        ]
+        allowed = (1 << k) - 1
+        if n == 1:  # every vertex already has its n-1 = 0 neighbours in S
+            for row in adj:
+                allowed &= ~row
+        rec(0, allowed, 0, [0] * (n - 1))
+        return out
 
 
 ALL_GRAPHS = AllGraphs()
 
 
-def _orbit_min(mask: int, tables: list[list[int]]) -> int:
-    """Smallest mask in the orbit of ``mask`` under the generator tables."""
-    seen = {mask}
+def _orbit_min(mask: int, tables: list[list[int]]) -> set[int]:
+    """The orbit of ``mask`` under the group the generator tables generate.
+
+    The benchmark tracer counts the orbits expanded under this name.
+    """
+    orbit = {mask}
     frontier = [mask]
-    best = mask
-    while frontier and len(seen) <= _ORBIT_BFS_CAP:
+    while frontier:
         m = frontier.pop()
         for tab in tables:
             im = 0
@@ -116,12 +131,10 @@ def _orbit_min(mask: int, tables: list[list[int]]) -> int:
                 low = mm & -mm
                 im |= 1 << tab[low.bit_length() - 1]
                 mm ^= low
-            if im not in seen:
-                seen.add(im)
+            if im not in orbit:
+                orbit.add(im)
                 frontier.append(im)
-                if im < best:
-                    best = im
-    return best
+    return orbit
 
 
 def _in_orbit(v: int, u: int, gens: list[tuple[int, ...]]) -> bool:
@@ -168,13 +181,16 @@ def _children(
         size = s.bit_count()
         if size < top or (size == top and s & top_mask):
             continue
+        # Masks in one Aut(g)-orbit give isomorphic children: expand the
+        # orbit at its first mask and skip the rest.  The pretest and the
+        # candidate masks are Aut(g)-invariant, so the orbit stays inside
+        # the masks this loop visits.
         if tables:
-            rep = _orbit_min(s, tables)
-            if rep in seen_orbit:
+            if s in seen_orbit:
                 continue
-            seen_orbit.add(rep)
+            seen_orbit |= _orbit_min(s, tables)
         child = add_vertex(g, s)
-        if not flt.accepts(child):
+        if cand is None and not flt.accepts(child):
             continue
         perm, cform, cauts = canonical_labeling(child)
         if cform in seen_children:

@@ -107,6 +107,29 @@ def test_verify_missing_params(capsys):
     assert "--n" in err and "--m" in err
 
 
+def test_unread_options_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "star", "--m", "6", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    code, out, err = run(capsys, "verify", "thm1.3", "--n", "2", "--m", "6",
+                         "--max-order", "3")
+    assert code == 2 and out == ""
+    assert err == "error: thm1.3 does not read --max-order\n"
+    code, _, err = run(capsys, "verify", "thm1.5", "--n", "2", "--m", "6")
+    assert code == 2 and "--n" in err
+
+
+def test_verify_max_order_where_read(capsys):
+    code, out, _ = run(capsys, "verify", "lemma-props", "--max-order", "5",
+                       "--output", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"max_order": 5}
+    code, out, _ = run(capsys, "verify", "lemma3.1", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"max_order": 7}
+
+
 def test_verify_thm14(capsys):
     code, out, _ = run(capsys, "verify", "thm1.4", "--n", "7", "--m", "5")
     assert code == 0
@@ -181,8 +204,8 @@ def test_check_reads_stdin(capsys, monkeypatch):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: "_".join(c["argv"][:2]))
 def test_json_output_matches_golden(capsys, case):
-    code, out, err = run(capsys, *case["argv"], "--output", "json",
-                         "--workers", "1")
+    workers = ["--workers", "1"] if case["argv"][0] in ("verify", "ramsey") else []
+    code, out, err = run(capsys, *case["argv"], "--output", "json", *workers)
     payload = json.loads(out)
     payload.pop("elapsed", None)
     assert code == case["exit"] and err == ""
@@ -209,7 +232,7 @@ def cli_invocations(draw):
                                           "lemma-props"])))
         _option(draw, argv, "--n", st.integers(-1, 4))
         _option(draw, argv, "--m", small)
-        argv += ["--max-order", str(draw(st.integers(-1, 7)))]
+        _option(draw, argv, "--max-order", st.integers(-1, 7))
     elif command == "ramsey":
         argv += ["--n", str(draw(st.integers(-1, 3)))]
         targets = draw(st.sampled_from([["--cycle"], ["--pair"], [],
@@ -228,7 +251,8 @@ def cli_invocations(draw):
                      "--connectivity", "--alpha"):
             if draw(st.booleans()):
                 argv.append(flag)
-    _option(draw, argv, "--workers", st.sampled_from([1, 1, 2, 2, 0, -1]))
+    if command != "check":  # check takes no --workers
+        _option(draw, argv, "--workers", st.sampled_from([1, 1, 2, 2, 0, -1]))
     if draw(st.booleans()):
         argv += ["--output", "json"]
     env = draw(st.sampled_from([None, None, None, "2", "0", "abc"]))

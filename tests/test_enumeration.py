@@ -1,17 +1,29 @@
 import hashlib
 import itertools
+import time
 
-from ramsey_k2n.canon import canonical_form
+from ramsey_k2n import enumeration
+from ramsey_k2n.canon import canonical_form, canonical_labeling
 from ramsey_k2n.enumeration import (
     ALL_GRAPHS,
     AllGraphs,
     GenerationFilter,
     K2nFreeFilter,
+    _children,
     enumerate_graphs,
     enumerate_parallel,
     unlabeled_graph_count,
 )
-from ramsey_k2n.graphs import Graph, encode_graph6
+from ramsey_k2n.graphs import (
+    Graph,
+    add_vertex,
+    bits,
+    complete_multipartite,
+    cycle_graph,
+    empty_graph,
+    encode_graph6,
+    from_edges,
+)
 from ramsey_k2n.invariants import k2n_free
 from ramsey_k2n.verifier import HamiltonianHypothesisFilter
 
@@ -51,6 +63,67 @@ def test_hereditary_pruning_soundness():
             filtered = {canonical_form(g) for g in enumerate_graphs(order)
                         if k2n_free(g, n)}
             assert pruned == filtered
+
+
+def test_candidate_masks_are_exactly_the_k2n_free_extensions():
+    # _children does not recheck the children of these masks, so they must
+    # be every K_{2,n}-free extension, in increasing order of vertex lists
+    for n in range(1, 5):
+        flt = K2nFreeFilter(n)
+        for order in range(1, 7):
+            for g in enumerate_graphs(order, flt):
+                brute = [s for s in range(1 << order)
+                         if k2n_free(add_vertex(g, s), n)]
+                brute.sort(key=lambda s: list(bits(s)))
+                assert flt.candidate_masks(g) == brute, (n, encode_graph6(g))
+
+
+PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
+    orbits = []
+    orbit_of = enumeration._orbit_min
+
+    def recorded(mask, tables):
+        orbit = orbit_of(mask, tables)
+        orbits.append(orbit)
+        return orbit
+
+    monkeypatch.setattr(enumeration, "_orbit_min", recorded)
+    parents = [(empty_graph(6), ALL_GRAPHS), (cycle_graph(6), ALL_GRAPHS),
+               (complete_multipartite([2, 3]), ALL_GRAPHS),
+               (cycle_graph(7), K2nFreeFilter(2)), (PETERSEN, K2nFreeFilter(2))]
+    for g, flt in parents:
+        orbits.clear()
+        _, form, auts = canonical_labeling(g)
+        assert auts
+        list(_children(g, form, auts, flt))
+        cand = flt.candidate_masks(g)
+        degrees = [row.bit_count() for row in g.adj]
+        top = max(degrees)
+        top_mask = sum(1 << v for v in range(g.order) if degrees[v] == top)
+        passing = {s for s in (range(1 << g.order) if cand is None else cand)
+                   if s.bit_count() > top
+                   or (s.bit_count() == top and not s & top_mask)}
+        covered = set().union(*orbits)
+        assert sum(map(len, orbits)) == len(covered)  # pairwise disjoint
+        assert covered == passing
+        for orbit in orbits:
+            for a in auts:
+                assert {sum(1 << a[v] for v in bits(s)) for s in orbit} == orbit
+
+
+def test_children_of_a_highly_symmetric_parent():
+    # S_12 acts on the 4,096 masks in 13 orbits, one per class of child
+    g = empty_graph(12)
+    _, form, auts = canonical_labeling(g)
+    start = time.perf_counter()
+    children = list(_children(g, form, auts, ALL_GRAPHS))
+    assert len(children) == 13
+    assert time.perf_counter() - start < 5
 
 
 def test_c4_free_counts():
