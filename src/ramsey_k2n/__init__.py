@@ -4,7 +4,7 @@ K_{2,n} versus cycles.
 Modules:
 
 - ``graphs``        — immutable bitmask graphs, constructors, graph6 I/O
-- ``canon``         — canonical labeling, isomorphism, automorphisms
+- ``canon``         — canonical labeling and forms, automorphism generators
 - ``invariants``    — cycles, connectivity, K_{2,n}-freeness, witnesses
 - ``enumeration``   — isomorph-free exhaustive generation with filters
 - ``constructions`` — lower-bound witness builders with self-verification

@@ -10,7 +10,7 @@ complete multipartite graphs) tractable.
 
 from __future__ import annotations
 
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 
 _MAX_AUT_GENERATORS = 64
 
@@ -136,19 +136,3 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int
 
 def canonical_form(g: Graph) -> bytes:
     return canonical_labeling(g)[1]
-
-
-def canonical_parent(g: Graph) -> Graph:
-    """Induced subgraph on the first order-1 canonical positions.
-
-    Well-defined up to isomorphism even when several labelings tie, since
-    tied labelings share the same canonical adjacency matrix.
-    """
-    perm, _, _ = canonical_labeling(g)
-    return induced_subgraph(g, list(perm[:-1]))
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.order != g2.order or g1.edge_count() != g2.edge_count():
-        return False
-    return canonical_form(g1) == canonical_form(g2)

@@ -203,10 +203,6 @@ def burr_witness(g_order: int, pattern: PatternParams) -> ConstructionReport:
         checks["pattern_absent"] = k2n_free(blue, pattern.size)
     else:
         checks["pattern_absent"] = has_cycle_of_length(blue, pattern.size) is None
-        if pattern.kind == "cycle_pair":
-            checks["pattern_plus_one_absent"] = (
-                has_cycle_of_length(blue, pattern.size + 1) is None
-            )
     return ConstructionReport(
         name="burr",
         params={"g_order": g_order, "chi": chi, "sigma": sigma,

@@ -198,12 +198,18 @@ def _children(
         seen_children.add(cform)
         # Canonical-deletion parent test.  If an automorphism of the child
         # maps the canonically-last vertex to the new vertex k, deleting
-        # either leaves g.  Otherwise compare forms; the pretest already
-        # gives the deleted vertex degree |s|, so the edge counts agree.
-        if not _in_orbit(k, perm[-1], cauts):
-            parent = induced_subgraph(child, list(perm[:-1]))
-            if sorted(row.bit_count() for row in parent.adj) != g_degseq:
+        # either leaves g.  Otherwise compare degree sequences, read off
+        # the child's rows, before building the parent to compare forms;
+        # the pretest already gives the deleted vertex degree |s|, so the
+        # edge counts agree.
+        last = perm[-1]
+        if not _in_orbit(k, last, cauts):
+            keep = ~(1 << last)
+            degseq = sorted((row & keep).bit_count()
+                            for v, row in enumerate(child.adj) if v != last)
+            if degseq != g_degseq:
                 continue
+            parent = induced_subgraph(child, list(perm[:-1]))
             if canonical_form(parent) != form:
                 continue
         yield child, cform, cauts

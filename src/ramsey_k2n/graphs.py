@@ -8,7 +8,7 @@ All mutators return new graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 MAX_ORDER = 64
 
@@ -18,7 +18,7 @@ class GraphError(ValueError):
 
 
 class FormatError(GraphError):
-    """Malformed external graph encoding (graph6, JSON)."""
+    """Malformed graph6 input."""
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -27,13 +27,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,14 +57,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.order):
-            row = self.adj[u] >> (u + 1)
-            for d in bits(row << (u + 1)):
-                out.append((u, d))
-        return out
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -107,13 +92,6 @@ def cycle_graph(order: int) -> Graph:
     return g
 
 
-def path_graph(order: int) -> Graph:
-    g = empty_graph(order)
-    for v in range(order - 1):
-        g = add_edge(g, v, v + 1)
-    return g
-
-
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     _check_vertex(g, u)
     _check_vertex(g, v)
@@ -123,20 +101,6 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     rows[u] |= 1 << v
     rows[v] |= 1 << u
     return Graph(g.order, tuple(rows))
-
-
-def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    if not 1 <= order <= MAX_ORDER:
-        raise GraphError(f"order {order} outside 1..{MAX_ORDER}")
-    rows = [0] * order
-    for u, v in edges:
-        if not (0 <= u < order and 0 <= v < order):
-            raise GraphError(f"edge ({u},{v}) outside 0..{order - 1}")
-        if u == v:
-            raise GraphError("loops are not allowed")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(order, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
@@ -159,24 +123,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     m2 = ((1 << g.order) - 1) ^ m1
     rows = [row | (m2 if v < g1.order else m1) for v, row in enumerate(g.adj)]
     return Graph(g.order, tuple(rows))
-
-
-def complete_multipartite(part_sizes: list[int]) -> Graph:
-    if not part_sizes:
-        raise GraphError("at least one part required")
-    if any(s < 1 for s in part_sizes):
-        raise GraphError("each part must have size >= 1")
-    n = sum(part_sizes)
-    if n > MAX_ORDER:
-        raise GraphError(f"order {n} exceeds {MAX_ORDER}")
-    full = (1 << n) - 1
-    rows = []
-    start = 0
-    for size in part_sizes:
-        part = ((1 << size) - 1) << start
-        rows.extend((full ^ part) for _ in range(size))
-        start += size
-    return Graph(n, tuple(rows))
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
@@ -203,23 +149,6 @@ def add_vertex(g: Graph, neighbors_mask: int) -> Graph:
     rows = [row | (1 << v if neighbors_mask >> u & 1 else 0) for u, row in enumerate(g.adj)]
     rows.append(neighbors_mask)
     return Graph(g.order + 1, tuple(rows))
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    """Relabeled copy: vertex v becomes perm[v]."""
-    rows = [0] * g.order
-    for v in range(g.order):
-        rows[perm[v]] = mask_of(perm[u] for u in bits(g.adj[v]))
-    return Graph(g.order, tuple(rows))
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> int:
-    """Mask of vertices adjacent to both u and v."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        raise GraphError("u and v must differ")
-    return g.adj[u] & g.adj[v]
 
 
 def union_neighborhood_excl(g: Graph, u: int, v: int) -> int:
@@ -298,14 +227,3 @@ def decode_graph6(text: str) -> Graph:
                 rows[col] |= 1 << row
             i += 1
     return Graph(n, tuple(rows))
-
-
-def to_json_dict(g: Graph) -> dict:
-    return {"order": g.order, "edges": [[u, v] for u, v in g.edges()]}
-
-
-def from_json_dict(d: dict) -> Graph:
-    try:
-        return from_edges(int(d["order"]), [(int(u), int(v)) for u, v in d["edges"]])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad graph JSON: {exc}") from exc

@@ -33,9 +33,6 @@ class CycleWitness:
             return False
         return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "cycle", "vertices": list(self.vertices)}
-
 
 @dataclass(frozen=True, slots=True)
 class K2nWitness:
@@ -53,21 +50,18 @@ class K2nWitness:
             return False
         return all(g.has_edge(u, w) and g.has_edge(v, w) for w in self.common)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "k2n", "pair": list(self.pair), "common": list(self.common)}
-
 
 @dataclass(frozen=True)
 class PatternParams:
     """Chromatic data of the target pattern, for Burr's lower bound."""
 
-    kind: str  # "cycle" | "cycle_pair" | "k2n"
+    kind: str  # "cycle" | "k2n"
     size: int  # m for cycles, n for K_{2,n}
 
     def __post_init__(self):
-        if self.kind not in ("cycle", "cycle_pair", "k2n"):
+        if self.kind not in ("cycle", "k2n"):
             raise GraphError(f"unknown pattern kind {self.kind!r}")
-        if self.kind in ("cycle", "cycle_pair") and self.size < 3:
+        if self.kind == "cycle" and self.size < 3:
             raise GraphError("cycle length must be >= 3")
         if self.kind == "k2n" and self.size < 2:
             raise GraphError("K_{2,n} goodness arithmetic requires n >= 2")
@@ -77,39 +71,24 @@ class PatternParams:
         return cls("cycle", m)
 
     @classmethod
-    def cycle_pair(cls, m: int) -> "PatternParams":
-        return cls("cycle_pair", m)
-
-    @classmethod
     def k2n(cls, n: int) -> "PatternParams":
         return cls("k2n", n)
 
     @property
     def chi(self) -> int:
-        if self.kind == "cycle":
-            return 2 if self.size % 2 == 0 else 3
         if self.kind == "k2n":
             return 2
-        raise GraphError("cycle_pair has no single chromatic number")
+        return 2 if self.size % 2 == 0 else 3
 
     @property
     def sigma(self) -> int:
-        if self.kind == "cycle":
-            return self.size // 2 if self.size % 2 == 0 else 1
         if self.kind == "k2n":
             return 2
-        raise GraphError("cycle_pair has no single sigma")
-
-    def burr_lower_bound(self, g_order: int) -> int:
-        return (g_order - 1) * (self.chi - 1) + self.sigma
+        return self.size // 2 if self.size % 2 == 0 else 1
 
 
 def min_degree(g: Graph) -> int:
     return min(row.bit_count() for row in g.adj)
-
-
-def max_degree(g: Graph) -> int:
-    return max(row.bit_count() for row in g.adj)
 
 
 def _reachable(adj: tuple[int, ...], v: int, allowed: int) -> int:
@@ -125,66 +104,58 @@ def _reachable(adj: tuple[int, ...], v: int, allowed: int) -> int:
     return seen
 
 
-def is_connected(g: Graph) -> bool:
-    full = g.vertices_mask()
-    return (_reachable(g.adj, 0, full) | 1) == full
-
-
-def _max_disjoint_paths(g: Graph, s: int, t: int) -> int:
-    """Internally vertex-disjoint s-t paths for nonadjacent s, t (Menger)."""
-    n = g.order
-    # node splitting: node 2v = v_in, 2v+1 = v_out; unit capacities
-    cap: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        cap[(2 * v, 2 * v + 1)] = 1
-    for u in range(n):
-        for v in bits(g.adj[u]):
-            cap[(2 * u + 1, 2 * v)] = 1
-    src, sink = 2 * s + 1, 2 * t
-    cap[(2 * s, 2 * s + 1)] = n
-    cap[(2 * t, 2 * t + 1)] = n
-    for (a, b) in list(cap):
-        cap.setdefault((b, a), 0)  # residual arcs must be traversable
-    succ: dict[int, list[int]] = {}
-    for (a, b) in cap:
-        succ.setdefault(a, []).append(b)
-        succ.setdefault(b, [])
-    flow = 0
-    while True:
-        prev = {src: -1}
-        queue = [src]
-        while queue and sink not in prev:
-            a = queue.pop(0)
-            for b in succ[a]:
-                if b not in prev and cap.get((a, b), 0) > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
-            return flow
-        b = sink
-        while b != src:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] = cap.get((b, a), 0) + 1
-            b = a
-        flow += 1
-
-
 def connectivity(g: Graph) -> int:
-    """Exact vertex connectivity."""
+    """Exact vertex connectivity: 0 for order 1 and disconnected graphs,
+    n - 1 for K_n.
+
+    It is the least number of internally disjoint paths between two
+    nonadjacent vertices, n - 1 if there are none.  A minimum separator S
+    misses one of the vertices 0..|S|, and the least such vertex i is cut
+    off by S from some later vertex j; so sources i = 0, 1, ... are tried
+    only while i <= best, each against its later nonadjacent sinks (Even,
+    SIAM J. Comput. 4, 1975).  Each pair is a unit-capacity max flow,
+    stopped at best, on the split digraph: vertex v becomes the nodes 2v
+    (in) and 2v + 1 (out), and ``res[x]`` is the bitmask of nodes x still
+    has residual capacity to.
+    """
     n = g.order
-    if n == 1:
-        return 0
-    if not is_connected(g):
-        return 0
-    full = g.vertices_mask()
-    if all(row == full ^ (1 << v) for v, row in enumerate(g.adj)):
-        return n - 1
+    base = [0] * (2 * n)
+    for v, row in enumerate(g.adj):
+        base[2 * v] = 1 << (2 * v + 1)
+        for w in bits(row):
+            base[2 * v + 1] |= 1 << (2 * w)
     best = n - 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                best = min(best, _max_disjoint_paths(g, u, v))
+    i = 0
+    while i <= best:
+        src = 2 * i + 1
+        for j in bits(g.vertices_mask() & ~g.adj[i] & ~((2 << i) - 1)):
+            res = base.copy()
+            sink = 2 * j
+            flow = 0
+            while flow < best:
+                prev = {}
+                seen = 1 << src
+                frontier = [src]
+                while frontier and not seen >> sink & 1:
+                    nxt = []
+                    for a in frontier:
+                        new = res[a] & ~seen
+                        seen |= new
+                        for b in bits(new):
+                            prev[b] = a
+                            nxt.append(b)
+                    frontier = nxt
+                if not seen >> sink & 1:
+                    break
+                b = sink
+                while b != src:
+                    a = prev[b]
+                    res[a] &= ~(1 << b)
+                    res[b] |= 1 << a
+                    b = a
+                flow += 1
+            best = flow
+        i += 1
     return best
 
 
@@ -307,17 +278,6 @@ def cycle_spectrum(g: Graph) -> set[int]:
     return {ln for ln in range(3, g.order + 1) if has_cycle_of_length(g, ln)}
 
 
-def is_weakly_pancyclic(g: Graph) -> bool:
-    """Cycles of every length between girth and circumference.
-
-    Vacuously true for forests (empty length range).
-    """
-    spec = cycle_spectrum(g)
-    if not spec:
-        return True
-    return spec == set(range(min(spec), max(spec) + 1))
-
-
 def is_hamiltonian(g: Graph) -> CycleWitness | None:
     if g.order < 3:
         raise GraphError("Hamiltonicity needs order >= 3")
@@ -373,21 +333,3 @@ def find_k2n(g: Graph, n: int) -> K2nWitness | None:
                     break
             return K2nWitness((u, v), tuple(chosen))
     return None
-
-
-def is_bipartite(g: Graph) -> bool:
-    color: dict[int, int] = {}
-    for root in range(g.order):
-        if root in color:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in bits(g.adj[u]):
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True

@@ -7,8 +7,9 @@ claim's hypothesis, and checks the conclusion on each survivor.  Outcomes:
 - ``verified-vacuous``  — hypothesis empty (reported distinctly, never
                           conflated with a substantive pass)
 - ``counterexample``    — some graph satisfies the hypothesis and violates
-                          the conclusion; the minimal one (by graph6) is
-                          reported and re-validated
+                          the conclusion; of those found, the one with the
+                          least graph6 string is reported, with a note on
+                          what it violates
 - ``infeasible``        — parameters outside desk-scale guidelines
 
 Reports are deterministic for fixed parameters; worker count never changes

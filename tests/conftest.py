@@ -1,8 +1,65 @@
 import random
+from typing import Iterable
 
+import networkx as nx
 import pytest
 
-from ramsey_k2n.graphs import Graph
+from ramsey_k2n.graphs import Graph, add_edge, bits, empty_graph
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    rows = [0] * order
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(order, tuple(rows))
+
+
+def path_graph(order: int) -> Graph:
+    g = empty_graph(order)
+    for v in range(order - 1):
+        g = add_edge(g, v, v + 1)
+    return g
+
+
+def complete_multipartite(part_sizes: list[int]) -> Graph:
+    n = sum(part_sizes)
+    full = (1 << n) - 1
+    rows = []
+    start = 0
+    for size in part_sizes:
+        part = ((1 << size) - 1) << start
+        rows.extend(full ^ part for _ in range(size))
+        start += size
+    return Graph(n, tuple(rows))
+
+
+def from_nx(h: nx.Graph) -> Graph:
+    adj = [0] * h.number_of_nodes()
+    for u, v in h.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(len(adj), tuple(adj))
+
+
+PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """Relabeled copy: vertex v becomes perm[v]."""
+    rows = [0] * g.order
+    for v in range(g.order):
+        rows[perm[v]] = mask_of(perm[u] for u in bits(g.adj[v]))
+    return Graph(g.order, tuple(rows))
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -11,14 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_k2n.cli import main
-from ramsey_k2n.graphs import (
-    complete_multipartite,
-    cycle_graph,
-    encode_graph6,
-    from_edges,
-)
+from ramsey_k2n.graphs import cycle_graph, encode_graph6
 
-from conftest import random_graph
+from conftest import PETERSEN, complete_multipartite, random_graph
 
 
 # --output json payloads of fast runs, minus ``elapsed``; every reported
@@ -73,10 +68,7 @@ def test_check_k2n_witness(capsys):
 
 
 def test_check_petersen_spectrum(capsys):
-    petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
-                          + [(i, i + 5) for i in range(5)]
-                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-    g6 = encode_graph6(petersen)
+    g6 = encode_graph6(PETERSEN)
     code, out, _ = run(capsys, "check", g6, "--spectrum", "--girth",
                        "--connectivity", "--output", "json")
     assert code == 0

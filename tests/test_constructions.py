@@ -11,13 +11,10 @@ from ramsey_k2n.constructions import (
     lemma42_witness,
     star_witness,
 )
-from ramsey_k2n.graphs import (
-    complement,
-    complete_multipartite,
-    decode_graph6,
-    induced_subgraph,
-)
+from ramsey_k2n.graphs import complement, decode_graph6, induced_subgraph
 from ramsey_k2n.invariants import PatternParams, has_cycle_of_length, k2n_free
+
+from conftest import complete_multipartite
 
 
 def test_star_witness_basic():

@@ -18,14 +18,14 @@ from ramsey_k2n.graphs import (
     Graph,
     add_vertex,
     bits,
-    complete_multipartite,
     cycle_graph,
     empty_graph,
     encode_graph6,
-    from_edges,
 )
 from ramsey_k2n.invariants import k2n_free
 from ramsey_k2n.verifier import HamiltonianHypothesisFilter
+
+from conftest import PETERSEN, complete_multipartite
 
 KNOWN_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
 
@@ -76,11 +76,6 @@ def test_candidate_masks_are_exactly_the_k2n_free_extensions():
                          if k2n_free(add_vertex(g, s), n)]
                 brute.sort(key=lambda s: list(bits(s)))
                 assert flt.candidate_masks(g) == brute, (n, encode_graph6(g))
-
-
-PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
-                      + [(i, i + 5) for i in range(5)]
-                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
 def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
