@@ -7,8 +7,9 @@ values).  Exit codes: 0 success/verified, 1 counterexample or pattern
 found, 2 invalid parameters or infeasible.
 
 Graphs are exchanged as graph6 strings.  ``--output json`` emits a stable
-schema.  ``verify`` and ``ramsey`` take a worker count (``--workers`` or
-RAMSEY_WORKERS), which never changes reported values, only timing.
+schema.  ``ramsey`` and every ``verify`` claim but thm1.4 take a worker
+count (``--workers`` or RAMSEY_WORKERS), which never changes reported
+values, only timing.
 """
 
 from __future__ import annotations
@@ -146,10 +147,12 @@ def _print_verification(report: verifier.VerificationReport, output: str) -> int
 
 
 # The options each verify claim reads.  ``--n`` and ``--m`` are required
-# where read; ``--max-order`` defaults to VERIFY_MAX_ORDER.
-VERIFY_READS = {"thm1.3": ("n", "m"), "thm1.6": ("n", "m"),
-                "thm1.4": ("n", "m"), "lemma2.6": ("n", "m"), "thm1.5": ("m",),
-                "lemma3.1": ("max_order",), "lemma-props": ("max_order",)}
+# where read; ``--max-order`` defaults to VERIFY_MAX_ORDER and
+# ``--workers`` to RAMSEY_WORKERS.
+VERIFY_READS = {"thm1.3": ("n", "m", "workers"), "thm1.6": ("n", "m", "workers"),
+                "thm1.4": ("n", "m"), "lemma2.6": ("n", "m", "workers"),
+                "thm1.5": ("m", "workers"), "lemma3.1": ("max_order", "workers"),
+                "lemma-props": ("max_order", "workers")}
 VERIFY_MAX_ORDER = 7
 
 
@@ -157,11 +160,14 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _workers(args: argparse.Namespace) -> int:
+    return args.env_workers if args.workers is None else args.workers
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     claim = args.claim
-    w = args.workers
     reads = VERIFY_READS[claim]
-    unread = [_flag(name) for name in ("n", "m", "max_order")
+    unread = [_flag(name) for name in ("n", "m", "max_order", "workers")
               if name not in reads and getattr(args, name) is not None]
     if unread:
         print(f"error: {claim} does not read {' '.join(unread)}",
@@ -173,6 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {claim} requires {' '.join(missing)}", file=sys.stderr)
         return EXIT_ERROR
     max_order = VERIFY_MAX_ORDER if args.max_order is None else args.max_order
+    w = _workers(args)
     if claim == "thm1.3":
         report = verifier.verify_upper_bound(args.n, args.m, "pair", w)
     elif claim == "thm1.6":
@@ -198,7 +205,7 @@ def cmd_ramsey(args: argparse.Namespace) -> int:
     kind = "cycle" if args.cycle is not None else "cycle_pair"
     m = args.cycle if args.cycle is not None else args.pair
     report = verifier.compute_ramsey(args.n, kind, m, args.max_order,
-                                     args.workers)
+                                     _workers(args))
     code = _print_verification(report, args.output)
     if report.outcome == "verified" and args.output == "human":
         target = f"C_{m}" if kind == "cycle" else f"C_{{{m},{m + 1}}}"
@@ -220,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, workers=False):
         p.add_argument("--output", choices=["human", "json"], default="human")
         if workers:
-            p.add_argument("--workers", type=int, default=default_workers)
+            # None unless given, so a claim can reject it as unread
+            p.add_argument("--workers", type=int)
+            p.set_defaults(env_workers=default_workers)
 
     pc = sub.add_parser("construct", help="build a witness graph")
     kinds = pc.add_subparsers(dest="kind", required=True)
@@ -272,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "workers" in args and args.workers < 1:
+    if getattr(args, "workers", None) is not None and args.workers < 1:
         parser.error("--workers must be >= 1")
     try:
         if args.command == "construct":

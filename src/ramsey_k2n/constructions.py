@@ -103,12 +103,11 @@ def _measure(
     g: Graph,
     gbar: Graph,
     claimed: dict[str, int | None],
-    circ_cutoff: int = CIRCUMFERENCE_CUTOFF,
 ) -> tuple[dict[str, int | None], tuple[str, ...]]:
     measured: dict[str, int | None] = {"order": g.order}
     skipped: list[str] = []
     measured["max_common_neighborhood"] = max_common_neighborhood(g)
-    if g.order <= circ_cutoff:
+    if g.order <= CIRCUMFERENCE_CUTOFF:
         measured["complement_circumference"] = circumference(gbar)
     else:
         measured["complement_circumference"] = None

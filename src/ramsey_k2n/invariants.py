@@ -1,8 +1,10 @@
 """Exact structural invariants: degrees, connectivity, cycles, independence
 and K_{2,n}-freeness.
 
-Everything here is exact search, no heuristics.  Cycle searches are
-backtracking over bitmasks with reachability pruning, which is fast on the
+Everything here is exact search, no heuristics.  One exact-length cycle
+search, ``all_cycles_of_length``, gives every cycle quantity: fixed-length
+cycles, Hamiltonicity, the cycle spectrum, circumference and girth.  It
+backtracks over bitmasks with reachability pruning, which is fast on the
 dense clique-union graphs this package cares about and exhaustive everywhere.
 """
 
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, GraphError, bits
-
-INFINITY = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,71 +159,6 @@ def connectivity(g: Graph) -> int:
     return best
 
 
-def girth(g: Graph) -> float:
-    """Length of a shortest cycle; math.inf for forests."""
-    n = g.order
-    best = INFINITY
-    for root in range(n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in bits(g.adj[u]):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    best = min(best, dist[u] + dist[w] + 1)
-        if best == 3:
-            return 3
-    return best
-
-
-def longest_cycle(g: Graph) -> CycleWitness | None:
-    """Exact longest cycle via branch-and-bound with reachability pruning."""
-    adj = g.adj
-    n = g.order
-    best_len = 0
-    best_path: tuple[int, ...] | None = None
-
-    for s in range(n):
-        gt = g.vertices_mask() & ~((1 << (s + 1)) - 1)  # vertices > s
-        if (adj[s] & gt).bit_count() < 2:
-            continue
-        stack_path = [s]
-
-        def dfs(v: int, used: int) -> None:
-            nonlocal best_len, best_path
-            depth = len(stack_path)
-            closes = depth >= 3 and adj[v] >> s & 1
-            if closes and depth > best_len:
-                best_len = depth
-                best_path = tuple(stack_path)
-            rem = gt & ~used
-            if not rem:
-                return
-            reach = _reachable(adj, v, rem)
-            if depth + reach.bit_count() <= best_len:
-                return
-            if not adj[s] & reach:
-                return  # no extension can ever close back to s
-            for w in bits(adj[v] & rem):
-                stack_path.append(w)
-                dfs(w, used | (1 << w))
-                stack_path.pop()
-
-        dfs(s, 1 << s)
-    return CycleWitness(best_path) if best_path else None
-
-
-def circumference(g: Graph) -> int:
-    """Longest cycle length, 0 for forests."""
-    w = longest_cycle(g)
-    return w.length if w else 0
-
-
 def all_cycles_of_length(
     g: Graph, m: int, cap: int = 10_000
 ) -> tuple[list[CycleWitness], bool]:
@@ -272,9 +207,23 @@ def has_cycle_of_length(g: Graph, m: int) -> CycleWitness | None:
     return cycles[0] if cycles else None
 
 
+def circumference(g: Graph) -> int:
+    """Longest cycle length, 0 for forests.
+
+    A vertex of degree below 2 lies on no cycle, so the downward scan
+    starts at the number of vertices of degree at least 2.
+    """
+    top = sum(row.bit_count() >= 2 for row in g.adj)
+    return next((ln for ln in range(top, 2, -1) if has_cycle_of_length(g, ln)), 0)
+
+
+def girth(g: Graph) -> float:
+    """Length of a shortest cycle; math.inf for forests."""
+    return next((ln for ln in range(3, g.order + 1) if has_cycle_of_length(g, ln)),
+                math.inf)
+
+
 def cycle_spectrum(g: Graph) -> set[int]:
-    if g.order < 3:
-        return set()
     return {ln for ln in range(3, g.order + 1) if has_cycle_of_length(g, ln)}
 
 

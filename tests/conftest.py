@@ -41,6 +41,13 @@ def complete_multipartite(part_sizes: list[int]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def to_nx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from((u, v) for u in range(g.order) for v in bits(g.adj[u]) if v > u)
+    return h
+
+
 def from_nx(h: nx.Graph) -> Graph:
     adj = [0] * h.number_of_nodes()
     for u, v in h.edges:

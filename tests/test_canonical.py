@@ -26,8 +26,8 @@ from conftest import (
     path_graph,
     random_graph,
     relabel,
+    to_nx,
 )
-from test_graphs import to_nx
 
 
 def shuffled(g: Graph, rng: random.Random) -> Graph:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramsey_k2n import verifier
 from ramsey_k2n.cli import main
 from ramsey_k2n.graphs import cycle_graph, encode_graph6
 
@@ -110,6 +111,10 @@ def test_unread_options_exit_2(capsys):
     assert err == "error: thm1.3 does not read --max-order\n"
     code, _, err = run(capsys, "verify", "thm1.5", "--n", "2", "--m", "6")
     assert code == 2 and "--n" in err
+    code, out, err = run(capsys, "verify", "thm1.4", "--n", "7", "--m", "5",
+                         "--workers", "3")
+    assert code == 2 and out == ""
+    assert err == "error: thm1.4 does not read --workers\n"
 
 
 def test_verify_max_order_where_read(capsys):
@@ -179,10 +184,16 @@ def test_workers_do_not_change_output(capsys):
 
 def test_env_var_sets_default_workers(capsys, monkeypatch):
     monkeypatch.setenv("RAMSEY_WORKERS", "2")
-    from ramsey_k2n.cli import build_parser
+    seen = []
 
-    args = build_parser().parse_args(["verify", "lemma3.1", "--max-order", "5"])
-    assert args.workers == 2
+    def harness(max_order, workers):
+        seen.append(workers)
+        return verifier.VerificationReport("lemma3.1", {}, "verified")
+
+    monkeypatch.setattr(verifier, "verify_lemma_3_1", harness)
+    run(capsys, "verify", "lemma3.1", "--max-order", "5")
+    run(capsys, "verify", "lemma3.1", "--max-order", "5", "--workers", "3")
+    assert seen == [2, 3]
 
 
 def test_check_reads_stdin(capsys, monkeypatch):

@@ -20,17 +20,13 @@ from ramsey_k2n.graphs import (
     union_neighborhood_excl,
 )
 
-from conftest import complete_multipartite, mask_of, path_graph, random_graph
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.order))
-    for u in range(g.order):
-        for v in bits(g.adj[u]):
-            if v > u:
-                h.add_edge(u, v)
-    return h
+from conftest import (
+    complete_multipartite,
+    mask_of,
+    path_graph,
+    random_graph,
+    to_nx,
+)
 
 
 def test_basic_constructors():

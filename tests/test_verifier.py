@@ -7,7 +7,6 @@ from networkx.generators.atlas import graph_atlas_g
 from ramsey_k2n.constructions import star_witness
 from ramsey_k2n.enumeration import enumerate_graphs
 from ramsey_k2n.graphs import (
-    bits,
     complement,
     decode_graph6,
     union_neighborhood_excl,
@@ -27,6 +26,8 @@ from ramsey_k2n.verifier import (
     verify_two_connected_lemma,
     verify_upper_bound,
 )
+
+from conftest import to_nx
 
 
 def test_upper_bound_pair_small():
@@ -171,13 +172,6 @@ def test_reports_serialize():
 # come from networkx; no hereditary pruning is involved.
 
 
-def _nx_graph(g) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.order))
-    h.add_edges_from((u, v) for u in range(g.order) for v in bits(g.adj[u]) if v > u)
-    return h
-
-
 def _atlas(order: int) -> list[nx.Graph]:
     return [h for h in graph_atlas_g() if h.number_of_nodes() == order]
 
@@ -222,7 +216,7 @@ def test_hamiltonian_lemma_matches_networkx_oracle_small():
 
 
 def test_hamiltonian_lemma_matches_networkx_oracle_at_7():
-    graphs = (_nx_graph(g) for g in enumerate_graphs(8))
+    graphs = (to_nx(g) for g in enumerate_graphs(8))
     _check_hamiltonian_lemma_against_oracle(7, graphs, (5, 16))
 
 
