@@ -2,14 +2,16 @@
 
 Subcommands: ``construct`` (build a witness graph and re-verify its
 claims), ``check`` (invariants of a graph6 graph from stdin or argument),
-``verify`` (exhaustive theorem harnesses), ``ramsey`` (exact small Ramsey
-values).  Exit codes: 0 success/verified, 1 counterexample or pattern
-found, 2 invalid parameters or infeasible.
+``verify`` (exhaustive theorem harnesses, one subcommand per claim),
+``ramsey`` (exact small Ramsey values).  Exit codes: 0 success/verified,
+1 counterexample or pattern found, 2 invalid parameters or infeasible.
 
-Graphs are exchanged as graph6 strings.  ``--output json`` emits a stable
-schema.  ``ramsey`` and every ``verify`` claim but thm1.4 take a worker
-count (``--workers`` or RAMSEY_WORKERS), which never changes reported
-values, only timing.
+Every ``construct`` kind and ``verify`` claim declares only the options
+it reads, and they follow its name: argparse rejects any other option,
+or a missing required one, with exit 2.  Graphs are exchanged as graph6
+strings.  ``--output json`` emits a stable schema.  ``ramsey`` and every
+``verify`` claim but thm1.4 take a worker count (``--workers``, default
+RAMSEY_WORKERS), which never changes reported values, only timing.
 """
 
 from __future__ import annotations
@@ -146,66 +148,15 @@ def _print_verification(report: verifier.VerificationReport, output: str) -> int
     return report.exit_code
 
 
-# The options each verify claim reads.  ``--n`` and ``--m`` are required
-# where read; ``--max-order`` defaults to VERIFY_MAX_ORDER and
-# ``--workers`` to RAMSEY_WORKERS.
-VERIFY_READS = {"thm1.3": ("n", "m", "workers"), "thm1.6": ("n", "m", "workers"),
-                "thm1.4": ("n", "m"), "lemma2.6": ("n", "m", "workers"),
-                "thm1.5": ("m", "workers"), "lemma3.1": ("max_order", "workers"),
-                "lemma-props": ("max_order", "workers")}
-VERIFY_MAX_ORDER = 7
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _workers(args: argparse.Namespace) -> int:
-    return args.env_workers if args.workers is None else args.workers
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    claim = args.claim
-    reads = VERIFY_READS[claim]
-    unread = [_flag(name) for name in ("n", "m", "max_order", "workers")
-              if name not in reads and getattr(args, name) is not None]
-    if unread:
-        print(f"error: {claim} does not read {' '.join(unread)}",
-              file=sys.stderr)
-        return EXIT_ERROR
-    missing = [_flag(name) for name in ("n", "m")
-               if name in reads and getattr(args, name) is None]
-    if missing:
-        print(f"error: {claim} requires {' '.join(missing)}", file=sys.stderr)
-        return EXIT_ERROR
-    max_order = VERIFY_MAX_ORDER if args.max_order is None else args.max_order
-    w = _workers(args)
-    if claim == "thm1.3":
-        report = verifier.verify_upper_bound(args.n, args.m, "pair", w)
-    elif claim == "thm1.6":
-        report = verifier.verify_upper_bound(args.n, args.m, "single", w)
-    elif claim == "thm1.4":
-        report = verifier.verify_badness(args.n, args.m)
-    elif claim == "lemma2.6":
-        report = verifier.verify_two_connected_lemma(args.n, args.m, w)
-    elif claim == "lemma3.1":
-        report = verifier.verify_lemma_3_1(max_order, w)
-    elif claim == "thm1.5":
-        report = verifier.verify_hamiltonian_lemma(args.m, w)
-    else:  # lemma-props
-        report = verifier.verify_cited_lemmas(max_order, w)
-    return _print_verification(report, args.output)
+    return _print_verification(args.harness(args), args.output)
 
 
 def cmd_ramsey(args: argparse.Namespace) -> int:
-    if (args.cycle is None) == (args.pair is None):
-        print("error: exactly one of --cycle or --pair is required",
-              file=sys.stderr)
-        return EXIT_ERROR
     kind = "cycle" if args.cycle is not None else "cycle_pair"
     m = args.cycle if args.cycle is not None else args.pair
     report = verifier.compute_ramsey(args.n, kind, m, args.max_order,
-                                     _workers(args))
+                                     args.workers)
     code = _print_verification(report, args.output)
     if report.outcome == "verified" and args.output == "human":
         target = f"C_{m}" if kind == "cycle" else f"C_{{{m},{m + 1}}}"
@@ -213,25 +164,41 @@ def cmd_ramsey(args: argparse.Namespace) -> int:
     return code
 
 
+# Each verify claim: the options it reads besides --output, and its
+# harness.  --n and --m are required where read, --max-order defaults
+# to 7 and --workers to RAMSEY_WORKERS.
+VERIFY_CLAIMS = {
+    "thm1.3": (("--n", "--m", "--workers"), lambda a:
+               verifier.verify_upper_bound(a.n, a.m, "pair", a.workers)),
+    "thm1.6": (("--n", "--m", "--workers"), lambda a:
+               verifier.verify_upper_bound(a.n, a.m, "single", a.workers)),
+    "thm1.4": (("--n", "--m"), lambda a: verifier.verify_badness(a.n, a.m)),
+    "lemma2.6": (("--n", "--m", "--workers"), lambda a:
+                 verifier.verify_two_connected_lemma(a.n, a.m, a.workers)),
+    "lemma3.1": (("--max-order", "--workers"), lambda a:
+                 verifier.verify_lemma_3_1(a.max_order, a.workers)),
+    "thm1.5": (("--m", "--workers"), lambda a:
+               verifier.verify_hamiltonian_lemma(a.m, a.workers)),
+    "lemma-props": (("--max-order", "--workers"), lambda a:
+                    verifier.verify_cited_lemmas(a.max_order, a.workers)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramsey-k2n",
         description="Witness constructions and exhaustive verification for "
                     "Ramsey numbers of K_{2,n} versus cycles.")
-    try:
-        default_workers = max(1, int(os.environ.get("RAMSEY_WORKERS", "1")))
-    except ValueError:
-        parser.error("RAMSEY_WORKERS must be an integer")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, workers=False):
         p.add_argument("--output", choices=["human", "json"], default="human")
         if workers:
-            # None unless given, so a claim can reject it as unread
+            # None unless given: main reads RAMSEY_WORKERS then
             p.add_argument("--workers", type=int)
-            p.set_defaults(env_workers=default_workers)
 
     pc = sub.add_parser("construct", help="build a witness graph")
+    pc.set_defaults(run=cmd_construct)
     kinds = pc.add_subparsers(dest="kind", required=True)
     p = kinds.add_parser("star");  common(p)
     p.add_argument("--m", type=int, required=True)
@@ -249,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
 
     p = sub.add_parser("check", help="compute invariants of a graph6 graph")
+    p.set_defaults(run=cmd_check)
     common(p)
     p.add_argument("graph6", nargs="?", help="graph6 string (default: stdin)")
     p.add_argument("--k2n", type=int, metavar="N")
@@ -259,20 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connectivity", action="store_true")
     p.add_argument("--alpha", action="store_true")
 
-    p = sub.add_parser("verify", help="run an exhaustive theorem harness")
-    common(p, workers=True)
-    p.add_argument("claim", choices=["thm1.3", "thm1.6", "thm1.4",
-                                     "lemma2.6", "lemma3.1", "thm1.5",
-                                     "lemma-props"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--max-order", dest="max_order", type=int)
+    pv = sub.add_parser("verify", help="run an exhaustive theorem harness")
+    claims = pv.add_subparsers(dest="claim", required=True)
+    for name, (reads, harness) in VERIFY_CLAIMS.items():
+        # no prefix matching: lemma3.1 --m 5 must not read as --max-order 5
+        p = claims.add_parser(name, allow_abbrev=False)
+        p.set_defaults(run=cmd_verify, harness=harness)
+        common(p, workers="--workers" in reads)
+        for flag in ("--n", "--m"):
+            if flag in reads:
+                p.add_argument(flag, type=int, required=True)
+        if "--max-order" in reads:
+            p.add_argument("--max-order", dest="max_order", type=int, default=7)
 
     p = sub.add_parser("ramsey", help="compute an exact small Ramsey value")
+    p.set_defaults(run=cmd_ramsey)
     common(p, workers=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cycle", type=int)
-    p.add_argument("--pair", type=int)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--cycle", type=int)
+    target.add_argument("--pair", type=int)
     p.add_argument("--max-order", dest="max_order", type=int,
                    default=verifier.RAMSEY_MAX_ORDER)
     return parser
@@ -281,16 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is not None and args.workers < 1:
+    workers = getattr(args, "workers", 1)  # 1 where --workers is not declared
+    if workers is None:
+        try:
+            args.workers = max(1, int(os.environ.get("RAMSEY_WORKERS", "1")))
+        except ValueError:
+            parser.error("RAMSEY_WORKERS must be an integer")
+    elif workers < 1:
         parser.error("--workers must be >= 1")
     try:
-        if args.command == "construct":
-            return cmd_construct(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_ramsey(args)
+        return args.run(args)
     except (ParameterError, FormatError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

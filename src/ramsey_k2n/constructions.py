@@ -330,18 +330,16 @@ def badness_parameter_cover(n: int, m: int) -> dict:
         return {"construction": "unknown", "n": n, "m": m,
                 "reason": "goodness open for n in {m, m+1}"}
     if n >= m + 2:
-        if m >= 6:
-            for q in range(2, n // (m + 1) + 2):
-                for t in (0, 1, 2):
-                    if q * (m + 1) - t == n:
-                        return {"construction": "lemma42", "n": n, "m": m,
-                                "q": q, "t": t}
-        p = 1
-        while p * m + p + 1 <= n:
-            t = n - p * m
-            if p + 1 <= t < m + p - 1:
-                return {"construction": "lemma41", "n": n, "m": m,
-                        "p": p, "t": t}
-            p += 1
+        # n = q(m+1) - t with t in {0, 1, 2} < m+1: t is -n mod m+1
+        t = -n % (m + 1)
+        q = (n + t) // (m + 1)
+        if m >= 6 and t <= 2 and q >= 2:
+            return {"construction": "lemma42", "n": n, "m": m, "q": q, "t": t}
+        # n = pm + t: t < m+p-1 iff p > (n-m+1)/(m+1), and t >= p+1 iff
+        # p(m+1)+1 <= n; the least p passing the first, if it passes both
+        p = (n - m + 1) // (m + 1) + 1
+        if p * (m + 1) + 1 <= n:
+            return {"construction": "lemma41", "n": n, "m": m,
+                    "p": p, "t": n - p * m}
     return {"construction": "uncovered", "n": n, "m": m,
             "reason": "no construction for these parameters"}

@@ -255,10 +255,11 @@ def _parallel_task(args: tuple[str, int, GenerationFilter]) -> list[str]:
 def enumerate_parallel(
     order: int, flt: GenerationFilter = ALL_GRAPHS, workers: int = 1
 ) -> Iterator[Graph]:
-    """Same multiset of graphs as enumerate_graphs; order may differ.
+    """The same sequence of graphs as enumerate_graphs.
 
     The search tree is split at the seed order and subtrees are distributed
-    across worker processes.  Filters must be picklable.
+    across worker processes; ``imap`` keeps the seeds' order, and each
+    subtree comes back in depth-first order.  Filters must be picklable.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -79,8 +79,18 @@ class VerificationReport:
         }
 
 
-def _finish(report_args: dict, start: float) -> VerificationReport:
-    return VerificationReport(elapsed=time.monotonic() - start, **report_args)
+def _report(claim: str, params: dict, start: float, count: int = 0,
+            cex: dict | None = None, notes: tuple[str, ...] = (),
+            extra: dict | None = None,
+            outcome: str | None = None) -> VerificationReport:
+    """The report of a run begun at ``start``.  Without an explicit
+    outcome: counterexample if one was found, else verified over a
+    non-empty hypothesis set, else verified-vacuous."""
+    if outcome is None:
+        outcome = ("counterexample" if cex
+                   else "verified" if count else "verified-vacuous")
+    return VerificationReport(claim, params, outcome, count, cex,
+                              time.monotonic() - start, notes, extra or {})
 
 
 def _pick(current: dict | None, candidate: dict) -> dict:
@@ -106,13 +116,13 @@ def verify_upper_bound(
     params = {"n": n, "m": m, "variant": variant, "order": m + 1}
     start = time.monotonic()
     if n < 2 or m < 3:
-        return _finish({"claim": claim, "params": params, "outcome": "infeasible",
-                        "notes": ("n >= 2 and m >= 3 required",)}, start)
+        return _report(claim, params, start, outcome="infeasible",
+                       notes=("n >= 2 and m >= 3 required",))
     if m + 1 > UPPER_BOUND_MAX_ORDER:
-        return _finish({"claim": claim, "params": params, "outcome": "infeasible",
-                        "notes": (f"order {m + 1} beyond guideline "
-                                  f"{UPPER_BOUND_MAX_ORDER} for filtered "
-                                  "enumeration",)}, start)
+        return _report(claim, params, start, outcome="infeasible",
+                       notes=(f"order {m + 1} beyond guideline "
+                              f"{UPPER_BOUND_MAX_ORDER} for filtered "
+                              "enumeration",))
     notes = []
     if variant == "pair":
         notes.append(f"stated range m >= 2n+2 = {2 * n + 2}: "
@@ -136,11 +146,7 @@ def verify_upper_bound(
                 "graph6": encode_graph6(g),
                 "detail": f"K_2,{n}-free graph whose complement has no {wanted}",
             })
-    outcome = ("counterexample" if cex
-               else "verified" if count else "verified-vacuous")
-    return _finish({"claim": claim, "params": params, "outcome": outcome,
-                    "hypothesis_count": count, "counterexample": cex,
-                    "notes": tuple(notes)}, start)
+    return _report(claim, params, start, count, cex, notes=tuple(notes))
 
 
 def verify_badness(n: int, m: int) -> VerificationReport:
@@ -150,19 +156,17 @@ def verify_badness(n: int, m: int) -> VerificationReport:
     cover = badness_parameter_cover(n, m)
     kind = cover["construction"]
     if kind in ("unknown", "uncovered"):
-        return _finish({"claim": "thm1.4", "params": params,
-                        "outcome": "infeasible",
-                        "notes": (cover.get("reason", kind),),
-                        "extra": {"cover": cover}}, start)
+        return _report("thm1.4", params, start, outcome="infeasible",
+                       notes=(cover.get("reason", kind),),
+                       extra={"cover": cover})
     try:
         if kind == "lemma41":
             report = lemma41_witness(m, cover["p"], cover["t"])
         else:
             report = lemma42_witness(m, cover["q"], cover["t"])
     except ParameterError as exc:
-        return _finish({"claim": "thm1.4", "params": params,
-                        "outcome": "infeasible", "notes": (str(exc),),
-                        "extra": {"cover": cover}}, start)
+        return _report("thm1.4", params, start, outcome="infeasible",
+                       notes=(str(exc),), extra={"cover": cover})
     g, gbar = report.graph, report.complement_graph
     problems = []
     if g.order != n + m + 1:
@@ -175,14 +179,9 @@ def verify_badness(n: int, m: int) -> VerificationReport:
         problems.append("construction report flagged FAILED")
     if problems:
         cex = {"graph6": encode_graph6(g), "detail": "; ".join(problems)}
-        return _finish({"claim": "thm1.4", "params": params,
-                        "outcome": "counterexample", "hypothesis_count": 1,
-                        "counterexample": cex,
-                        "extra": {"cover": cover}}, start)
-    return _finish({"claim": "thm1.4", "params": params, "outcome": "verified",
-                    "hypothesis_count": 1,
-                    "extra": {"cover": cover,
-                              "witness_graph6": encode_graph6(g)}}, start)
+        return _report("thm1.4", params, start, 1, cex, extra={"cover": cover})
+    return _report("thm1.4", params, start, 1,
+                   extra={"cover": cover, "witness_graph6": encode_graph6(g)})
 
 
 def _check_observations(g: Graph, cycle: tuple[int, ...]) -> tuple[int, str | None]:
@@ -246,10 +245,9 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
     params = {"max_order": max_order}
     start = time.monotonic()
     if max_order > LEMMA_3_1_MAX_ORDER:
-        return _finish({"claim": "lemma3.1", "params": params,
-                        "outcome": "infeasible",
-                        "notes": (f"max_order beyond guideline "
-                                  f"{LEMMA_3_1_MAX_ORDER}",)}, start)
+        return _report("lemma3.1", params, start, outcome="infeasible",
+                       notes=(f"max_order beyond guideline "
+                              f"{LEMMA_3_1_MAX_ORDER}",))
     triples = 0
     graphs_seen = 0
     cap_hits = 0
@@ -271,13 +269,10 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
                         "graph6": encode_graph6(g),
                         "detail": f"cycle {list(wit.vertices)}: {violation}",
                     })
-    outcome = ("counterexample" if cex
-               else "verified" if triples else "verified-vacuous")
-    return _finish({"claim": "lemma3.1", "params": params, "outcome": outcome,
-                    "hypothesis_count": triples, "counterexample": cex,
-                    "notes": (f"cycle cap hit on {cap_hits} graphs",),
-                    "extra": {"graphs_examined": graphs_seen,
-                              "cycle_cap": CYCLE_CAP}}, start)
+    return _report("lemma3.1", params, start, triples, cex,
+                   notes=(f"cycle cap hit on {cap_hits} graphs",),
+                   extra={"graphs_examined": graphs_seen,
+                          "cycle_cap": CYCLE_CAP})
 
 
 class HamiltonianHypothesisFilter(GenerationFilter):
@@ -334,14 +329,12 @@ def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
     params = {"m": m, "order": m + 1}
     start = time.monotonic()
     if m < 3:
-        return _finish({"claim": "thm1.5", "params": params,
-                        "outcome": "infeasible",
-                        "notes": ("m >= 3 required",)}, start)
+        return _report("thm1.5", params, start, outcome="infeasible",
+                       notes=("m >= 3 required",))
     if m + 1 > HAMILTONIAN_LEMMA_MAX_ORDER:
-        return _finish({"claim": "thm1.5", "params": params,
-                        "outcome": "infeasible",
-                        "notes": (f"order beyond guideline "
-                                  f"{HAMILTONIAN_LEMMA_MAX_ORDER}",)}, start)
+        return _report("thm1.5", params, start, outcome="infeasible",
+                       notes=(f"order beyond guideline "
+                              f"{HAMILTONIAN_LEMMA_MAX_ORDER}",))
     count = 0
     relaxed = 0
     cex: dict | None = None
@@ -358,14 +351,11 @@ def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
                 "graph6": encode_graph6(g),
                 "detail": "satisfies hypothesis but is not Hamiltonian",
             })
-    outcome = ("counterexample" if cex
-               else "verified" if count else "verified-vacuous")
-    return _finish({"claim": "thm1.5", "params": params, "outcome": outcome,
-                    "hypothesis_count": count, "counterexample": cex,
-                    "notes": ("pair-union bound read over all distinct pairs; "
-                              "nonadjacent-pairs-only reading counted in "
-                              "extra.relaxed_hypothesis_count",),
-                    "extra": {"relaxed_hypothesis_count": relaxed}}, start)
+    return _report("thm1.5", params, start, count, cex,
+                   notes=("pair-union bound read over all distinct pairs; "
+                          "nonadjacent-pairs-only reading counted in "
+                          "extra.relaxed_hypothesis_count",),
+                   extra={"relaxed_hypothesis_count": relaxed})
 
 
 def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> VerificationReport:
@@ -374,14 +364,12 @@ def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> Verification
     params = {"n": n, "m": m, "order": m + 1}
     start = time.monotonic()
     if n < 1 or m < 3:
-        return _finish({"claim": "lemma2.6", "params": params,
-                        "outcome": "infeasible",
-                        "notes": ("n >= 1 and m >= 3 required",)}, start)
+        return _report("lemma2.6", params, start, outcome="infeasible",
+                       notes=("n >= 1 and m >= 3 required",))
     if m + 1 > HAMILTONIAN_LEMMA_MAX_ORDER:
-        return _finish({"claim": "lemma2.6", "params": params,
-                        "outcome": "infeasible",
-                        "notes": (f"order beyond guideline "
-                                  f"{HAMILTONIAN_LEMMA_MAX_ORDER}",)}, start)
+        return _report("lemma2.6", params, start, outcome="infeasible",
+                       notes=(f"order beyond guideline "
+                              f"{HAMILTONIAN_LEMMA_MAX_ORDER}",))
     in_range = m >= 2 * n + 2
     count = 0
     cex: dict | None = None
@@ -395,13 +383,9 @@ def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> Verification
                 "graph6": encode_graph6(g),
                 "detail": "complement is C_m-free but not 2-connected",
             })
-    outcome = ("counterexample" if cex
-               else "verified" if count else "verified-vacuous")
     note = (f"stated range m >= 2n+2 = {2 * n + 2}: "
             f"{'inside' if in_range else 'outside (outcome reported, not asserted)'}")
-    return _finish({"claim": "lemma2.6", "params": params, "outcome": outcome,
-                    "hypothesis_count": count, "counterexample": cex,
-                    "notes": (note,)}, start)
+    return _report("lemma2.6", params, start, count, cex, notes=(note,))
 
 
 def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
@@ -419,10 +403,9 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
     params = {"max_order": max_order}
     start = time.monotonic()
     if max_order > LEMMA_3_1_MAX_ORDER:
-        return _finish({"claim": "lemma-props", "params": params,
-                        "outcome": "infeasible",
-                        "notes": (f"max_order beyond guideline "
-                                  f"{LEMMA_3_1_MAX_ORDER}",)}, start)
+        return _report("lemma-props", params, start, outcome="infeasible",
+                       notes=(f"max_order beyond guideline "
+                              f"{LEMMA_3_1_MAX_ORDER}",))
     counts = {"degree_sum_cycle": 0, "min_degree_hamiltonian": 0,
               "nash_williams": 0, "neighborhood_union_cycle": 0}
     cex: dict | None = None
@@ -458,13 +441,8 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
                     if circ < min(2 * ku - 2, n_ - 1):
                         cex = _pick(cex, {"graph6": encode_graph6(g),
                                           "detail": "neighborhood_union_cycle"})
-    total = sum(counts.values())
-    outcome = ("counterexample" if cex
-               else "verified" if total else "verified-vacuous")
-    return _finish({"claim": "lemma-props", "params": params,
-                    "outcome": outcome, "hypothesis_count": total,
-                    "counterexample": cex,
-                    "extra": {"per_lemma_hypothesis_counts": counts}}, start)
+    return _report("lemma-props", params, start, sum(counts.values()), cex,
+                   extra={"per_lemma_hypothesis_counts": counts})
 
 
 def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
@@ -479,9 +457,8 @@ def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
     params = {"n": n, "m": m, "kind": kind, "max_order": max_order}
     start = time.monotonic()
     if n < 1 or m < 3:
-        return _finish({"claim": "ramsey-exact", "params": params,
-                        "outcome": "infeasible",
-                        "notes": ("n >= 1 and m >= 3 required",)}, start)
+        return _report("ramsey-exact", params, start, outcome="infeasible",
+                       notes=("n >= 1 and m >= 3 required",))
 
     def target_free(gbar: Graph) -> bool:
         return has_cycle_of_length(gbar, m) is None and (
@@ -499,13 +476,11 @@ def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
                 if found is None or g6 < found:
                     found = g6
         if found is None:
-            return _finish({"claim": "ramsey-exact", "params": params,
-                            "outcome": "verified", "hypothesis_count": examined,
-                            "extra": {"value": order,
-                                      "witness_graph6": witness}}, start)
+            return _report("ramsey-exact", params, start, examined,
+                           extra={"value": order, "witness_graph6": witness},
+                           outcome="verified")
         witness = found
-    return _finish({"claim": "ramsey-exact", "params": params,
-                    "outcome": "infeasible", "hypothesis_count": examined,
-                    "notes": (f"no refutation up to order {max_order}; "
-                              "cannot bracket the value",),
-                    "extra": {"witness_graph6": witness}}, start)
+    return _report("ramsey-exact", params, start, examined,
+                   notes=(f"no refutation up to order {max_order}; "
+                          "cannot bracket the value",),
+                   extra={"witness_graph6": witness}, outcome="infeasible")

@@ -13,10 +13,13 @@ oracle in test_verifier.py.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import ramsey_k2n
 from ramsey_k2n.enumeration import (
     K2nFreeFilter,
     enumerate_graphs,
@@ -27,6 +30,9 @@ from ramsey_k2n.invariants import connectivity, has_cycle_of_length, k2n_free
 from ramsey_k2n.verifier import verify_cited_lemmas, verify_lemma_3_1
 
 CLI = [sys.executable, "-m", "ramsey_k2n"]
+# the CLI runs the package these tests import, installed or not
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(ramsey_k2n.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 #: one line per criterion, echoed in the terminal summary by conftest
 RESULTS: list[str] = []
@@ -35,7 +41,7 @@ RESULTS: list[str] = []
 def run_cli(*argv) -> tuple[int, dict, float]:
     start = time.monotonic()
     proc = subprocess.run(CLI + list(argv) + ["--output", "json"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
     elapsed = time.monotonic() - start
     payload = json.loads(proc.stdout) if proc.stdout.strip() else {}
     return proc.returncode, payload, elapsed

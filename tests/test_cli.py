@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -94,27 +95,85 @@ def test_verify_thm13(capsys):
     assert payload["hypothesis_count"] == 117
 
 
+def rejected(capsys, *argv):
+    """stdout and stderr of an argument list that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
 def test_verify_missing_params(capsys):
-    code, _, err = run(capsys, "verify", "thm1.3")
-    assert code == 2
-    assert "--n" in err and "--m" in err
+    _, err = rejected(capsys, "verify", "thm1.3")
+    assert "required: --n, --m" in err
 
 
 def test_unread_options_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "star", "--m", "6", "--workers", "2"])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
-    code, out, err = run(capsys, "verify", "thm1.3", "--n", "2", "--m", "6",
-                         "--max-order", "3")
-    assert code == 2 and out == ""
-    assert err == "error: thm1.3 does not read --max-order\n"
-    code, _, err = run(capsys, "verify", "thm1.5", "--n", "2", "--m", "6")
-    assert code == 2 and "--n" in err
-    code, out, err = run(capsys, "verify", "thm1.4", "--n", "7", "--m", "5",
-                         "--workers", "3")
-    assert code == 2 and out == ""
-    assert err == "error: thm1.4 does not read --workers\n"
+    _, err = rejected(capsys, "construct", "star", "--m", "6", "--workers", "2")
+    assert "--workers" in err
+    out, err = rejected(capsys, "verify", "thm1.3", "--n", "2", "--m", "6",
+                        "--max-order", "3")
+    assert out == "" and "unrecognized arguments: --max-order 3" in err
+    _, err = rejected(capsys, "verify", "thm1.5", "--n", "2", "--m", "6")
+    assert "unrecognized arguments: --n 2" in err
+    out, err = rejected(capsys, "verify", "thm1.4", "--n", "7", "--m", "5",
+                        "--workers", "3")
+    assert out == "" and "unrecognized arguments: --workers 3" in err
+
+
+# The options each verify claim reads, with values that run fast.
+CLAIM_OPTIONS = {
+    "thm1.3": {"--n": "2", "--m": "4", "--workers": "1"},
+    "thm1.6": {"--n": "2", "--m": "4", "--workers": "1"},
+    "thm1.4": {"--n": "7", "--m": "5"},
+    "lemma2.6": {"--n": "2", "--m": "4", "--workers": "1"},
+    "lemma3.1": {"--max-order": "5", "--workers": "1"},
+    "thm1.5": {"--m": "4", "--workers": "1"},
+    "lemma-props": {"--max-order": "4", "--workers": "1"},
+}
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIM_OPTIONS))
+def test_claim_reads_exactly_its_options(capsys, claim):
+    reads = CLAIM_OPTIONS[claim]
+    argv = ["verify", claim, *(x for item in reads.items() for x in item)]
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    # an unread option is rejected and named, even where it is a prefix
+    # of one the claim reads (--m of --max-order)
+    for flag in ("--n", "--m", "--max-order", "--workers"):
+        if flag not in reads:
+            out, err = rejected(capsys, *argv, flag, "5")
+            assert out == "" and f"unrecognized arguments: {flag} 5" in err
+    for flag in ("--n", "--m"):
+        if flag in reads:
+            rest = [x for item in reads.items() if item[0] != flag
+                    for x in item]
+            out, err = rejected(capsys, "verify", claim, *rest)
+            assert out == "" and f"required: {flag}" in err
+
+
+def test_bad_env_workers_only_fails_where_read(capsys, monkeypatch):
+    monkeypatch.setenv("RAMSEY_WORKERS", "abc")
+    c4 = encode_graph6(cycle_graph(4))
+    assert run(capsys, "construct", "star", "--m", "6")[0] == 0
+    assert run(capsys, "check", c4, "--girth")[0] == 0
+    assert run(capsys, "verify", "thm1.4", "--n", "7", "--m", "5")[0] == 0
+    assert run(capsys, "ramsey", "--n", "2", "--pair", "6",
+               "--workers", "1")[0] == 0
+    for argv in (["ramsey", "--n", "2", "--pair", "6"],
+                 ["verify", "thm1.3", "--n", "2", "--m", "6"]):
+        out, err = rejected(capsys, *argv)
+        assert out == "" and "RAMSEY_WORKERS must be an integer" in err
+
+
+def test_thm14_cover_is_solved_not_searched(capsys):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "verify", "thm1.4", "--n", "1000000000000000",
+                       "--m", "5", "--output", "json")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and json.loads(out)["outcome"] == "infeasible"
 
 
 def test_verify_max_order_where_read(capsys):
@@ -153,11 +212,11 @@ def test_ramsey_cannot_bracket_exit_2(capsys):
 
 
 def test_ramsey_requires_exactly_one_target(capsys):
-    code, _, err = run(capsys, "ramsey", "--n", "2")
-    assert code == 2
-    code, _, err = run(capsys, "ramsey", "--n", "2", "--pair", "6",
-                       "--cycle", "10")
-    assert code == 2
+    _, err = rejected(capsys, "ramsey", "--n", "2")
+    assert "one of the arguments --cycle --pair is required" in err
+    _, err = rejected(capsys, "ramsey", "--n", "2", "--pair", "6",
+                      "--cycle", "10")
+    assert "--cycle: not allowed with argument --pair" in err
 
 
 def test_json_output_is_stable(capsys):
@@ -193,7 +252,9 @@ def test_env_var_sets_default_workers(capsys, monkeypatch):
     monkeypatch.setattr(verifier, "verify_lemma_3_1", harness)
     run(capsys, "verify", "lemma3.1", "--max-order", "5")
     run(capsys, "verify", "lemma3.1", "--max-order", "5", "--workers", "3")
-    assert seen == [2, 3]
+    monkeypatch.setenv("RAMSEY_WORKERS", "0")  # raised to 1
+    run(capsys, "verify", "lemma3.1", "--max-order", "5")
+    assert seen == [2, 3, 1]
 
 
 def test_check_reads_stdin(capsys, monkeypatch):
@@ -205,9 +266,21 @@ def test_check_reads_stdin(capsys, monkeypatch):
     assert "circumference: 4" in out
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: "_".join(c["argv"][:2]))
+def _golden_ids(cases):
+    """A case's command and first word, or its whole argument list where
+    an earlier case has that prefix."""
+    ids = []
+    for case in cases:
+        short = "_".join(case["argv"][:2])
+        ids.append("_".join(case["argv"]) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=_golden_ids(GOLDEN))
 def test_json_output_matches_golden(capsys, case):
-    workers = ["--workers", "1"] if case["argv"][0] in ("verify", "ramsey") else []
+    takes_workers = (case["argv"][0] == "ramsey" or case["argv"][0] == "verify"
+                     and case["argv"][1] != "thm1.4")
+    workers = ["--workers", "1"] if takes_workers else []
     code, out, err = run(capsys, *case["argv"], "--output", "json", *workers)
     payload = json.loads(out)
     payload.pop("elapsed", None)

@@ -154,6 +154,35 @@ def test_badness_parameter_cover():
         badness_parameter_cover(0, 5)
 
 
+def _cover_by_search(n, m):
+    """badness_parameter_cover as a search over q and p, one at a time."""
+    if n in (m, m + 1):
+        return {"construction": "unknown", "n": n, "m": m,
+                "reason": "goodness open for n in {m, m+1}"}
+    if n >= m + 2:
+        if m >= 6:
+            for q in range(2, n // (m + 1) + 2):
+                for t in (0, 1, 2):
+                    if q * (m + 1) - t == n:
+                        return {"construction": "lemma42", "n": n, "m": m,
+                                "q": q, "t": t}
+        p = 1
+        while p * m + p + 1 <= n:
+            t = n - p * m
+            if p + 1 <= t < m + p - 1:
+                return {"construction": "lemma41", "n": n, "m": m,
+                        "p": p, "t": t}
+            p += 1
+    return {"construction": "uncovered", "n": n, "m": m,
+            "reason": "no construction for these parameters"}
+
+
+def test_cover_solves_parameters_as_the_search_does():
+    for n in range(1, 401):
+        for m in range(1, 26):
+            assert badness_parameter_cover(n, m) == _cover_by_search(n, m), (n, m)
+
+
 def test_cover_is_complete_above_m_plus_1():
     # every n in [m+2, 40] must be covered for m in {6, 7, 8}, and the
     # solved parameters must build a verifying witness of order n+m+1
