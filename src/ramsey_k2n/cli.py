@@ -240,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
         if "--max-order" in reads:
             p.add_argument("--max-order", dest="max_order", type=int, default=7)
 
-    p = sub.add_parser("ramsey", help="compute an exact small Ramsey value")
+    # no prefix matching: --m 5 must not read as --max-order 5
+    p = sub.add_parser("ramsey", help="compute an exact small Ramsey value",
+                       allow_abbrev=False)
     p.set_defaults(run=cmd_ramsey)
     common(p, workers=True)
     p.add_argument("--n", type=int, required=True)

@@ -5,7 +5,9 @@ produced from the unique parent obtained by deleting its canonically-last
 vertex.  A child is accepted iff that canonical deletion is isomorphic to the
 parent it was extended from, so each isomorphism class appears exactly once
 globally.  Hereditary filters prune the search tree safely because a filtered
-class's canonical parent also passes the filter.
+class's canonical parent also passes the filter.  One depth-first walk of
+the tree yields every order up to the highest asked for; the single-order
+streams are read off it.
 
 Three exact shortcuts (McKay, "Isomorph-free exhaustive generation", 1998)
 keep most masks away from the expensive steps.  The canonically-last vertex
@@ -215,65 +217,85 @@ def _children(
         yield child, cform, cauts
 
 
-def _extend_to(
+def _walk(
     g: Graph,
     form: bytes,
     auts: list[tuple[int, ...]],
     order: int,
     flt: GenerationFilter,
 ) -> Iterator[Graph]:
-    if g.order == order:
-        yield g
-        return
-    for child, cform, cauts in _children(g, form, auts, flt):
-        yield from _extend_to(child, cform, cauts, order, flt)
+    """g, then its accepted descendants up to ``order``, depth first."""
+    yield g
+    if g.order < order:
+        for child, cform, cauts in _children(g, form, auts, flt):
+            yield from _walk(child, cform, cauts, order, flt)
 
 
-def enumerate_graphs(order: int, flt: GenerationFilter = ALL_GRAPHS) -> Iterator[Graph]:
-    """One representative per isomorphism class passing the filter.
+def _parallel_task(args: tuple[str, int, int, GenerationFilter]) -> list[str]:
+    from .graphs import decode_graph6, encode_graph6
 
-    Deterministic output order; graphs are streamed, never materialized.
+    g6, lowest, highest, flt = args
+    seed = decode_graph6(g6)
+    _, form, auts = canonical_labeling(seed)
+    return [encode_graph6(g) for g in _walk(seed, form, auts, highest, flt)
+            if g.order >= lowest]
+
+
+def enumerate_orders(
+    lowest: int, highest: int, flt: GenerationFilter = ALL_GRAPHS,
+    workers: int = 1,
+) -> Iterator[Graph]:
+    """One representative per isomorphism class passing the filter, of
+    every order from ``lowest`` to ``highest``, in one walk of the tree.
+
+    Graphs come in depth-first order, a parent before its children, and
+    are streamed, never materialized.  With more than one worker the tree
+    is split at the seed order and the seeds' subtrees are walked in worker
+    processes; ``imap`` keeps the seeds' order, so the sequence is the same
+    for any worker count.  Filters must be picklable.
     """
-    if order < 1:
+    if highest < 1:
         raise ValueError("order must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     g1 = empty_graph(1)
     if not flt.accepts(g1):
         return
-    perm, form, auts = canonical_labeling(g1)
-    yield from _extend_to(g1, form, auts, order, flt)
-
-
-def _parallel_task(args: tuple[str, int, GenerationFilter]) -> list[str]:
+    _, form, auts = canonical_labeling(g1)
+    if workers == 1 or highest <= _PARALLEL_SPLIT_ORDER + 1:
+        for g in _walk(g1, form, auts, highest, flt):
+            if g.order >= lowest:
+                yield g
+        return
     from .graphs import decode_graph6, encode_graph6
 
-    g6, order, flt = args
-    seed = decode_graph6(g6)
-    _, form, auts = canonical_labeling(seed)
-    return [encode_graph6(g) for g in _extend_to(seed, form, auts, order, flt)]
+    top = list(_walk(g1, form, auts, _PARALLEL_SPLIT_ORDER, flt))
+    seeds = [encode_graph6(g) for g in top if g.order == _PARALLEL_SPLIT_ORDER]
+    ctx = get_context("fork")
+    with ctx.Pool(workers) as pool:
+        subtrees = pool.imap(_parallel_task,
+                             [(s, lowest, highest, flt) for s in seeds])
+        for g in top:
+            if g.order < _PARALLEL_SPLIT_ORDER:
+                if g.order >= lowest:
+                    yield g
+            else:  # a seed: its subtree, itself first
+                for g6 in next(subtrees):
+                    yield decode_graph6(g6)
+
+
+def enumerate_graphs(order: int, flt: GenerationFilter = ALL_GRAPHS) -> Iterator[Graph]:
+    """One representative per isomorphism class of the given order passing
+    the filter, in a deterministic order."""
+    return enumerate_orders(order, order, flt)
 
 
 def enumerate_parallel(
     order: int, flt: GenerationFilter = ALL_GRAPHS, workers: int = 1
 ) -> Iterator[Graph]:
-    """The same sequence of graphs as enumerate_graphs.
-
-    The search tree is split at the seed order and subtrees are distributed
-    across worker processes; ``imap`` keeps the seeds' order, and each
-    subtree comes back in depth-first order.  Filters must be picklable.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or order <= _PARALLEL_SPLIT_ORDER + 1:
-        yield from enumerate_graphs(order, flt)
-        return
-    from .graphs import decode_graph6, encode_graph6
-
-    seeds = [encode_graph6(g) for g in enumerate_graphs(_PARALLEL_SPLIT_ORDER, flt)]
-    ctx = get_context("fork")
-    with ctx.Pool(workers) as pool:
-        for chunk in pool.imap(_parallel_task, [(s, order, flt) for s in seeds]):
-            for g6 in chunk:
-                yield decode_graph6(g6)
+    """The same sequence of graphs as enumerate_graphs, from ``workers``
+    processes."""
+    return enumerate_orders(order, order, flt, workers)
 
 
 # Independent counting oracle (no generation involved).

@@ -2,10 +2,12 @@
 and K_{2,n}-freeness.
 
 Everything here is exact search, no heuristics.  One exact-length cycle
-search, ``all_cycles_of_length``, gives every cycle quantity: fixed-length
-cycles, Hamiltonicity, the cycle spectrum, circumference and girth.  It
-backtracks over bitmasks with reachability pruning, which is fast on the
-dense clique-union graphs this package cares about and exhaustive everywhere.
+search, ``lowest_vertex_cycles`` run from every start vertex by
+``all_cycles_of_length``, gives every cycle quantity: fixed-length cycles,
+cycles through one vertex, Hamiltonicity, the cycle spectrum,
+circumference and girth.  It backtracks over bitmasks with reachability
+pruning, which is fast on the dense clique-union graphs this package cares
+about and exhaustive everywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .graphs import Graph, GraphError, bits
 
@@ -91,7 +94,7 @@ def min_degree(g: Graph) -> int:
     return min(row.bit_count() for row in g.adj)
 
 
-def _reachable(adj: tuple[int, ...], v: int, allowed: int) -> int:
+def _reachable(adj: Sequence[int], v: int, allowed: int) -> int:
     """Mask of allowed vertices reachable from v via allowed vertices."""
     seen = adj[v] & allowed
     frontier = seen
@@ -159,6 +162,42 @@ def connectivity(g: Graph) -> int:
     return best
 
 
+def lowest_vertex_cycles(
+    adj: Sequence[int], s: int, m: int, cap: int
+) -> list[CycleWitness]:
+    """The cycles of length exactly m whose lowest vertex is s, at most cap
+    of them, in the order of ``all_cycles_of_length``.
+
+    ``adj`` is a graph's rows of neighbour bitmasks.  With s = 0 these are
+    all the cycles of length m through vertex 0.
+    """
+    out: list[CycleWitness] = []
+    gt = ((1 << len(adj)) - 1) & ~((2 << s) - 1)
+    stack_path = [s]
+
+    def dfs(v: int, used: int) -> bool:
+        """Extend the path; True once the cap is reached."""
+        depth = len(stack_path)
+        if depth == m:
+            if adj[v] >> s & 1 and stack_path[1] < stack_path[-1]:
+                out.append(CycleWitness(tuple(stack_path)))
+                return len(out) >= cap
+            return False
+        rem = gt & ~used
+        reach = _reachable(adj, v, rem)
+        if reach.bit_count() < m - depth or not adj[s] & reach:
+            return False
+        for w in bits(adj[v] & rem):
+            stack_path.append(w)
+            if dfs(w, used | (1 << w)):
+                return True
+            stack_path.pop()
+        return False
+
+    dfs(s, 1 << s)
+    return out
+
+
 def all_cycles_of_length(
     g: Graph, m: int, cap: int = 10_000
 ) -> tuple[list[CycleWitness], bool]:
@@ -170,33 +209,10 @@ def all_cycles_of_length(
     """
     if m < 3:
         raise GraphError(f"cycle length {m} below 3")
-    adj = g.adj
     out: list[CycleWitness] = []
-
     for s in range(g.order - m + 1):
-        gt = g.vertices_mask() & ~((1 << (s + 1)) - 1)
-        stack_path = [s]
-
-        def dfs(v: int, used: int) -> bool:
-            """Extend the path; True once the cap is reached."""
-            depth = len(stack_path)
-            if depth == m:
-                if adj[v] >> s & 1 and stack_path[1] < stack_path[-1]:
-                    out.append(CycleWitness(tuple(stack_path)))
-                    return len(out) >= cap
-                return False
-            rem = gt & ~used
-            reach = _reachable(adj, v, rem)
-            if reach.bit_count() < m - depth or not adj[s] & reach:
-                return False
-            for w in bits(adj[v] & rem):
-                stack_path.append(w)
-                if dfs(w, used | (1 << w)):
-                    return True
-                stack_path.pop()
-            return False
-
-        if dfs(s, 1 << s):
+        out += lowest_vertex_cycles(g.adj, s, m, cap - len(out))
+        if len(out) >= cap:
             return out, True
     return out, False
 

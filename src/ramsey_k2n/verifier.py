@@ -27,7 +27,12 @@ from .constructions import (
     lemma41_witness,
     lemma42_witness,
 )
-from .enumeration import GenerationFilter, K2nFreeFilter, enumerate_parallel
+from .enumeration import (
+    GenerationFilter,
+    K2nFreeFilter,
+    enumerate_orders,
+    enumerate_parallel,
+)
 from .graphs import Graph, bits, complement, encode_graph6, union_neighborhood_excl
 from .invariants import (
     all_cycles_of_length,
@@ -37,6 +42,7 @@ from .invariants import (
     independence_number,
     is_hamiltonian,
     k2n_free,
+    lowest_vertex_cycles,
     min_degree,
 )
 
@@ -98,6 +104,54 @@ def _pick(current: dict | None, candidate: dict) -> dict:
     if current is None or candidate["graph6"] < current["graph6"]:
         return candidate
     return current
+
+
+class RamseyFilter(K2nFreeFilter):
+    """K_{2,n}-free graphs whose complement has no cycle of the target
+    lengths: the graphs a Ramsey value's lower bound rests on.
+
+    Both conditions survive vertex deletion.  If a parent passes, any
+    target cycle in the complement of a child goes through the new vertex,
+    so the candidate masks, K2nFreeFilter's in the same order minus those
+    whose child has such a cycle, are exact and Aut(g)-invariant.
+    """
+
+    def __init__(self, n: int, lengths: tuple[int, ...]):
+        super().__init__(n)
+        self.lengths = lengths
+
+    def accepts(self, g: Graph) -> bool:
+        gbar = complement(g)
+        return super().accepts(g) and all(
+            has_cycle_of_length(gbar, ln) is None for ln in self.lengths)
+
+    def candidate_masks(self, g: Graph) -> list[int]:
+        full = g.vertices_mask()
+        # The child's complement with the new vertex first: vertex v of g
+        # becomes v + 1, so the cycles through the new vertex are those
+        # whose lowest vertex is 0.
+        rows = [((full ^ row) & ~(1 << v)) << 1 for v, row in enumerate(g.adj)]
+        lengths = [ln for ln in self.lengths if ln <= g.order + 1]
+        # A target cycle through the new vertex leaves a path of g's
+        # complement whose two ends lie outside the mask.  Any later mask
+        # that also misses both ends closes the same cycle: no search.
+        ends: list[int] = []
+        out = []
+        for s in super().candidate_masks(g):
+            if any(not pair & s for pair in ends):
+                continue
+            away = full & ~s  # the new vertex's neighbours in the complement
+            child = [away << 1]
+            child += [row | (away >> v & 1) for v, row in enumerate(rows)]
+            for ln in lengths:
+                cycles = lowest_vertex_cycles(child, 0, ln, 1)
+                if cycles:
+                    vs = cycles[0].vertices
+                    ends.append(1 << vs[1] - 1 | 1 << vs[-1] - 1)
+                    break
+            else:
+                out.append(s)
+        return out
 
 
 def verify_upper_bound(
@@ -373,12 +427,9 @@ def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> Verification
     in_range = m >= 2 * n + 2
     count = 0
     cex: dict | None = None
-    for g in enumerate_parallel(m + 1, K2nFreeFilter(n), workers):
-        gbar = complement(g)
-        if has_cycle_of_length(gbar, m) is not None:
-            continue
+    for g in enumerate_parallel(m + 1, RamseyFilter(n, (m,)), workers):
         count += 1
-        if connectivity(gbar) < 2:
+        if connectivity(complement(g)) < 2:
             cex = _pick(cex, {
                 "graph6": encode_graph6(g),
                 "detail": "complement is C_m-free but not 2-connected",
@@ -447,10 +498,15 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
 
 def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
                    workers: int = 1) -> VerificationReport:
-    """Exact R(K_{2,n}, C_m) or R(K_{2,n}, C_{m,m+1}) by brute bracketing.
+    """Exact R(K_{2,n}, C_m) or R(K_{2,n}, C_{m,m+1}) in one walk of the
+    generation tree.
 
-    Increases N until no graph on N vertices is K_{2,n}-free with a
-    target-free complement; reports the value with a maximal witness.
+    The tree holds the K_{2,n}-free graphs whose complement has no target
+    cycle (C_m, and C_{m+1} for the pair), a hereditary condition, up to
+    ``max_order``.  The value is one more than the deepest order it
+    reaches, with the least graph6 at that order as witness.  The
+    hypothesis count is the number of isomorphism classes in the tree,
+    over all orders.  A tree that reaches ``max_order`` brackets no value.
     """
     if kind not in ("cycle", "cycle_pair"):
         raise ParameterError(f"kind must be cycle or cycle_pair, got {kind!r}")
@@ -459,27 +515,21 @@ def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
     if n < 1 or m < 3:
         return _report("ramsey-exact", params, start, outcome="infeasible",
                        notes=("n >= 1 and m >= 3 required",))
-
-    def target_free(gbar: Graph) -> bool:
-        return has_cycle_of_length(gbar, m) is None and (
-            kind == "cycle" or has_cycle_of_length(gbar, m + 1) is None
-        )
-
+    flt = RamseyFilter(n, (m,) if kind == "cycle" else (m, m + 1))
+    deepest = 0
     witness: str | None = None
     examined = 0
-    for order in range(1, max_order + 1):
-        found: str | None = None
-        for g in enumerate_parallel(order, K2nFreeFilter(n), workers):
+    if max_order >= 1:
+        for g in enumerate_orders(1, max_order, flt, workers):
             examined += 1
-            if target_free(complement(g)):
+            if g.order >= deepest:
                 g6 = encode_graph6(g)
-                if found is None or g6 < found:
-                    found = g6
-        if found is None:
-            return _report("ramsey-exact", params, start, examined,
-                           extra={"value": order, "witness_graph6": witness},
-                           outcome="verified")
-        witness = found
+                if g.order > deepest or g6 < witness:
+                    deepest, witness = g.order, g6
+    if deepest < max_order:
+        return _report("ramsey-exact", params, start, examined,
+                       extra={"value": deepest + 1, "witness_graph6": witness},
+                       outcome="verified")
     return _report("ramsey-exact", params, start, examined,
                    notes=(f"no refutation up to order {max_order}; "
                           "cannot bracket the value",),

@@ -120,6 +120,9 @@ def test_unread_options_exit_2(capsys):
     out, err = rejected(capsys, "verify", "thm1.4", "--n", "7", "--m", "5",
                         "--workers", "3")
     assert out == "" and "unrecognized arguments: --workers 3" in err
+    out, err = rejected(capsys, "ramsey", "--n", "2", "--cycle", "4",
+                        "--m", "5")
+    assert out == "" and "unrecognized arguments: --m 5" in err
 
 
 # The options each verify claim reads, with values that run fast.
@@ -239,6 +242,20 @@ def test_workers_do_not_change_output(capsys):
         payload.pop("elapsed")
         outs.append(payload)
     assert outs[0] == outs[1]
+
+
+def test_workers_do_not_change_ramsey_output(capsys):
+    # max_order 12 > 6, so two workers walk the seeds' subtrees in
+    # parallel; the tree reaches order 9
+    outs = []
+    for workers in ("1", "2"):
+        _, out, _ = run(capsys, "ramsey", "--n", "2", "--cycle", "9",
+                        "--output", "json", "--workers", workers)
+        payload = json.loads(out)
+        payload.pop("elapsed")
+        outs.append(json.dumps(payload, sort_keys=True))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["extra"]["value"] == 10
 
 
 def test_env_var_sets_default_workers(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from ramsey_k2n.enumeration import (
     K2nFreeFilter,
     _children,
     enumerate_graphs,
+    enumerate_orders,
     enumerate_parallel,
     unlabeled_graph_count,
 )
@@ -137,6 +138,17 @@ def test_parallel_equals_sequential():
         assert par == seq
     one = [encode_graph6(g) for g in enumerate_parallel(7, workers=1)]
     assert len(one) == 1044
+
+
+def test_one_walk_gives_every_order():
+    # orders 3 and 4 lie above the seeds, 5 is theirs, 6-8 come from workers
+    flt = K2nFreeFilter(2)
+    walk = [encode_graph6(g) for g in enumerate_orders(3, 8, flt)]
+    par = [encode_graph6(g) for g in enumerate_orders(3, 8, flt, 2)]
+    assert par == walk
+    for order in range(1, 9):
+        assert [g6 for g6 in walk if ord(g6[0]) - 63 == order] \
+            == [encode_graph6(g) for g in enumerate_graphs(order, flt)] * (order >= 3)
 
 
 class TriangleFree(GenerationFilter):

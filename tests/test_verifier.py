@@ -2,22 +2,28 @@ import itertools
 import json
 
 import networkx as nx
+import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from ramsey_k2n.constructions import star_witness
-from ramsey_k2n.enumeration import enumerate_graphs
+from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_graphs
 from ramsey_k2n.graphs import (
+    add_vertex,
+    bits,
     complement,
     decode_graph6,
+    encode_graph6,
     union_neighborhood_excl,
 )
 from ramsey_k2n.invariants import (
     connectivity,
+    find_k2n,
     has_cycle_of_length,
     is_hamiltonian,
     k2n_free,
 )
 from ramsey_k2n.verifier import (
+    RamseyFilter,
     compute_ramsey,
     verify_badness,
     verify_cited_lemmas,
@@ -241,3 +247,81 @@ def test_two_connected_lemma_matches_networkx_oracle():
         assert r.hypothesis_count == count
         assert r.outcome == ("counterexample" if violated
                              else "verified" if count else "verified-vacuous")
+
+
+# ----------------------------------------------- the Ramsey value's filter
+
+
+def _brute_ramsey_ok(g, n: int, lengths: tuple[int, ...]) -> bool:
+    """K_{2,n}-free, by embedding search, with no target cycle in the
+    complement, by networkx."""
+    hbar = nx.complement(to_nx(g))
+    return find_k2n(g, n) is None and not any(_nx_has_cycle(hbar, ln)
+                                              for ln in lengths)
+
+
+@pytest.mark.parametrize("lengths", [(3,), (4,), (5,), (4, 5)])
+def test_ramsey_candidate_masks_are_exactly_the_passing_extensions(lengths):
+    # _children does not recheck the children of these masks, so they must
+    # be every extension that stays K_{2,n}-free with a target-free
+    # complement, in increasing order of vertex lists
+    for n in (1, 2, 3):
+        flt = RamseyFilter(n, lengths)
+        for order in range(1, 7):
+            for g in enumerate_graphs(order, flt):
+                brute = [s for s in range(1 << order)
+                         if _brute_ramsey_ok(add_vertex(g, s), n, lengths)]
+                brute.sort(key=lambda s: list(bits(s)))
+                assert flt.candidate_masks(g) == brute, (n, encode_graph6(g))
+
+
+def _ramsey_by_post_filter(n: int, lengths: tuple[int, ...], max_order: int):
+    """(value or None, witness, count) computed order by order: every
+    K_{2,n}-free class, kept when its complement has no target cycle."""
+    count = 0
+    witness = None
+    for order in range(1, max_order + 1):
+        found = [encode_graph6(g) for g in enumerate_graphs(order, K2nFreeFilter(n))
+                 if all(has_cycle_of_length(complement(g), ln) is None
+                        for ln in lengths)]
+        if not found:
+            return order, witness, count
+        count += len(found)
+        witness = min(found)
+    return None, witness, count
+
+
+@pytest.mark.parametrize("n, kind, m, max_order", [
+    *((1, "cycle", m, 12) for m in (3, 4, 5)),
+    *((2, "cycle", m, 12) for m in range(3, 9)),
+    (2, "cycle_pair", 6, 12), (3, "cycle", 4, 12), (3, "cycle", 6, 12),
+    (2, "cycle", 4, 5),  # R = 6, so order 5 brackets nothing
+])
+def test_compute_ramsey_matches_post_filtered_enumeration(n, kind, m, max_order):
+    lengths = (m,) if kind == "cycle" else (m, m + 1)
+    value, witness, count = _ramsey_by_post_filter(n, lengths, max_order)
+    r = compute_ramsey(n, kind, m, max_order)
+    assert r.outcome == ("verified" if value else "infeasible")
+    assert r.extra.get("value") == value
+    assert r.extra["witness_graph6"] == witness
+    assert r.hypothesis_count == count
+
+
+# R(K_{2,2}, C_m) = R(C_4, C_m) for m = 3..10 as in Radziszowski, "Small
+# Ramsey Numbers", Electron. J. Combin. DS1; then R(K_{2,3}, C_m) for
+# m = 3..6 and R(K_{2,3}, C_{8,9}).
+GOODNESS_TABLE = {
+    **{(2, "cycle", m): value
+       for m, value in zip(range(3, 11), (7, 6, 7, 7, 8, 9, 10, 11))},
+    **{(3, "cycle", m): value for m, value in zip(range(3, 7), (9, 8, 9, 7))},
+    (3, "cycle_pair", 8): 9,
+}
+
+
+def test_goodness_table():
+    for (n, kind, m), value in GOODNESS_TABLE.items():
+        r = compute_ramsey(n, kind, m)
+        assert (r.outcome, r.extra["value"]) == ("verified", value), (n, kind, m)
+        witness = decode_graph6(r.extra["witness_graph6"])
+        assert witness.order == value - 1
+        assert _brute_ramsey_ok(witness, n, (m,) if kind == "cycle" else (m, m + 1))
