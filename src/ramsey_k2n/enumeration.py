@@ -9,6 +9,10 @@ class's canonical parent also passes the filter.  One depth-first walk of
 the tree yields every order up to the highest asked for; the single-order
 streams are read off it.
 
+Every filter meets one contract (``GenerationFilter``): its candidate
+masks are the only neighbourhoods tried for the new vertex, and ``accepts``
+then checks only what that vertex adds to a passing parent.
+
 Three exact shortcuts (McKay, "Isomorph-free exhaustive generation", 1998)
 keep most masks away from the expensive steps.  The canonically-last vertex
 always has maximum degree, so a mask whose new vertex would not have the
@@ -18,8 +22,7 @@ is expanded once, when its first mask is met, and its other masks are
 skipped.  A labeled child whose new vertex lies in the orbit of its
 canonically-last vertex, under the automorphisms the labeling found, is
 accepted without labeling the deleted-vertex parent.  None of them changes
-which representative is emitted or the order of the stream.  A filter whose
-candidate masks are exact is not asked again about the children they give.
+which representative is emitted or the order of the stream.
 """
 
 from __future__ import annotations
@@ -35,40 +38,37 @@ _PARALLEL_SPLIT_ORDER = 5
 
 
 class GenerationFilter:
-    """Pruning predicate for generation.
+    """A hereditary class of graphs, i.e. one closed under vertex deletion,
+    that prunes generation: a graph is reached only through ancestors in
+    the class.  K_1 is in every class.
 
-    Filters must be hereditary, i.e. closed under vertex deletion: they are
-    applied at every order, so a graph is reached only through ancestors
-    that pass.  ``candidate_masks``, when given, lists the neighborhoods
-    tried for the new vertex, and they must be exactly the masks whose child
-    passes, given a parent that passes: generation does not call
-    ``accepts`` on those children.
+    ``candidate_masks(g)`` lists the neighbourhoods tried for the new
+    vertex of a passing parent g, in the order tried.  The list is
+    Aut(g)-invariant and holds every mask whose child passes.
+    ``accepts(child)`` is asked only about a child built from a listed
+    mask, whose new vertex is the last one, and checks only what that
+    vertex adds.  By default every mask is listed and every child passes.
     """
 
-    def accepts(self, g: Graph) -> bool:
-        raise NotImplementedError
+    def candidate_masks(self, g: Graph) -> Iterable[int]:
+        return range(1 << g.order)
 
-    def candidate_masks(self, g: Graph) -> Iterable[int] | None:
-        return None
-
-
-class AllGraphs(GenerationFilter):
-    def accepts(self, g: Graph) -> bool:
+    def accepts(self, child: Graph) -> bool:
         return True
 
 
+class AllGraphs(GenerationFilter):
+    """Every graph."""
+
+
 class K2nFreeFilter(GenerationFilter):
-    """K_{2,n}-free graphs, with candidate-mask pruning."""
+    """K_{2,n}-free graphs; the candidate masks are exactly the masks
+    whose child passes."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-
-    def accepts(self, g: Graph) -> bool:
-        from .invariants import k2n_free
-
-        return k2n_free(g, self.n)
 
     def candidate_masks(self, g: Graph) -> Iterable[int]:
         """Masks S keeping the extension K_{2,n}-free, in increasing
@@ -162,8 +162,6 @@ def _children(
 ) -> Iterator[tuple[Graph, bytes, list[tuple[int, ...]]]]:
     """Accepted one-vertex extensions of g (exactly one per class)."""
     k = g.order
-    cand = flt.candidate_masks(g)
-    masks: Iterable[int] = range(1 << k) if cand is None else cand
     g_degseq = sorted(row.bit_count() for row in g.adj)
     # The canonically-last vertex has the child's maximum degree, so only a
     # new vertex of maximum degree can be it: |s| above every degree of g,
@@ -179,20 +177,20 @@ def _children(
     tables = [list(a) for a in auts]
     seen_orbit: set[int] = set()
     seen_children: set[bytes] = set()
-    for s in masks:
+    for s in flt.candidate_masks(g):
         size = s.bit_count()
         if size < top or (size == top and s & top_mask):
             continue
         # Masks in one Aut(g)-orbit give isomorphic children: expand the
         # orbit at its first mask and skip the rest.  The pretest and the
         # candidate masks are Aut(g)-invariant, so the orbit stays inside
-        # the masks this loop visits.
+        # the masks this loop visits, and the filter rejects an orbit whole.
         if tables:
             if s in seen_orbit:
                 continue
             seen_orbit |= _orbit_min(s, tables)
         child = add_vertex(g, s)
-        if cand is None and not flt.accepts(child):
+        if not flt.accepts(child):
             continue
         perm, cform, cauts = canonical_labeling(child)
         if cform in seen_children:
@@ -246,7 +244,8 @@ def enumerate_orders(
     workers: int = 1,
 ) -> Iterator[Graph]:
     """One representative per isomorphism class passing the filter, of
-    every order from ``lowest`` to ``highest``, in one walk of the tree.
+    every order from ``lowest`` to ``highest`` (none if ``highest`` is
+    below ``lowest``), in one walk of the tree.
 
     Graphs come in depth-first order, a parent before its children, and
     are streamed, never materialized.  With more than one worker the tree
@@ -254,13 +253,13 @@ def enumerate_orders(
     processes; ``imap`` keeps the seeds' order, so the sequence is the same
     for any worker count.  Filters must be picklable.
     """
-    if highest < 1:
+    if lowest < 1:
         raise ValueError("order must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    g1 = empty_graph(1)
-    if not flt.accepts(g1):
+    if highest < lowest:
         return
+    g1 = empty_graph(1)
     _, form, auts = canonical_labeling(g1)
     if workers == 1 or highest <= _PARALLEL_SPLIT_ORDER + 1:
         for g in _walk(g1, form, auts, highest, flt):

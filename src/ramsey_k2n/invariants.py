@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, GraphError, bits
 
@@ -198,6 +198,20 @@ def lowest_vertex_cycles(
     return out
 
 
+def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int]) -> bool:
+    """Whether a cycle of one of the given lengths passes through the last
+    vertex of the graph with rows ``adj``.
+
+    The rows are rotated so that the last vertex becomes 0; the cycles
+    through it are then those whose lowest vertex is 0.
+    """
+    k = len(adj)
+    last = k - 1
+    full = (1 << k) - 1
+    rows = [(adj[v] << 1 | adj[v] >> last) & full for v in (last, *range(last))]
+    return any(lowest_vertex_cycles(rows, 0, ln, 1) for ln in lengths if ln <= k)
+
+
 def all_cycles_of_length(
     g: Graph, m: int, cap: int = 10_000
 ) -> tuple[list[CycleWitness], bool]:
@@ -279,9 +293,7 @@ def max_common_neighborhood(g: Graph) -> int:
 
 def k2n_free(g: Graph, n: int) -> bool:
     """True iff no vertex pair has n or more common neighbors."""
-    if n < 1:
-        raise GraphError("n must be >= 1")
-    return g.order < 2 or max_common_neighborhood(g) <= n - 1
+    return find_k2n(g, n) is None
 
 
 def find_k2n(g: Graph, n: int) -> K2nWitness | None:

@@ -39,10 +39,10 @@ from .invariants import (
     circumference,
     connectivity,
     has_cycle_of_length,
+    has_cycle_through_last,
     independence_number,
     is_hamiltonian,
     k2n_free,
-    lowest_vertex_cycles,
     min_degree,
 )
 
@@ -110,10 +110,9 @@ class RamseyFilter(K2nFreeFilter):
     """K_{2,n}-free graphs whose complement has no cycle of the target
     lengths: the graphs a Ramsey value's lower bound rests on.
 
-    Both conditions survive vertex deletion.  If a parent passes, any
-    target cycle in the complement of a child goes through the new vertex,
-    so the candidate masks, K2nFreeFilter's in the same order minus those
-    whose child has such a cycle, are exact and Aut(g)-invariant.
+    Both conditions survive vertex deletion.  The candidate masks are
+    K2nFreeFilter's, so a child of a passing parent fails only through a
+    target cycle of its complement through the new vertex.
     """
 
     def __init__(self, n: int, lengths: tuple[int, ...]):
@@ -121,37 +120,7 @@ class RamseyFilter(K2nFreeFilter):
         self.lengths = lengths
 
     def accepts(self, g: Graph) -> bool:
-        gbar = complement(g)
-        return super().accepts(g) and all(
-            has_cycle_of_length(gbar, ln) is None for ln in self.lengths)
-
-    def candidate_masks(self, g: Graph) -> list[int]:
-        full = g.vertices_mask()
-        # The child's complement with the new vertex first: vertex v of g
-        # becomes v + 1, so the cycles through the new vertex are those
-        # whose lowest vertex is 0.
-        rows = [((full ^ row) & ~(1 << v)) << 1 for v, row in enumerate(g.adj)]
-        lengths = [ln for ln in self.lengths if ln <= g.order + 1]
-        # A target cycle through the new vertex leaves a path of g's
-        # complement whose two ends lie outside the mask.  Any later mask
-        # that also misses both ends closes the same cycle: no search.
-        ends: list[int] = []
-        out = []
-        for s in super().candidate_masks(g):
-            if any(not pair & s for pair in ends):
-                continue
-            away = full & ~s  # the new vertex's neighbours in the complement
-            child = [away << 1]
-            child += [row | (away >> v & 1) for v, row in enumerate(rows)]
-            for ln in lengths:
-                cycles = lowest_vertex_cycles(child, 0, ln, 1)
-                if cycles:
-                    vs = cycles[0].vertices
-                    ends.append(1 << vs[1] - 1 | 1 << vs[-1] - 1)
-                    break
-            else:
-                out.append(s)
-        return out
+        return not has_cycle_through_last(complement(g).adj, self.lengths)
 
 
 def verify_upper_bound(
@@ -306,23 +275,22 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
     graphs_seen = 0
     cap_hits = 0
     cex: dict | None = None
-    for order in range(5, max_order + 1):
-        for g in enumerate_parallel(order, workers=workers):
-            graphs_seen += 1
-            circ = circumference(g)
-            if not 0 < circ <= order - 2:
-                continue
-            cycles, capped = all_cycles_of_length(g, circ, CYCLE_CAP)
-            if capped:
-                cap_hits += 1
-            for wit in cycles:
-                pairs, violation = _check_observations(g, wit.vertices)
-                triples += pairs
-                if violation is not None:
-                    cex = _pick(cex, {
-                        "graph6": encode_graph6(g),
-                        "detail": f"cycle {list(wit.vertices)}: {violation}",
-                    })
+    for g in enumerate_orders(5, max_order, workers=workers):
+        graphs_seen += 1
+        circ = circumference(g)
+        if not 0 < circ <= g.order - 2:
+            continue
+        cycles, capped = all_cycles_of_length(g, circ, CYCLE_CAP)
+        if capped:
+            cap_hits += 1
+        for wit in cycles:
+            pairs, violation = _check_observations(g, wit.vertices)
+            triples += pairs
+            if violation is not None:
+                cex = _pick(cex, {
+                    "graph6": encode_graph6(g),
+                    "detail": f"cycle {list(wit.vertices)}: {violation}",
+                })
     return _report("lemma3.1", params, start, triples, cex,
                    notes=(f"cycle cap hit on {cap_hits} graphs",),
                    extra={"graphs_examined": graphs_seen,
@@ -335,10 +303,12 @@ class HamiltonianHypothesisFilter(GenerationFilter):
 
     Both conditions survive vertex deletion: C_m-freeness directly, and
     the pair-union bound with slack m+1-k at order k, since adding one
-    vertex grows any pair's neighborhood union by at most one.  The
-    bound on adjacent pairs would prune too, but the harness counts the
-    graphs without it as well, so it and 2-connectivity (not hereditary)
-    are checked only at the top.
+    vertex grows any pair's neighborhood union by at most one.  A child
+    of a passing parent can gain a C_m only through its new vertex, but
+    the slack shrinks with the order, so every nonadjacent pair is
+    checked again.  The bound on adjacent pairs would prune too, but the
+    harness counts the graphs without it as well, so it and
+    2-connectivity (not hereditary) are checked only at the top.
     """
 
     def __init__(self, m: int):
@@ -364,9 +334,8 @@ class HamiltonianHypothesisFilter(GenerationFilter):
         return True
 
     def accepts(self, g: Graph) -> bool:
-        if not self.pair_bound_holds(g, adjacent=False):
-            return False
-        return has_cycle_of_length(g, self.m) is None
+        return (self.pair_bound_holds(g, adjacent=False)
+                and not has_cycle_through_last(g.adj, (self.m,)))
 
 
 def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
@@ -460,38 +429,37 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
     counts = {"degree_sum_cycle": 0, "min_degree_hamiltonian": 0,
               "nash_williams": 0, "neighborhood_union_cycle": 0}
     cex: dict | None = None
-    for order in range(3, max_order + 1):
-        for g in enumerate_parallel(order, workers=workers):
-            n_ = g.order
-            delta = min_degree(g)
-            two_conn = connectivity(g) >= 2
-            circ = circumference(g)
-            if 2 * delta >= n_:
-                counts["min_degree_hamiltonian"] += 1
+    for g in enumerate_orders(3, max_order, workers=workers):
+        n_ = g.order
+        delta = min_degree(g)
+        two_conn = connectivity(g) >= 2
+        circ = circumference(g)
+        if 2 * delta >= n_:
+            counts["min_degree_hamiltonian"] += 1
+            if circ != n_:
+                cex = _pick(cex, {"graph6": encode_graph6(g),
+                                  "detail": "min_degree_hamiltonian"})
+        if two_conn:
+            ks = [g.adj[u].bit_count() + g.adj[v].bit_count()
+                  for u in range(n_) for v in range(u + 1, n_)
+                  if not g.adj[u] >> v & 1]
+            k = min(ks) if ks else n_
+            counts["degree_sum_cycle"] += 1
+            if circ < min(k, n_):
+                cex = _pick(cex, {"graph6": encode_graph6(g),
+                                  "detail": "degree_sum_cycle"})
+            if 3 * delta >= n_ + 2 and delta >= independence_number(g):
+                counts["nash_williams"] += 1
                 if circ != n_:
                     cex = _pick(cex, {"graph6": encode_graph6(g),
-                                      "detail": "min_degree_hamiltonian"})
-            if two_conn:
-                ks = [g.adj[u].bit_count() + g.adj[v].bit_count()
-                      for u in range(n_) for v in range(u + 1, n_)
-                      if not g.adj[u] >> v & 1]
-                k = min(ks) if ks else n_
-                counts["degree_sum_cycle"] += 1
-                if circ < min(k, n_):
+                                      "detail": "nash_williams"})
+            ku = min(union_neighborhood_excl(g, u, v)
+                     for u in range(n_) for v in range(u + 1, n_))
+            if circ >= n_ - ku:
+                counts["neighborhood_union_cycle"] += 1
+                if circ < min(2 * ku - 2, n_ - 1):
                     cex = _pick(cex, {"graph6": encode_graph6(g),
-                                      "detail": "degree_sum_cycle"})
-                if 3 * delta >= n_ + 2 and delta >= independence_number(g):
-                    counts["nash_williams"] += 1
-                    if circ != n_:
-                        cex = _pick(cex, {"graph6": encode_graph6(g),
-                                          "detail": "nash_williams"})
-                ku = min(union_neighborhood_excl(g, u, v)
-                         for u in range(n_) for v in range(u + 1, n_))
-                if circ >= n_ - ku:
-                    counts["neighborhood_union_cycle"] += 1
-                    if circ < min(2 * ku - 2, n_ - 1):
-                        cex = _pick(cex, {"graph6": encode_graph6(g),
-                                          "detail": "neighborhood_union_cycle"})
+                                      "detail": "neighborhood_union_cycle"})
     return _report("lemma-props", params, start, sum(counts.values()), cex,
                    extra={"per_lemma_hypothesis_counts": counts})
 
@@ -519,13 +487,12 @@ def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
     deepest = 0
     witness: str | None = None
     examined = 0
-    if max_order >= 1:
-        for g in enumerate_orders(1, max_order, flt, workers):
-            examined += 1
-            if g.order >= deepest:
-                g6 = encode_graph6(g)
-                if g.order > deepest or g6 < witness:
-                    deepest, witness = g.order, g6
+    for g in enumerate_orders(1, max_order, flt, workers):
+        examined += 1
+        if g.order >= deepest:
+            g6 = encode_graph6(g)
+            if g.order > deepest or g6 < witness:
+                deepest, witness = g.order, g6
     if deepest < max_order:
         return _report("ramsey-exact", params, start, examined,
                        extra={"value": deepest + 1, "witness_graph6": witness},

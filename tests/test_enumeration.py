@@ -67,8 +67,8 @@ def test_hereditary_pruning_soundness():
 
 
 def test_candidate_masks_are_exactly_the_k2n_free_extensions():
-    # _children does not recheck the children of these masks, so they must
-    # be every K_{2,n}-free extension, in increasing order of vertex lists
+    # K2nFreeFilter accepts every child of these masks, so they must be
+    # exactly the K_{2,n}-free extensions, in increasing order of vertex lists
     for n in range(1, 5):
         flt = K2nFreeFilter(n)
         for order in range(1, 7):
@@ -97,11 +97,10 @@ def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
         _, form, auts = canonical_labeling(g)
         assert auts
         list(_children(g, form, auts, flt))
-        cand = flt.candidate_masks(g)
         degrees = [row.bit_count() for row in g.adj]
         top = max(degrees)
         top_mask = sum(1 << v for v in range(g.order) if degrees[v] == top)
-        passing = {s for s in (range(1 << g.order) if cand is None else cand)
+        passing = {s for s in flt.candidate_masks(g)
                    if s.bit_count() > top
                    or (s.bit_count() == top and not s & top_mask)}
         covered = set().union(*orbits)
@@ -149,6 +148,7 @@ def test_one_walk_gives_every_order():
     for order in range(1, 9):
         assert [g6 for g6 in walk if ord(g6[0]) - 63 == order] \
             == [encode_graph6(g) for g in enumerate_graphs(order, flt)] * (order >= 3)
+    assert list(enumerate_orders(3, 2, flt, 2)) == []
 
 
 class TriangleFree(GenerationFilter):

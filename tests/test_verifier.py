@@ -23,6 +23,7 @@ from ramsey_k2n.invariants import (
     k2n_free,
 )
 from ramsey_k2n.verifier import (
+    HamiltonianHypothesisFilter,
     RamseyFilter,
     compute_ramsey,
     verify_badness,
@@ -260,19 +261,41 @@ def _brute_ramsey_ok(g, n: int, lengths: tuple[int, ...]) -> bool:
                                               for ln in lengths)
 
 
+def _check_filter_contract(flt, passes, key=None) -> None:
+    """The listed masks whose child ``accepts`` takes are exactly the
+    masks whose child ``passes``, in the listed order, for every passing
+    parent of order <= 6."""
+    for order in range(1, 7):
+        for g in enumerate_graphs(order, flt):
+            kept = [s for s in flt.candidate_masks(g) if flt.accepts(add_vertex(g, s))]
+            brute = sorted((s for s in range(1 << order) if passes(add_vertex(g, s))),
+                           key=key)
+            assert kept == brute, encode_graph6(g)
+
+
 @pytest.mark.parametrize("lengths", [(3,), (4,), (5,), (4, 5)])
-def test_ramsey_candidate_masks_are_exactly_the_passing_extensions(lengths):
-    # _children does not recheck the children of these masks, so they must
-    # be every extension that stays K_{2,n}-free with a target-free
-    # complement, in increasing order of vertex lists
+def test_ramsey_filter_keeps_exactly_the_passing_extensions(lengths):
+    # K2nFreeFilter's masks come in increasing order of vertex lists
     for n in (1, 2, 3):
-        flt = RamseyFilter(n, lengths)
-        for order in range(1, 7):
-            for g in enumerate_graphs(order, flt):
-                brute = [s for s in range(1 << order)
-                         if _brute_ramsey_ok(add_vertex(g, s), n, lengths)]
-                brute.sort(key=lambda s: list(bits(s)))
-                assert flt.candidate_masks(g) == brute, (n, encode_graph6(g))
+        _check_filter_contract(RamseyFilter(n, lengths),
+                               lambda h: _brute_ramsey_ok(h, n, lengths),
+                               key=lambda s: list(bits(s)))
+
+
+def _brute_hamiltonian_ok(g, m: int) -> bool:
+    """The pair-union bound with slack m+1-order on nonadjacent pairs, by
+    set arithmetic, and no C_m, by networkx."""
+    h = to_nx(g)
+    slack = m + 1 - g.order
+    return all(2 * (len((set(h[u]) | set(h[v])) - {u, v}) + slack) >= m
+               for u, v in itertools.combinations(h.nodes, 2)
+               if not h.has_edge(u, v)) and not _nx_has_cycle(h, m)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_hamiltonian_filter_keeps_exactly_the_passing_extensions(m):
+    _check_filter_contract(HamiltonianHypothesisFilter(m),
+                           lambda h: _brute_hamiltonian_ok(h, m))
 
 
 def _ramsey_by_post_filter(n: int, lengths: tuple[int, ...], max_order: int):
