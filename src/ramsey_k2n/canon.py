@@ -10,9 +10,9 @@ complete multipartite graphs) tractable.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from typing import Iterable
 
-_MAX_AUT_GENERATORS = 64
+from .graphs import Graph
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -57,13 +57,32 @@ def _pack(adj: tuple[int, ...], perm: tuple[int, ...], n: int) -> bytes:
     return bytes([n]) + word.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
+def orbit_closure(points: Iterable[int],
+                  gens: list[tuple[int, ...]]) -> set[int]:
+    """The union of the orbits of ``points`` under the group that the
+    permutations ``gens`` generate."""
+    closure = set(points)
+    frontier = list(closure)
+    while frontier:
+        u = frontier.pop()
+        for a in gens:
+            w = a[u]
+            if w not in closure:
+                closure.add(w)
+                frontier.append(w)
+    return closure
+
+
 def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
     """Return (perm, form, automorphism generators).
 
     ``perm[i]`` is the original vertex placed at canonical position i.
     ``form`` is equal across all graphs isomorphic to g and only those.
-    The generator list contains genuine automorphisms of g (possibly not
-    the whole group).
+    The generators are the automorphisms that map the best leaf to each
+    later leaf with the same form, and they generate all of Aut(g): a
+    pruned branch is the image of a searched one under earlier
+    generators, so every leaf with the best form is an image of a
+    searched one.
 
     ``perm[-1]`` always has maximum degree in g: the base partition orders
     the degree cells ascending, and refinement and individualization only
@@ -72,9 +91,6 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int
     """
     n = g.order
     adj = g.adj
-    if n == 1:
-        return (0,), _pack(adj, (0,), 1), []
-
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(adj[v].bit_count(), []).append(v)
@@ -83,7 +99,6 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int
     best_form: bytes | None = None
     best_perm: tuple[int, ...] | None = None
     auts: list[tuple[int, ...]] = []
-    aut_seen: set[tuple[int, ...]] = set()
 
     def rec(cells: list[list[int]]) -> None:
         nonlocal best_form, best_perm
@@ -97,34 +112,22 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int
             form = _pack(adj, perm, n)
             if best_form is None or form < best_form:
                 best_form, best_perm = form, perm
-            elif form == best_form and len(auts) < _MAX_AUT_GENERATORS:
+            elif form == best_form:
+                # a leaf other than the best one, so not the identity
                 aut = [0] * n
                 for a, b in zip(best_perm, perm):
                     aut[a] = b
-                taut = tuple(aut)
-                if taut not in aut_seen and any(aut[v] != v for v in range(n)):
-                    aut_seen.add(taut)
-                    auts.append(taut)
+                auts.append(tuple(aut))
             return
         fixed = [cell[0] for cell in cells if len(cell) == 1]
         cell = cells[idx]
         tried: list[int] = []
         for v in cell:
-            if tried:
-                # orbit closure of already-tried candidates under the
-                # subgroup (of discovered generators) fixing the prefix
-                applicable = [a for a in auts if all(a[f] == f for f in fixed)]
-                orbit = set(tried)
-                frontier = list(tried)
-                while frontier:
-                    u = frontier.pop()
-                    for a in applicable:
-                        w = a[u]
-                        if w not in orbit:
-                            orbit.add(w)
-                            frontier.append(w)
-                if v in orbit:
-                    continue
+            # skip v in the orbit of a tried vertex under the discovered
+            # automorphisms that fix the prefix
+            if tried and v in orbit_closure(
+                    tried, [a for a in auts if all(a[f] == f for f in fixed)]):
+                continue
             tried.append(v)
             rest = [w for w in cell if w != v]
             rec(_refine(adj, cells[:idx] + [[v], rest] + cells[idx + 1:]))

@@ -25,7 +25,6 @@ from . import constructions, verifier
 from .constructions import ParameterError
 from .graphs import FormatError, GraphError, decode_graph6
 from .invariants import (
-    PatternParams,
     circumference,
     connectivity,
     cycle_spectrum,
@@ -69,11 +68,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "star":
         report = constructions.star_witness(args.m)
     elif args.kind == "burr":
-        if args.pattern == "k2n":
-            pattern = PatternParams.k2n(args.size)
-        else:
-            pattern = PatternParams.cycle(args.size)
-        report = constructions.burr_witness(args.g_order, pattern)
+        report = constructions.burr_witness(args.g_order, args.pattern,
+                                            args.size)
     elif args.kind == "lemma41":
         report = constructions.lemma41_witness(args.m, args.p, args.t)
     else:

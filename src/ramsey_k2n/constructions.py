@@ -27,7 +27,6 @@ from .graphs import (
     join,
 )
 from .invariants import (
-    PatternParams,
     circumference,
     has_cycle_of_length,
     k2n_free,
@@ -158,17 +157,30 @@ def star_witness(m: int) -> ConstructionReport:
     )
 
 
-def burr_witness(g_order: int, pattern: PatternParams) -> ConstructionReport:
+def burr_witness(g_order: int, kind: str, size: int) -> ConstructionReport:
     """Generic chromatic lower-bound witness for a connected graph of
-    ``g_order`` vertices versus the given pattern.
+    ``g_order`` vertices versus the pattern C_size (``kind`` "cycle") or
+    K_{2,size} (``kind`` "k2n").
 
     The complement (red side) is chi(pattern)-1 cliques K_{g_order-1} plus
     a clique K_{sigma-1}: it has no connected subgraph on g_order vertices,
     hence no C_{g_order}.  The graph itself (blue side) is complete
     multipartite and contains no pattern.  Total order is
-    (g_order-1)(chi-1) + sigma - 1, one below Burr's bound.
+    (g_order-1)(chi-1) + sigma - 1, one below Burr's bound.  chi is the
+    pattern's chromatic number and sigma its least colour class over
+    proper chi-colourings: 2 and 2 for K_{2,n}, 2 and m/2 for even C_m,
+    3 and 1 for odd C_m.
     """
-    chi, sigma = pattern.chi, pattern.sigma
+    if kind == "k2n":
+        if size < 2:
+            raise ParameterError("K_{2,n} goodness arithmetic requires n >= 2")
+        chi, sigma = 2, 2
+    elif kind == "cycle":
+        if size < 3:
+            raise ParameterError("cycle length must be >= 3")
+        chi, sigma = (2, size // 2) if size % 2 == 0 else (3, 1)
+    else:
+        raise ParameterError(f"unknown pattern kind {kind!r}")
     if g_order < sigma:
         raise ParameterError(
             f"g_order must be >= sigma(pattern) = {sigma}, got {g_order}"
@@ -190,7 +202,7 @@ def burr_witness(g_order: int, pattern: PatternParams) -> ConstructionReport:
         "complement_circumference": red_circ,
         "forbidden_cycle_length": g_order if g_order >= 3 else None,
     }
-    if pattern.kind == "k2n":
+    if kind == "k2n":
         # blue is a star K_{1,g_order-1}: leaf pairs share only the center
         claimed["max_common_neighborhood"] = 1 if g_order >= 3 else 0
     measured, skipped = _measure(blue, red, claimed)
@@ -198,21 +210,21 @@ def burr_witness(g_order: int, pattern: PatternParams) -> ConstructionReport:
         skipped = skipped + ("max_common_neighborhood",)
     largest_component = max(clique_sizes, default=0)
     checks = {"red_components_below_g_order": largest_component <= g_order - 1}
-    if pattern.kind == "k2n":
-        checks["pattern_absent"] = k2n_free(blue, pattern.size)
+    if kind == "k2n":
+        checks["pattern_absent"] = k2n_free(blue, size)
     else:
-        checks["pattern_absent"] = has_cycle_of_length(blue, pattern.size) is None
+        checks["pattern_absent"] = has_cycle_of_length(blue, size) is None
     return ConstructionReport(
         name="burr",
         params={"g_order": g_order, "chi": chi, "sigma": sigma,
-                "pattern_size": pattern.size},
+                "pattern_size": size},
         graph=blue,
         complement_graph=red,
         claimed=claimed,
         measured=measured,
         checks=checks,
         skipped=skipped,
-        notes=(f"pattern kind {pattern.kind}",
+        notes=(f"pattern kind {kind}",
                f"lower bound witnessed: R > {total}"),
     )
 

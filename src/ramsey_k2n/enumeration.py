@@ -31,7 +31,7 @@ import math
 from multiprocessing import get_context
 from typing import Iterable, Iterator
 
-from .canon import canonical_form, canonical_labeling
+from .canon import canonical_form, canonical_labeling, orbit_closure
 from .graphs import Graph, add_vertex, bits, empty_graph, induced_subgraph
 
 _PARALLEL_SPLIT_ORDER = 5
@@ -139,24 +139,6 @@ def _orbit_min(mask: int, tables: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _in_orbit(v: int, u: int, gens: list[tuple[int, ...]]) -> bool:
-    """Whether some product of the permutations ``gens`` maps u to v."""
-    if u == v:
-        return True
-    orbit = {u}
-    frontier = [u]
-    while frontier:
-        w = frontier.pop()
-        for a in gens:
-            x = a[w]
-            if x == v:
-                return True
-            if x not in orbit:
-                orbit.add(x)
-                frontier.append(x)
-    return False
-
-
 def _children(
     g: Graph, form: bytes, auts: list[tuple[int, ...]], flt: GenerationFilter
 ) -> Iterator[tuple[Graph, bytes, list[tuple[int, ...]]]]:
@@ -203,7 +185,7 @@ def _children(
         # the pretest already gives the deleted vertex degree |s|, so the
         # edge counts agree.
         last = perm[-1]
-        if not _in_orbit(k, last, cauts):
+        if k not in orbit_closure((last,), cauts):
             keep = ~(1 << last)
             degseq = sorted((row & keep).bit_count()
                             for v, row in enumerate(child.adj) if v != last)
@@ -270,8 +252,10 @@ def enumerate_orders(
 
     top = list(_walk(g1, form, auts, _PARALLEL_SPLIT_ORDER, flt))
     seeds = [encode_graph6(g) for g in top if g.order == _PARALLEL_SPLIT_ORDER]
-    ctx = get_context("fork")
-    with ctx.Pool(workers) as pool:
+    if not seeds:  # the filter ends the tree below the seed order
+        yield from (g for g in top if g.order >= lowest)
+        return
+    with get_context("fork").Pool(min(workers, len(seeds))) as pool:
         subtrees = pool.imap(_parallel_task,
                              [(s, lowest, highest, flt) for s in seeds])
         for g in top:

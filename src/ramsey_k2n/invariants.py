@@ -19,6 +19,9 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph, GraphError, bits
 
+#: Most cycles of one length listed for one graph.
+CYCLE_CAP = 10_000
+
 
 @dataclass(frozen=True, slots=True)
 class CycleWitness:
@@ -52,42 +55,6 @@ class K2nWitness:
         if len(cset) != len(self.common) or cset & {u, v}:
             return False
         return all(g.has_edge(u, w) and g.has_edge(v, w) for w in self.common)
-
-
-@dataclass(frozen=True)
-class PatternParams:
-    """Chromatic data of the target pattern, for Burr's lower bound."""
-
-    kind: str  # "cycle" | "k2n"
-    size: int  # m for cycles, n for K_{2,n}
-
-    def __post_init__(self):
-        if self.kind not in ("cycle", "k2n"):
-            raise GraphError(f"unknown pattern kind {self.kind!r}")
-        if self.kind == "cycle" and self.size < 3:
-            raise GraphError("cycle length must be >= 3")
-        if self.kind == "k2n" and self.size < 2:
-            raise GraphError("K_{2,n} goodness arithmetic requires n >= 2")
-
-    @classmethod
-    def cycle(cls, m: int) -> "PatternParams":
-        return cls("cycle", m)
-
-    @classmethod
-    def k2n(cls, n: int) -> "PatternParams":
-        return cls("k2n", n)
-
-    @property
-    def chi(self) -> int:
-        if self.kind == "k2n":
-            return 2
-        return 2 if self.size % 2 == 0 else 3
-
-    @property
-    def sigma(self) -> int:
-        if self.kind == "k2n":
-            return 2
-        return self.size // 2 if self.size % 2 == 0 else 1
 
 
 def min_degree(g: Graph) -> int:
@@ -213,7 +180,7 @@ def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int]) -> bool:
 
 
 def all_cycles_of_length(
-    g: Graph, m: int, cap: int = 10_000
+    g: Graph, m: int, cap: int = CYCLE_CAP
 ) -> tuple[list[CycleWitness], bool]:
     """All cycles of length exactly m, each once; returns (cycles, cap_hit).
 

@@ -1,26 +1,30 @@
+import math
 import random
+import time
 
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
-from ramsey_k2n.canon import canonical_form, canonical_labeling
+from ramsey_k2n.canon import canonical_form, canonical_labeling, orbit_closure
 from ramsey_k2n.enumeration import (
     ALL_GRAPHS,
     K2nFreeFilter,
     _children,
-    _in_orbit,
     enumerate_graphs,
 )
 from ramsey_k2n.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    complement,
     disjoint_union,
     empty_graph,
+    encode_graph6,
     induced_subgraph,
 )
 
 from conftest import (
+    PETERSEN,
     complete_multipartite,
     from_nx,
     path_graph,
@@ -95,11 +99,15 @@ def test_canonical_parent_well_defined(rng):
 
 
 def test_symmetric_graphs_fast():
-    # these previously exploded without automorphism orbit pruning
+    # these previously exploded without automorphism orbit pruning, and the
+    # order-16 ones took 33 s while the generators were capped at 64
     for g in [empty_graph(12), complete_graph(12),
               disjoint_union(complete_graph(6), complete_graph(6)),
-              complete_multipartite([4, 4, 4])]:
+              complete_multipartite([4, 4, 4]),
+              empty_graph(16), complete_graph(16)]:
+        start = time.perf_counter()
         perm, form, auts = canonical_labeling(g)
+        assert time.perf_counter() - start < 2
         assert canonical_form(relabel(g, perm)) is not None
         assert auts  # symmetric graphs must expose generators
 
@@ -116,6 +124,122 @@ def test_last_canonical_vertex_has_maximum_degree(rng):
         assert g.adj[perm[-1]].bit_count() == top, g
 
 
+def group_order(gens: list[tuple[int, ...]], n: int) -> int:
+    """Order of the permutation group on range(n) that ``gens`` generate,
+    by the Schreier-Sims algorithm with base 0, 1, ..., n-1."""
+    ident = tuple(range(n))
+
+    def mul(p, q):  # q, then p
+        return tuple(p[x] for x in q)
+
+    def inv(p):
+        r = [0] * n
+        for i, x in enumerate(p):
+            r[x] = i
+        return tuple(r)
+
+    def first_moved(p):
+        return next(i for i in range(n) if p[i] != i)
+
+    # strong[i]: the strong generators that fix 0..i-1
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+
+    def add(p):
+        for i in range(first_moved(p) + 1):
+            strong[i].append(p)
+
+    def transversal(i):
+        """b -> an element of <strong[i]> that maps i to b."""
+        t = {i: ident}
+        frontier = [i]
+        while frontier:
+            b = frontier.pop()
+            for s in strong[i]:
+                if s[b] not in t:
+                    t[s[b]] = mul(s, t[b])
+                    frontier.append(s[b])
+        return t
+
+    def sift(p, i):
+        """What is left of p, which fixes 0..i-1, after stripping it
+        through levels i, i+1, ...; None if nothing is."""
+        for j in range(i, n):
+            t = trans[j].get(p[j])
+            if t is None:
+                return p
+            p = mul(inv(t), p)
+        return None
+
+    for p in gens:
+        if p != ident:
+            add(p)
+    trans = [transversal(i) for i in range(n)]
+    i = n - 1
+    while i >= 0:
+        # levels above i are complete; level i is once every Schreier
+        # generator of its point stabilizer sifts through them
+        residue = next((r for b, t in trans[i].items() for s in strong[i]
+                        if (r := sift(mul(inv(trans[i][s[b]]), mul(s, t)), i + 1))
+                        is not None), None)
+        if residue is None:
+            i -= 1
+        else:
+            add(residue)
+            i = first_moved(residue)
+            trans[:i + 1] = [transversal(j) for j in range(i + 1)]
+    return math.prod(map(len, trans))
+
+
+def nx_automorphism_count(g: Graph) -> int:
+    """|Aut(g)| by orbit-stabilizer: fix the vertices one by one and count
+    each one's orbit under the stabilizer of those before it, with one
+    networkx isomorphism test per candidate image."""
+    h = to_nx(g if 4 * g.edge_count() <= g.order * (g.order - 1)
+              else complement(g))  # VF2 is slow on dense graphs
+    a, b = h.copy(), h.copy()
+    nx.set_node_attributes(a, 0, "c")
+    nx.set_node_attributes(b, 0, "c")
+    count = 1
+    for i, v in enumerate(h, 1):
+        a.nodes[v]["c"] = i
+        orbit = 0
+        for w in h:
+            if b.nodes[w]["c"] == 0 and h.degree(w) == h.degree(v):
+                b.nodes[w]["c"] = i
+                orbit += nx.vf2pp_is_isomorphic(a, b, node_label="c")
+                b.nodes[w]["c"] = 0
+        b.nodes[v]["c"] = i
+        count *= orbit
+    return count
+
+
+def test_generators_generate_the_whole_group(rng):
+    # every class of order 1..7 and random graphs of order 9..12
+    graphs = [from_nx(h) for h in graph_atlas_g() if h.number_of_nodes()]
+    graphs += [random_graph(rng.randint(9, 12), rng.random(), rng)
+               for _ in range(300)]
+    for g in graphs:
+        _, _, auts = canonical_labeling(g)
+        assert group_order(auts, g.order) == nx_automorphism_count(g), \
+            encode_graph6(g)
+
+
+def test_group_orders_of_symmetric_families():
+    f = math.factorial
+    cases = [(empty_graph(n), f(n)) for n in range(1, 17)]
+    cases += [(complete_graph(n), f(n)) for n in range(1, 17)]
+    triangles = complete_graph(3)
+    for k in range(2, 6):  # kK_3
+        triangles = disjoint_union(triangles, complete_graph(3))
+        cases.append((triangles, 6 ** k * f(k)))
+    for a, b in [(1, 1), (1, 6), (2, 2), (2, 5), (3, 3), (3, 7), (5, 8), (8, 8)]:
+        cases.append((complete_multipartite([a, b]), f(a) * f(b) * (1 + (a == b))))
+    cases.append((PETERSEN, 120))
+    for g, order in cases:
+        _, _, auts = canonical_labeling(g)
+        assert group_order(auts, g.order) == order, encode_graph6(g)
+
+
 def _orbit_accepted(order: int, flt) -> list[tuple[Graph, tuple, bytes]]:
     """(child, its canonical perm, parent form) for every child of the given
     order that _children accepts by orbit, i.e. without labeling the parent."""
@@ -124,7 +248,7 @@ def _orbit_accepted(order: int, flt) -> list[tuple[Graph, tuple, bytes]]:
         _, form, auts = canonical_labeling(g)
         for child, _, cauts in _children(g, form, auts, flt):
             perm, _, _ = canonical_labeling(child)
-            if _in_orbit(g.order, perm[-1], cauts):
+            if g.order in orbit_closure((perm[-1],), cauts):
                 out.append((child, perm, form))
     return out
 

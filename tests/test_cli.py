@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_k2n import verifier
+from ramsey_k2n import constructions, verifier
 from ramsey_k2n.cli import main
-from ramsey_k2n.graphs import cycle_graph, encode_graph6
+from ramsey_k2n.graphs import complete_graph, cycle_graph, encode_graph6
 
 from conftest import PETERSEN, complete_multipartite, random_graph
 
@@ -193,6 +193,20 @@ def test_verify_thm14(capsys):
     code, out, _ = run(capsys, "verify", "thm1.4", "--n", "7", "--m", "5")
     assert code == 0
     assert "verified" in out
+
+
+@pytest.mark.parametrize("n, m", [(7, 5), (14, 6)])  # lemma41, lemma42
+def test_verify_thm14_broken_witness_exit_1(capsys, monkeypatch, n, m):
+    # a complete complement contains C_2m: the construction report's own
+    # measurement must turn the claim into a counterexample
+    monkeypatch.setattr(constructions, "_apex_over_cliques",
+                        lambda sizes: complete_graph(1 + sum(sizes)))
+    code, out, _ = run(capsys, "verify", "thm1.4", "--n", str(n), "--m", str(m),
+                       "--output", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["outcome"] == "counterexample"
+    assert report["counterexample"]["detail"] == "construction report flagged FAILED"
 
 
 def test_verify_counterexample_exit_1(capsys):

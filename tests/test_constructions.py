@@ -12,7 +12,7 @@ from ramsey_k2n.constructions import (
     star_witness,
 )
 from ramsey_k2n.graphs import complement, decode_graph6, induced_subgraph
-from ramsey_k2n.invariants import PatternParams, has_cycle_of_length, k2n_free
+from ramsey_k2n.invariants import has_cycle_of_length, k2n_free
 
 from conftest import complete_multipartite
 
@@ -33,7 +33,7 @@ def test_star_witness_basic():
 
 def test_burr_witness_k2n_matches_star_complement():
     # chi=2, sigma=2 pattern: the red side is K_{m-1} + K_1
-    r = burr_witness(6, PatternParams.k2n(3))
+    r = burr_witness(6, "k2n", 3)
     s = star_witness(6)
     assert canonical_form(r.complement_graph) \
         == canonical_form(s.complement_graph)
@@ -43,14 +43,14 @@ def test_burr_witness_k2n_matches_star_complement():
 def test_burr_witness_odd_cycle():
     # C_7 (chi=3, sigma=1) against a connected graph on n+2=10 vertices:
     # red is two K_9 blocks, total order 18, witnessing R > 18 = 2n+2
-    r = burr_witness(10, PatternParams.cycle(7))
+    r = burr_witness(10, "cycle", 7)
     assert not r.failed
     assert r.claimed["order"] == 18
     assert r.checks["pattern_absent"]  # blue is bipartite, no C_7
 
 
 def test_burr_witness_small_even_cycle():
-    r = burr_witness(4, PatternParams.cycle(6))
+    r = burr_witness(4, "cycle", 6)
     assert not r.failed
     assert r.claimed["order"] == 5
     assert r.checks["red_components_below_g_order"]
@@ -58,9 +58,23 @@ def test_burr_witness_small_even_cycle():
 
 def test_burr_witness_errors():
     with pytest.raises(ParameterError):
-        burr_witness(1, PatternParams.k2n(2))  # g_order < sigma
+        burr_witness(1, "k2n", 2)  # g_order < sigma
     with pytest.raises(ParameterError):
-        burr_witness(40, PatternParams.cycle(7))  # order 78 > 64
+        burr_witness(40, "cycle", 7)  # order 78 > 64
+
+
+def test_burr_witness_chromatic_data():
+    # chi and sigma of C_6, C_7 and K_{2,5}
+    for kind, size, chi, sigma in [("cycle", 6, 2, 3), ("cycle", 7, 3, 1),
+                                   ("k2n", 5, 2, 2)]:
+        params = burr_witness(5, kind, size).params
+        assert (params["chi"], params["sigma"]) == (chi, sigma)
+    with pytest.raises(ParameterError, match="requires n >= 2"):
+        burr_witness(5, "k2n", 1)
+    with pytest.raises(ParameterError, match="cycle length must be >= 3"):
+        burr_witness(5, "cycle", 2)
+    with pytest.raises(ParameterError, match="unknown pattern kind 'cycle_pair'"):
+        burr_witness(5, "cycle_pair", 6)
 
 
 def test_lemma41_flagship_parameters():

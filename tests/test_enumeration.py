@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import time
+from types import SimpleNamespace
 
 from ramsey_k2n import enumeration
 from ramsey_k2n.canon import canonical_form, canonical_labeling
@@ -24,7 +25,7 @@ from ramsey_k2n.graphs import (
     encode_graph6,
 )
 from ramsey_k2n.invariants import k2n_free
-from ramsey_k2n.verifier import HamiltonianHypothesisFilter
+from ramsey_k2n.verifier import HamiltonianHypothesisFilter, RamseyFilter
 
 from conftest import PETERSEN, complete_multipartite
 
@@ -137,6 +138,38 @@ def test_parallel_equals_sequential():
         assert par == seq
     one = [encode_graph6(g) for g in enumerate_parallel(7, workers=1)]
     assert len(one) == 1044
+
+
+def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
+    # a pool that records its size and runs imap in this process
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(enumeration, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    flt = K2nFreeFilter(2)
+    walk = [encode_graph6(g) for g in enumerate_orders(1, 7, flt)]
+    assert [encode_graph6(g) for g in enumerate_orders(1, 7, flt, 1000)] == walk
+    assert sizes == [18]  # the C_4-free classes of order 5
+    # matchings whose complement has no triangle stop at order 4: no seed
+    sizes.clear()
+    flt = RamseyFilter(1, (3,))
+    walk = [encode_graph6(g) for g in enumerate_orders(1, 12, flt)]
+    assert len(walk) == 5
+    assert [encode_graph6(g) for g in enumerate_orders(1, 12, flt, 2)] == walk
+    assert sizes == []
 
 
 def test_one_walk_gives_every_order():

@@ -19,7 +19,6 @@ from ramsey_k2n.graphs import (
     union_neighborhood_excl,
 )
 from ramsey_k2n.invariants import (
-    PatternParams,
     all_cycles_of_length,
     circumference,
     connectivity,
@@ -41,21 +40,6 @@ from conftest import (
     random_graph,
     to_nx,
 )
-
-
-# ---------------------------------------------------------------- patterns
-
-def test_pattern_params_chromatic_data():
-    assert PatternParams.cycle(6).chi == 2
-    assert PatternParams.cycle(6).sigma == 3
-    assert PatternParams.cycle(7).chi == 3
-    assert PatternParams.cycle(7).sigma == 1
-    assert PatternParams.k2n(5).chi == 2
-    assert PatternParams.k2n(5).sigma == 2
-    with pytest.raises(GraphError):
-        PatternParams.k2n(1)
-    with pytest.raises(GraphError):
-        PatternParams("cycle_pair", 6)
 
 
 # ------------------------------------------------------------ connectivity

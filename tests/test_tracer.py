@@ -1,0 +1,22 @@
+"""The benchmark's per-layer tracer (``perfbench/tracer.py``) wraps named
+functions of the package; a rename that hides one from it fails here."""
+
+import importlib.util
+from pathlib import Path
+
+from ramsey_k2n import canon, enumeration
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_tracer_finds_every_call_site():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    assert enumeration.canonical_labeling is canon.canonical_labeling
