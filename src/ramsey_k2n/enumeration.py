@@ -1,28 +1,30 @@
 """Isomorph-free exhaustive generation of small graphs.
 
-Generation is by canonical augmentation: each graph on k+1 vertices is
-produced from the unique parent obtained by deleting its canonically-last
-vertex.  A child is accepted iff that canonical deletion is isomorphic to the
-parent it was extended from, so each isomorphism class appears exactly once
-globally.  Hereditary filters prune the search tree safely because a filtered
-class's canonical parent also passes the filter.  One depth-first walk of
-the tree yields every order up to the highest asked for; the single-order
-streams are read off it.
+Generation is by canonical augmentation (McKay, "Isomorph-free exhaustive
+generation", 1998).  Each parent g, one per class, tries one mask per
+Aut(g)-orbit as the neighbourhood of a new vertex, and a child is accepted
+iff its new vertex lies in the Aut(child)-orbit of its canonically-last
+vertex.  The automorphism generators ``canonical_labeling`` returns
+generate the whole group, so the rule is exact: an isomorphism between two
+accepted children can be chosen to map new vertex to new vertex.  It then
+restricts to an isomorphism of their parents, which are therefore the same
+graph g, and to an automorphism of g mapping one mask to the other; but
+only one mask per orbit is tried.  Each isomorphism class therefore appears
+exactly once globally.
+
+Hereditary filters prune the search tree safely because a filtered class's
+canonical parent also passes the filter.  One depth-first walk of the tree
+yields every order up to the highest asked for; the single-order streams
+are read off it.
 
 Every filter meets one contract (``GenerationFilter``): its candidate
 masks are the only neighbourhoods tried for the new vertex, and ``accepts``
 then checks only what that vertex adds to a passing parent.
 
-Three exact shortcuts (McKay, "Isomorph-free exhaustive generation", 1998)
-keep most masks away from the expensive steps.  The canonically-last vertex
-always has maximum degree, so a mask whose new vertex would not have the
-child's maximum degree is rejected before orbit pruning, the filter and
-labeling.  Masks in one Aut(g)-orbit give isomorphic children, so each orbit
-is expanded once, when its first mask is met, and its other masks are
-skipped.  A labeled child whose new vertex lies in the orbit of its
-canonically-last vertex, under the automorphisms the labeling found, is
-accepted without labeling the deleted-vertex parent.  None of them changes
-which representative is emitted or the order of the stream.
+The canonically-last vertex always has maximum degree, so a mask whose new
+vertex would not have the child's maximum degree is rejected before orbit
+pruning, the filter and labeling.  This changes neither which
+representative is emitted nor the order of the stream.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import math
 from multiprocessing import get_context
 from typing import Iterable, Iterator
 
-from .canon import canonical_form, canonical_labeling, orbit_closure
-from .graphs import Graph, add_vertex, bits, empty_graph, induced_subgraph
+from .canon import canonical_labeling, orbit_closure
+from .graphs import Graph, add_vertex, bits, empty_graph
 
 _PARALLEL_SPLIT_ORDER = 5
 
@@ -55,10 +57,6 @@ class GenerationFilter:
 
     def accepts(self, child: Graph) -> bool:
         return True
-
-
-class AllGraphs(GenerationFilter):
-    """Every graph."""
 
 
 class K2nFreeFilter(GenerationFilter):
@@ -114,7 +112,7 @@ class K2nFreeFilter(GenerationFilter):
         return out
 
 
-ALL_GRAPHS = AllGraphs()
+ALL_GRAPHS = GenerationFilter()
 
 
 def _orbit_min(mask: int, tables: list[list[int]]) -> set[int]:
@@ -140,25 +138,23 @@ def _orbit_min(mask: int, tables: list[list[int]]) -> set[int]:
 
 
 def _children(
-    g: Graph, form: bytes, auts: list[tuple[int, ...]], flt: GenerationFilter
-) -> Iterator[tuple[Graph, bytes, list[tuple[int, ...]]]]:
+    g: Graph, auts: list[tuple[int, ...]], flt: GenerationFilter
+) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
     """Accepted one-vertex extensions of g (exactly one per class)."""
     k = g.order
-    g_degseq = sorted(row.bit_count() for row in g.adj)
     # The canonically-last vertex has the child's maximum degree, so only a
-    # new vertex of maximum degree can be it: |s| above every degree of g,
-    # or equal to the top degree D with no degree-D vertex of g in s.  The
-    # test is invariant under Aut(g) and only drops masks whose class fails
-    # the parent test whichever mask produced it, so the accepted children
-    # and their order are unchanged.
-    top = g_degseq[-1]
+    # new vertex of maximum degree can lie in its orbit: |s| above every
+    # degree of g, or equal to the top degree D with no degree-D vertex of g
+    # in s.  The test is invariant under Aut(g) and only drops masks whose
+    # child fails the orbit rule, so the accepted children and their order
+    # are unchanged.
+    top = max(row.bit_count() for row in g.adj)
     top_mask = 0
     for v, row in enumerate(g.adj):
         if row.bit_count() == top:
             top_mask |= 1 << v
     tables = [list(a) for a in auts]
     seen_orbit: set[int] = set()
-    seen_children: set[bytes] = set()
     for s in flt.candidate_masks(g):
         size = s.bit_count()
         if size < top or (size == top and s & top_mask):
@@ -174,41 +170,22 @@ def _children(
         child = add_vertex(g, s)
         if not flt.accepts(child):
             continue
-        perm, cform, cauts = canonical_labeling(child)
-        if cform in seen_children:
+        perm, _, cauts = canonical_labeling(child)
+        # McKay's rule: the new vertex k must lie in the orbit of the
+        # canonically-last vertex under the whole of Aut(child).
+        if k not in orbit_closure((perm[-1],), cauts):
             continue
-        seen_children.add(cform)
-        # Canonical-deletion parent test.  If an automorphism of the child
-        # maps the canonically-last vertex to the new vertex k, deleting
-        # either leaves g.  Otherwise compare degree sequences, read off
-        # the child's rows, before building the parent to compare forms;
-        # the pretest already gives the deleted vertex degree |s|, so the
-        # edge counts agree.
-        last = perm[-1]
-        if k not in orbit_closure((last,), cauts):
-            keep = ~(1 << last)
-            degseq = sorted((row & keep).bit_count()
-                            for v, row in enumerate(child.adj) if v != last)
-            if degseq != g_degseq:
-                continue
-            parent = induced_subgraph(child, list(perm[:-1]))
-            if canonical_form(parent) != form:
-                continue
-        yield child, cform, cauts
+        yield child, cauts
 
 
 def _walk(
-    g: Graph,
-    form: bytes,
-    auts: list[tuple[int, ...]],
-    order: int,
-    flt: GenerationFilter,
+    g: Graph, auts: list[tuple[int, ...]], order: int, flt: GenerationFilter
 ) -> Iterator[Graph]:
     """g, then its accepted descendants up to ``order``, depth first."""
     yield g
     if g.order < order:
-        for child, cform, cauts in _children(g, form, auts, flt):
-            yield from _walk(child, cform, cauts, order, flt)
+        for child, cauts in _children(g, auts, flt):
+            yield from _walk(child, cauts, order, flt)
 
 
 def _parallel_task(args: tuple[str, int, int, GenerationFilter]) -> list[str]:
@@ -216,8 +193,8 @@ def _parallel_task(args: tuple[str, int, int, GenerationFilter]) -> list[str]:
 
     g6, lowest, highest, flt = args
     seed = decode_graph6(g6)
-    _, form, auts = canonical_labeling(seed)
-    return [encode_graph6(g) for g in _walk(seed, form, auts, highest, flt)
+    auts = canonical_labeling(seed)[2]
+    return [encode_graph6(g) for g in _walk(seed, auts, highest, flt)
             if g.order >= lowest]
 
 
@@ -242,15 +219,15 @@ def enumerate_orders(
     if highest < lowest:
         return
     g1 = empty_graph(1)
-    _, form, auts = canonical_labeling(g1)
+    auts = canonical_labeling(g1)[2]
     if workers == 1 or highest <= _PARALLEL_SPLIT_ORDER + 1:
-        for g in _walk(g1, form, auts, highest, flt):
+        for g in _walk(g1, auts, highest, flt):
             if g.order >= lowest:
                 yield g
         return
     from .graphs import decode_graph6, encode_graph6
 
-    top = list(_walk(g1, form, auts, _PARALLEL_SPLIT_ORDER, flt))
+    top = list(_walk(g1, auts, _PARALLEL_SPLIT_ORDER, flt))
     seeds = [encode_graph6(g) for g in top if g.order == _PARALLEL_SPLIT_ORDER]
     if not seeds:  # the filter ends the tree below the seed order
         yield from (g for g in top if g.order >= lowest)

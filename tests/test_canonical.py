@@ -14,9 +14,11 @@ from ramsey_k2n.enumeration import (
 )
 from ramsey_k2n.graphs import (
     Graph,
+    add_vertex,
     complete_graph,
     cycle_graph,
     complement,
+    decode_graph6,
     disjoint_union,
     empty_graph,
     encode_graph6,
@@ -240,26 +242,41 @@ def test_group_orders_of_symmetric_families():
         assert group_order(auts, g.order) == order, encode_graph6(g)
 
 
-def _orbit_accepted(order: int, flt) -> list[tuple[Graph, tuple, bytes]]:
-    """(child, its canonical perm, parent form) for every child of the given
-    order that _children accepts by orbit, i.e. without labeling the parent."""
-    out = []
-    for g in enumerate_graphs(order - 1, flt):
-        _, form, auts = canonical_labeling(g)
-        for child, _, cauts in _children(g, form, auts, flt):
-            perm, _, _ = canonical_labeling(child)
-            if g.order in orbit_closure((perm[-1],), cauts):
-                out.append((child, perm, form))
-    return out
-
-
 def test_orbit_acceptance_is_sound():
-    # deleting the canonically-last vertex must leave the parent's class
+    # every accepted child has its new vertex in the orbit of its
+    # canonically-last vertex, and deleting that vertex leaves the parent's
+    # class.  F?qao and FCOe_ are K_{2,3}-free parents of order 7 with
+    # pseudo-similar vertices, where a test that compares the deleted-vertex
+    # parent with g also accepts children off the orbit.
     cases = [(order, ALL_GRAPHS) for order in range(2, 8)]
-    cases.append((9, K2nFreeFilter(2)))
+    cases += [(9, K2nFreeFilter(2)), (8, K2nFreeFilter(3))]
     for order, flt in cases:
-        accepted = _orbit_accepted(order, flt)
-        assert accepted, order
-        for child, perm, form in accepted:
-            parent = induced_subgraph(child, list(perm[:-1]))
-            assert canonical_form(parent) == form, child
+        accepted = 0
+        for g in enumerate_graphs(order - 1, flt):
+            _, form, auts = canonical_labeling(g)
+            for child, cauts in _children(g, auts, flt):
+                perm, _, _ = canonical_labeling(child)
+                assert g.order in orbit_closure((perm[-1],), cauts), child
+                parent = induced_subgraph(child, list(perm[:-1]))
+                assert canonical_form(parent) == form, child
+                accepted += 1
+        assert accepted == sum(1 for _ in enumerate_graphs(order, flt)), order
+
+
+def test_children_of_parents_with_pseudo_similar_vertices():
+    # FCpeg and FCrVG have trivial automorphism groups but pairs of
+    # vertices whose deletions are isomorphic, so two masks can give one
+    # class.  _children must give each class whose canonical parent is g
+    # exactly once: the oracle labels the child of every mask.
+    for g6, classes in (("FCpeg", 33), ("FCrVG", 23)):
+        g = decode_graph6(g6)
+        _, form, auts = canonical_labeling(g)
+        oracle = set()
+        for s in range(1 << g.order):
+            child = add_vertex(g, s)
+            perm, cform, _ = canonical_labeling(child)
+            if canonical_form(induced_subgraph(child, list(perm[:-1]))) == form:
+                oracle.add(cform)
+        got = [canonical_form(child) for child, _ in _children(g, auts, ALL_GRAPHS)]
+        assert len(got) == len(set(got)) == len(oracle) == classes, g6
+        assert set(got) == oracle, g6

@@ -7,7 +7,6 @@ from ramsey_k2n import enumeration
 from ramsey_k2n.canon import canonical_form, canonical_labeling
 from ramsey_k2n.enumeration import (
     ALL_GRAPHS,
-    AllGraphs,
     GenerationFilter,
     K2nFreeFilter,
     _children,
@@ -95,9 +94,9 @@ def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
                (cycle_graph(7), K2nFreeFilter(2)), (PETERSEN, K2nFreeFilter(2))]
     for g, flt in parents:
         orbits.clear()
-        _, form, auts = canonical_labeling(g)
+        _, _, auts = canonical_labeling(g)
         assert auts
-        list(_children(g, form, auts, flt))
+        list(_children(g, auts, flt))
         degrees = [row.bit_count() for row in g.adj]
         top = max(degrees)
         top_mask = sum(1 << v for v in range(g.order) if degrees[v] == top)
@@ -115,9 +114,9 @@ def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
 def test_children_of_a_highly_symmetric_parent():
     # S_12 acts on the 4,096 masks in 13 orbits, one per class of child
     g = empty_graph(12)
-    _, form, auts = canonical_labeling(g)
+    _, _, auts = canonical_labeling(g)
     start = time.perf_counter()
-    children = list(_children(g, form, auts, ALL_GRAPHS))
+    children = list(_children(g, auts, ALL_GRAPHS))
     assert len(children) == 13
     assert time.perf_counter() - start < 5
 
@@ -198,15 +197,17 @@ def test_custom_predicate_filter():
 
 
 def test_all_graphs_filter_is_default():
-    assert isinstance(AllGraphs(), AllGraphs)
     a = [encode_graph6(g) for g in enumerate_graphs(5)]
-    b = [encode_graph6(g) for g in enumerate_graphs(5, AllGraphs())]
+    b = [encode_graph6(g) for g in enumerate_graphs(5, GenerationFilter())]
     assert a == b
 
 
-# Count and sha256 of the newline-joined graph6 stream of enumerate_graphs,
-# recorded before the degree pretest and the orbit acceptance were added to
-# _children: generation must emit the same representatives in the same order.
+# Per case: the count, the sha256 of the newline-joined sorted canonical
+# forms (hex), which pins the set of classes, and the sha256 of the
+# newline-joined graph6 stream of enumerate_graphs, which pins the emitted
+# representatives and their order.  A change to the acceptance rule may
+# move a representative, and so an ordered digest, only while every class
+# digest holds.
 STREAM_FILTERS = {
     "all": ALL_GRAPHS,
     "k2n1": K2nFreeFilter(1),
@@ -215,54 +216,135 @@ STREAM_FILTERS = {
     **{f"ham{m}": HamiltonianHypothesisFilter(m) for m in range(3, 8)},
 }
 STREAMS = {
-    ("all", 1): (1, "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
-    ("all", 2): (2, "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1"),
-    ("all", 3): (4, "f8457640c4aefa16c983bba1ff22c74d2ff5a3b6ca5c176f26be4da6126ed53a"),
-    ("all", 4): (11, "7987c3e43eb7bd5c002d1192bb0872905916766ac4236defe27f1109c07de981"),
-    ("all", 5): (34, "57c23d76eba6e05bf08c74aad5016fa8f38abfd0b1dd7ba7c7fea5710edc44ca"),
-    ("all", 6): (156, "1e26718314feaa48633943752ba442fc9766eb25b596a8bbb262fae037b22074"),
-    ("all", 7): (1044, "fe6233997cdd8d2406c66452f0b9a17031159dfdd6906b2f75d08eb1b00e9637"),
-    ("k2n1", 1): (1, "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
-    ("k2n1", 2): (2, "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1"),
-    ("k2n1", 3): (2, "316e74ca312e0c2eed2ebaa6b558d2234fbb5dabc280c8804b1d23b3c20b9ac4"),
-    ("k2n1", 4): (3, "109fddbf4a4d23d841a95a07d6594112e89a75d43a3a545365053e3bc20295d0"),
-    ("k2n1", 5): (3, "4d599702921614e83ce800859d6d4c1106efcc6508ed1106871d772c555793bc"),
-    ("k2n1", 6): (4, "ae5f90f032c0939c3c56251960a5816df61c99ef09699a0ac6f619348dd7cf6b"),
-    ("k2n1", 7): (4, "60a0252373c06502e50524422591528b7f00f3934568c6990b5d8ce282652f44"),
-    ("k2n1", 8): (5, "7d6b36126e30dce0a9b43414cef6648a0746e6146157f9e9bbc68d9c88b1ed8f"),
-    ("k2n1", 9): (5, "9f9c0275712c637614d15b9fd84b20a0ad26cd865183878b14c3f69e83a0d121"),
-    ("k2n2", 1): (1, "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
-    ("k2n2", 2): (2, "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1"),
-    ("k2n2", 3): (4, "f8457640c4aefa16c983bba1ff22c74d2ff5a3b6ca5c176f26be4da6126ed53a"),
-    ("k2n2", 4): (8, "67ce48666f1573836ae0987dddcf6190bb6c113523b19fd19cb9fc13779e123a"),
-    ("k2n2", 5): (18, "ea59875fbb7952070fe22e6c4a88fc3ccc0fd79340997902a76f420823b8571d"),
-    ("k2n2", 6): (44, "82d66306e3531440687e316fb8239e8901abc216d53c7b1537b057b0044ea291"),
-    ("k2n2", 7): (117, "be933243ed468e02a5c851af42b35d5d1eb942161ff6e30f95a5c71b2b38039d"),
-    ("k2n2", 8): (351, "0133812618f8719da150d8c4d0928f71180c8a4edc31206895e4341d2f6cd1ad"),
-    ("k2n2", 9): (1230, "21debb9c1694d35abd96ef9e09fd96c99c2b45a682f19605849cefaf98f00b64"),
-    ("k2n3", 1): (1, "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
-    ("k2n3", 2): (2, "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1"),
-    ("k2n3", 3): (4, "f8457640c4aefa16c983bba1ff22c74d2ff5a3b6ca5c176f26be4da6126ed53a"),
-    ("k2n3", 4): (11, "ba7f16d6c23f3c3033f851cd829f3942865f660c971ef018b1b052f4003f1510"),
-    ("k2n3", 5): (27, "4507aeb113118731098847f79711292556983bff9b9d8503849aed0dc37dee96"),
-    ("k2n3", 6): (95, "8f820b5db5c274c8355676a32545e406c10dacc2baa7f891c22c157e6a04c39c"),
-    ("k2n3", 7): (386, "6948e38f5a3b28ba702ef93714c8465c5a9979c5d4e7ed159f1c36c7cae3f9d8"),
-    ("k2n3", 8): (2197, "8dca3aebe30d79078fd9885d4f93f1c98a624c264550d1813ca5b5e58c2a2a5d"),
-    ("ham3", 4): (3, "254f869a1b0007c3c0460578853e25567fabe0c096c48b446e9393ebe81625df"),
-    ("ham4", 5): (6, "bb9c6f67092eba2e9868a65a8401d0bd55ccc3e2ddcc7d611228df4a71859259"),
-    ("ham5", 6): (11, "1123f6ff1a530287d40e113e11e49d3536268ff04ba80028d2044cab6674a572"),
-    ("ham6", 7): (70, "9518763472b1a72693eb5fc5c60a0102c961eb1c1322bcec7f9f0693b2292217"),
-    ("ham7", 8): (144, "141c09b45e204b3d3ba69f300a2994cf4159571c895c60318e59a5fa83f49bbe"),
+    ("all", 1): (1,
+                 "5e7b571a60a7c187d6a4cb8bbedbe4e69d4caa49b51d9ddf3320afd793f146bf",
+                 "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
+    ("all", 2): (2,
+                 "d37e8acb01d34f7c8b1102021ae2a86e8d23cbbb6add4efa73dd6417db7c1423",
+                 "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1"),
+    ("all", 3): (4,
+                 "5859fc9908a9492620a0c3c1104e39e6f1ce56e85fccd0cbbdbaf9b997243d85",
+                 "f8457640c4aefa16c983bba1ff22c74d2ff5a3b6ca5c176f26be4da6126ed53a"),
+    ("all", 4): (11,
+                 "0eaa87752cdd87443b7c673e9c8c59a027fc52d27f6e537f008a065da9d43b86",
+                 "7987c3e43eb7bd5c002d1192bb0872905916766ac4236defe27f1109c07de981"),
+    ("all", 5): (34,
+                 "990fb9a4825385fd608446fc3e745b6cef22298314284a498cfc4025a8f0f63d",
+                 "57c23d76eba6e05bf08c74aad5016fa8f38abfd0b1dd7ba7c7fea5710edc44ca"),
+    ("all", 6): (156,
+                 "d56b57ae53bb7bac015490b55da2535fcc58d1eec16bfa7546b73f815b4eafa0",
+                 "1e26718314feaa48633943752ba442fc9766eb25b596a8bbb262fae037b22074"),
+    ("all", 7): (1044,
+                 "86608ccf965b9105e27d44cc752f7e766b4a49a08a692e6efc51c6a355c7081c",
+                 "fe6233997cdd8d2406c66452f0b9a17031159dfdd6906b2f75d08eb1b00e9637"),
+    ("k2n1", 1): (1,
+                  "5e7b571a60a7c187d6a4cb8bbedbe4e69d4caa49b51d9ddf3320afd793f146bf",
+                  "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
+    ("k2n1", 2): (2,
+                  "d37e8acb01d34f7c8b1102021ae2a86e8d23cbbb6add4efa73dd6417db7c1423",
+                  "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1"),
+    ("k2n1", 3): (2,
+                  "14f139691649fc94f95b42fcb89dfe96433c76ee9f3db341b0ebfd7335738a50",
+                  "316e74ca312e0c2eed2ebaa6b558d2234fbb5dabc280c8804b1d23b3c20b9ac4"),
+    ("k2n1", 4): (3,
+                  "53b7ca9041ef30ede152771f126ec5522c4c672eb3d8a4a6e894d48f2797f5e6",
+                  "109fddbf4a4d23d841a95a07d6594112e89a75d43a3a545365053e3bc20295d0"),
+    ("k2n1", 5): (3,
+                  "95693027377373d88822c6274281c46efaddfc13d47b1d781baaf6aa4c414d66",
+                  "4d599702921614e83ce800859d6d4c1106efcc6508ed1106871d772c555793bc"),
+    ("k2n1", 6): (4,
+                  "ade6fca5776fcf0c63258f4aac9d848ffa02635b0faeb6841bb8eb1b850ca8f9",
+                  "ae5f90f032c0939c3c56251960a5816df61c99ef09699a0ac6f619348dd7cf6b"),
+    ("k2n1", 7): (4,
+                  "b20578abb8d069b0f4b141d7a7dc52065d4359830c0b1ca7e25a74df4b3bcb92",
+                  "60a0252373c06502e50524422591528b7f00f3934568c6990b5d8ce282652f44"),
+    ("k2n1", 8): (5,
+                  "0431e6a997e90b8e20bcbc2d1ee7d77d1cb817ed5b1264ff57ec03954ef5d09e",
+                  "7d6b36126e30dce0a9b43414cef6648a0746e6146157f9e9bbc68d9c88b1ed8f"),
+    ("k2n1", 9): (5,
+                  "d3bfb37f4fe125d01f9b63cde0e37151c496a41a01d43ed2863f6b3677008c70",
+                  "9f9c0275712c637614d15b9fd84b20a0ad26cd865183878b14c3f69e83a0d121"),
+    ("k2n2", 1): (1,
+                  "5e7b571a60a7c187d6a4cb8bbedbe4e69d4caa49b51d9ddf3320afd793f146bf",
+                  "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
+    ("k2n2", 2): (2,
+                  "d37e8acb01d34f7c8b1102021ae2a86e8d23cbbb6add4efa73dd6417db7c1423",
+                  "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1"),
+    ("k2n2", 3): (4,
+                  "5859fc9908a9492620a0c3c1104e39e6f1ce56e85fccd0cbbdbaf9b997243d85",
+                  "f8457640c4aefa16c983bba1ff22c74d2ff5a3b6ca5c176f26be4da6126ed53a"),
+    ("k2n2", 4): (8,
+                  "9e403b409fc450df48aebb4fcad350e06f692cdd9aa0e602baa75d998046cd15",
+                  "67ce48666f1573836ae0987dddcf6190bb6c113523b19fd19cb9fc13779e123a"),
+    ("k2n2", 5): (18,
+                  "ffd95026e982fe587b5177d17505e0e5779400e29c503e3107824de61b19f280",
+                  "ea59875fbb7952070fe22e6c4a88fc3ccc0fd79340997902a76f420823b8571d"),
+    ("k2n2", 6): (44,
+                  "df9b9423e01c635b749d74eec74a8242c272a3f7e0f7bdbe3c20827a85e555db",
+                  "82d66306e3531440687e316fb8239e8901abc216d53c7b1537b057b0044ea291"),
+    ("k2n2", 7): (117,
+                  "83bb56a5f4bf01fe9eaec85d48e267bb9eca1401c85a6f924308e23e9851cf2c",
+                  "be933243ed468e02a5c851af42b35d5d1eb942161ff6e30f95a5c71b2b38039d"),
+    ("k2n2", 8): (351,
+                  "9c95d425c35ae8748e6c73b84308d1a1ea036bded11929a3988bc8f709ef3056",
+                  "de82e769531b4615fe819d3223251c12c9e41c68d174e3f11b7e21a9d65219cf"),
+    ("k2n2", 9): (1230,
+                  "a5f25cacd6470567ec953b172dd8d830e0c42aba2952ddb3c85b5976304eb394",
+                  "e5a1580077cdf55cd38fe89792a7639e689c4d1753fe402d5176a9528aa17c13"),
+    ("k2n3", 1): (1,
+                  "5e7b571a60a7c187d6a4cb8bbedbe4e69d4caa49b51d9ddf3320afd793f146bf",
+                  "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
+    ("k2n3", 2): (2,
+                  "d37e8acb01d34f7c8b1102021ae2a86e8d23cbbb6add4efa73dd6417db7c1423",
+                  "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1"),
+    ("k2n3", 3): (4,
+                  "5859fc9908a9492620a0c3c1104e39e6f1ce56e85fccd0cbbdbaf9b997243d85",
+                  "f8457640c4aefa16c983bba1ff22c74d2ff5a3b6ca5c176f26be4da6126ed53a"),
+    ("k2n3", 4): (11,
+                  "0eaa87752cdd87443b7c673e9c8c59a027fc52d27f6e537f008a065da9d43b86",
+                  "ba7f16d6c23f3c3033f851cd829f3942865f660c971ef018b1b052f4003f1510"),
+    ("k2n3", 5): (27,
+                  "95f2f9eea14d61a83f2b3027668b5412d4a0874f82f2544e3b093e74c5cf0ab8",
+                  "4507aeb113118731098847f79711292556983bff9b9d8503849aed0dc37dee96"),
+    ("k2n3", 6): (95,
+                  "2bb61794bd782adfb93e1456ff30c236353c2aef8f0053a066b6def4e8baab48",
+                  "8f820b5db5c274c8355676a32545e406c10dacc2baa7f891c22c157e6a04c39c"),
+    ("k2n3", 7): (386,
+                  "d5bf9a72421cdd48820ce30e22c0bd732af6db94f23eccccfb7a44d0c3cc8e62",
+                  "6948e38f5a3b28ba702ef93714c8465c5a9979c5d4e7ed159f1c36c7cae3f9d8"),
+    ("k2n3", 8): (2197,
+                  "f28132fbd527885cba219ea5f459b2f007dca02576bfce9fbbe343ae2d17e0be",
+                  "38b36daa4118a8c87f54d237f8bb3d26f4f27296ccc1307b004452c0cb955ea4"),
+    ("ham3", 4): (3,
+                  "1d4905fa88288cae8cff42d95ec748bab5c1abe6979dbf7d8033a5adfbfd8f9f",
+                  "254f869a1b0007c3c0460578853e25567fabe0c096c48b446e9393ebe81625df"),
+    ("ham4", 5): (6,
+                  "e25a59e599c7163959e14317a86dd993d1503e7d617dbd1e4bb3892756e7f428",
+                  "bb9c6f67092eba2e9868a65a8401d0bd55ccc3e2ddcc7d611228df4a71859259"),
+    ("ham5", 6): (11,
+                  "5551f7a243295a842d877f6818892294e6cc9833469a59b841fd5c5d5f1b4234",
+                  "1123f6ff1a530287d40e113e11e49d3536268ff04ba80028d2044cab6674a572"),
+    ("ham6", 7): (70,
+                  "2d5679c2677fce4d9525e5f47576e724a76d9064835ab8ec0cf64a15c27c1881",
+                  "9518763472b1a72693eb5fc5c60a0102c961eb1c1322bcec7f9f0693b2292217"),
+    ("ham7", 8): (144,
+                  "16e4837913018108ef44c153e2511c931f29a820988adacb58b734a615d20352",
+                  "141c09b45e204b3d3ba69f300a2994cf4159571c895c60318e59a5fa83f49bbe"),
 }
 
 
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_ordered_stream_is_pinned():
-    seen = {}
-    for name, order in STREAMS:
+    for (name, order), (count, classes, ordered) in STREAMS.items():
         flt = STREAM_FILTERS[name]
-        stream = [encode_graph6(g) for g in enumerate_graphs(order, flt)]
-        digest = hashlib.sha256("\n".join(stream).encode()).hexdigest()
-        seen[name, order] = (len(stream), digest)
+        graphs = list(enumerate_graphs(order, flt))
+        forms = sorted(canonical_form(g).hex() for g in graphs)
+        assert len(set(forms)) == len(forms), (name, order)  # one per class
+        assert (len(forms), _sha256(forms)) == (count, classes), (name, order)
+        stream = [encode_graph6(g) for g in graphs]
+        assert _sha256(stream) == ordered, (name, order)
         par = [encode_graph6(g) for g in enumerate_parallel(order, flt, 2)]
         assert par == stream, (name, order)
-    assert seen == STREAMS
