@@ -84,17 +84,14 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int
     generators, so every leaf with the best form is an image of a
     searched one.
 
-    ``perm[-1]`` always has maximum degree in g: the base partition orders
-    the degree cells ascending, and refinement and individualization only
-    split cells in place.  ``enumeration._children`` relies on this to
-    reject extensions before labeling them.
+    ``perm[-1]`` always has maximum degree in g: refinement first splits
+    the unit partition into degree cells, ascending, and then it and
+    individualization only split cells in place.  ``enumeration._children``
+    relies on this to reject extensions before labeling them.
     """
     n = g.order
     adj = g.adj
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
-    base = _refine(adj, [by_degree[d] for d in sorted(by_degree)])
+    base = _refine(adj, [list(range(n))])
 
     best_form: bytes | None = None
     best_perm: tuple[int, ...] | None = None

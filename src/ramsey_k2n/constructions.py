@@ -27,6 +27,7 @@ from .graphs import (
     join,
 )
 from .invariants import (
+    bipartition,
     circumference,
     has_cycle_of_length,
     k2n_free,
@@ -90,12 +91,17 @@ class ConstructionReport:
         }
 
 
+def _clique_union(sizes: list[int]) -> Graph:
+    """The disjoint union of cliques of the given sizes, in that order."""
+    g = complete_graph(sizes[0])
+    for s in sizes[1:]:
+        g = disjoint_union(g, complete_graph(s))
+    return g
+
+
 def _apex_over_cliques(sizes: list[int]) -> Graph:
     """K_1 joined to a disjoint union of cliques of the given sizes."""
-    body = complete_graph(sizes[0])
-    for s in sizes[1:]:
-        body = disjoint_union(body, complete_graph(s))
-    return join(empty_graph(1), body)
+    return join(empty_graph(1), _clique_union(sizes))
 
 
 def _measure(
@@ -131,7 +137,7 @@ def star_witness(m: int) -> ConstructionReport:
     """
     if m < 3:
         raise ParameterError(f"star witness requires m >= 3, got m={m}")
-    gbar = disjoint_union(complete_graph(m - 1), empty_graph(1))
+    gbar = _clique_union([m - 1, 1])
     g = complement(gbar)
     claimed: dict[str, int | None] = {
         "order": m,
@@ -188,13 +194,9 @@ def burr_witness(g_order: int, kind: str, size: int) -> ConstructionReport:
     total = (g_order - 1) * (chi - 1) + sigma - 1
     if total > MAX_ORDER:
         raise ParameterError(f"total order {total} exceeds {MAX_ORDER}")
-    red = complete_graph(g_order - 1)
-    for _ in range(chi - 2):
-        red = disjoint_union(red, complete_graph(g_order - 1))
-    if sigma > 1:
-        red = disjoint_union(red, complete_graph(sigma - 1))
-    blue = complement(red)
     clique_sizes = [g_order - 1] * (chi - 1) + ([sigma - 1] if sigma > 1 else [])
+    red = _clique_union(clique_sizes)
+    blue = complement(red)
     red_circ = max((s for s in clique_sizes if s >= 3), default=0)
     claimed: dict[str, int | None] = {
         "order": total,
@@ -213,7 +215,13 @@ def burr_witness(g_order: int, kind: str, size: int) -> ConstructionReport:
     if kind == "k2n":
         checks["pattern_absent"] = k2n_free(blue, size)
     else:
-        checks["pattern_absent"] = has_cycle_of_length(blue, size) is None
+        # a cycle of a bipartite graph is even and alternates sides, so it
+        # is at most twice the smaller side long
+        sides = bipartition(blue)
+        if sides and (size % 2 or size > 2 * min(c.bit_count() for c in sides)):
+            checks["pattern_absent"] = True
+        else:
+            checks["pattern_absent"] = has_cycle_of_length(blue, size) is None
     return ConstructionReport(
         name="burr",
         params={"g_order": g_order, "chi": chi, "sigma": sigma,

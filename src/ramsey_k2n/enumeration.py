@@ -34,7 +34,8 @@ from multiprocessing import get_context
 from typing import Iterable, Iterator
 
 from .canon import canonical_labeling, orbit_closure
-from .graphs import Graph, add_vertex, bits, empty_graph
+from .graphs import (Graph, add_vertex, bits, decode_graph6, empty_graph,
+                     encode_graph6)
 
 _PARALLEL_SPLIT_ORDER = 5
 
@@ -115,8 +116,8 @@ class K2nFreeFilter(GenerationFilter):
 ALL_GRAPHS = GenerationFilter()
 
 
-def _orbit_min(mask: int, tables: list[list[int]]) -> set[int]:
-    """The orbit of ``mask`` under the group the generator tables generate.
+def _orbit_min(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of ``mask`` under the group that ``gens`` generates.
 
     The benchmark tracer counts the orbits expanded under this name.
     """
@@ -124,12 +125,12 @@ def _orbit_min(mask: int, tables: list[list[int]]) -> set[int]:
     frontier = [mask]
     while frontier:
         m = frontier.pop()
-        for tab in tables:
+        for a in gens:
             im = 0
             mm = m
             while mm:
                 low = mm & -mm
-                im |= 1 << tab[low.bit_length() - 1]
+                im |= 1 << a[low.bit_length() - 1]
                 mm ^= low
             if im not in orbit:
                 orbit.add(im)
@@ -148,12 +149,9 @@ def _children(
     # in s.  The test is invariant under Aut(g) and only drops masks whose
     # child fails the orbit rule, so the accepted children and their order
     # are unchanged.
-    top = max(row.bit_count() for row in g.adj)
-    top_mask = 0
-    for v, row in enumerate(g.adj):
-        if row.bit_count() == top:
-            top_mask |= 1 << v
-    tables = [list(a) for a in auts]
+    degrees = [row.bit_count() for row in g.adj]
+    top = max(degrees)
+    top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
     seen_orbit: set[int] = set()
     for s in flt.candidate_masks(g):
         size = s.bit_count()
@@ -163,10 +161,10 @@ def _children(
         # orbit at its first mask and skip the rest.  The pretest and the
         # candidate masks are Aut(g)-invariant, so the orbit stays inside
         # the masks this loop visits, and the filter rejects an orbit whole.
-        if tables:
+        if auts:
             if s in seen_orbit:
                 continue
-            seen_orbit |= _orbit_min(s, tables)
+            seen_orbit |= _orbit_min(s, auts)
         child = add_vertex(g, s)
         if not flt.accepts(child):
             continue
@@ -189,8 +187,6 @@ def _walk(
 
 
 def _parallel_task(args: tuple[str, int, int, GenerationFilter]) -> list[str]:
-    from .graphs import decode_graph6, encode_graph6
-
     g6, lowest, highest, flt = args
     seed = decode_graph6(g6)
     auts = canonical_labeling(seed)[2]
@@ -218,16 +214,13 @@ def enumerate_orders(
         raise ValueError("workers must be >= 1")
     if highest < lowest:
         return
-    g1 = empty_graph(1)
-    auts = canonical_labeling(g1)[2]
+    g1 = empty_graph(1)  # its automorphism group is trivial: no generators
     if workers == 1 or highest <= _PARALLEL_SPLIT_ORDER + 1:
-        for g in _walk(g1, auts, highest, flt):
+        for g in _walk(g1, [], highest, flt):
             if g.order >= lowest:
                 yield g
         return
-    from .graphs import decode_graph6, encode_graph6
-
-    top = list(_walk(g1, auts, _PARALLEL_SPLIT_ORDER, flt))
+    top = list(_walk(g1, [], _PARALLEL_SPLIT_ORDER, flt))
     seeds = [encode_graph6(g) for g in top if g.order == _PARALLEL_SPLIT_ORDER]
     if not seeds:  # the filter ends the tree below the seed order
         yield from (g for g in top if g.order >= lowest)
@@ -244,17 +237,10 @@ def enumerate_orders(
                     yield decode_graph6(g6)
 
 
-def enumerate_graphs(order: int, flt: GenerationFilter = ALL_GRAPHS) -> Iterator[Graph]:
-    """One representative per isomorphism class of the given order passing
-    the filter, in a deterministic order."""
-    return enumerate_orders(order, order, flt)
-
-
 def enumerate_parallel(
     order: int, flt: GenerationFilter = ALL_GRAPHS, workers: int = 1
 ) -> Iterator[Graph]:
-    """The same sequence of graphs as enumerate_graphs, from ``workers``
-    processes."""
+    """``enumerate_orders(order, order, flt, workers)``."""
     return enumerate_orders(order, order, flt, workers)
 
 

@@ -1,5 +1,5 @@
-"""Exact structural invariants: degrees, connectivity, cycles, independence
-and K_{2,n}-freeness.
+"""Exact structural invariants: degrees, connectivity, bipartiteness,
+cycles, independence and K_{2,n}-freeness.
 
 Everything here is exact search, no heuristics.  One exact-length cycle
 search, ``lowest_vertex_cycles`` run from every start vertex by
@@ -28,10 +28,6 @@ class CycleWitness:
     """An explicit cycle, as the ordered vertex sequence."""
 
     vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
 
     def validate(self, g: Graph) -> bool:
         vs = self.vertices
@@ -127,6 +123,25 @@ def connectivity(g: Graph) -> int:
             best = flow
         i += 1
     return best
+
+
+def bipartition(g: Graph) -> tuple[int, int] | None:
+    """The colour classes of a proper 2-colouring of g, as vertex masks, or
+    None if g has an odd cycle: an edge inside one breadth-first layer."""
+    side = other = 0  # the next layer joins side
+    todo = g.vertices_mask()
+    while todo:
+        layer = todo & -todo
+        while layer:
+            todo &= ~layer
+            nbrs = 0
+            for v in bits(layer):
+                nbrs |= g.adj[v]
+            if nbrs & layer:
+                return None
+            side, other = other, side | layer
+            layer = nbrs & todo
+    return side, other
 
 
 def lowest_vertex_cycles(

@@ -10,7 +10,7 @@ from ramsey_k2n.enumeration import (
     ALL_GRAPHS,
     K2nFreeFilter,
     _children,
-    enumerate_graphs,
+    enumerate_orders,
 )
 from ramsey_k2n.graphs import (
     Graph,
@@ -252,7 +252,7 @@ def test_orbit_acceptance_is_sound():
     cases += [(9, K2nFreeFilter(2)), (8, K2nFreeFilter(3))]
     for order, flt in cases:
         accepted = 0
-        for g in enumerate_graphs(order - 1, flt):
+        for g in enumerate_orders(order - 1, order - 1, flt):
             _, form, auts = canonical_labeling(g)
             for child, cauts in _children(g, auts, flt):
                 perm, _, _ = canonical_labeling(child)
@@ -260,7 +260,7 @@ def test_orbit_acceptance_is_sound():
                 parent = induced_subgraph(child, list(perm[:-1]))
                 assert canonical_form(parent) == form, child
                 accepted += 1
-        assert accepted == sum(1 for _ in enumerate_graphs(order, flt)), order
+        assert accepted == sum(1 for _ in enumerate_orders(order, order, flt)), order
 
 
 def test_children_of_parents_with_pseudo_similar_vertices():

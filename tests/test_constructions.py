@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from ramsey_k2n import constructions
 from ramsey_k2n.canon import canonical_form
 from ramsey_k2n.constructions import (
     ParameterError,
@@ -11,7 +13,13 @@ from ramsey_k2n.constructions import (
     lemma42_witness,
     star_witness,
 )
-from ramsey_k2n.graphs import complement, decode_graph6, induced_subgraph
+from ramsey_k2n.graphs import (
+    GraphError,
+    complement,
+    decode_graph6,
+    empty_graph,
+    induced_subgraph,
+)
 from ramsey_k2n.invariants import has_cycle_of_length, k2n_free
 
 from conftest import complete_multipartite
@@ -41,12 +49,16 @@ def test_burr_witness_k2n_matches_star_complement():
 
 
 def test_burr_witness_odd_cycle():
-    # C_7 (chi=3, sigma=1) against a connected graph on n+2=10 vertices:
+    # C_7 and C_11 (chi=3, sigma=1) against a connected graph on n+2=10 vertices:
     # red is two K_9 blocks, total order 18, witnessing R > 18 = 2n+2
-    r = burr_witness(10, "cycle", 7)
-    assert not r.failed
-    assert r.claimed["order"] == 18
-    assert r.checks["pattern_absent"]  # blue is bipartite, no C_7
+    for size in (7, 11):
+        start = time.monotonic()
+        r = burr_witness(10, "cycle", size)
+        assert not r.failed
+        assert r.claimed["order"] == 18
+        assert r.checks["pattern_absent"]  # blue is K_{9,9}, no odd cycle
+        # read off the colouring: an exact search for C_11 runs over a minute
+        assert time.monotonic() - start < 5
 
 
 def test_burr_witness_small_even_cycle():
@@ -54,6 +66,32 @@ def test_burr_witness_small_even_cycle():
     assert not r.failed
     assert r.claimed["order"] == 5
     assert r.checks["red_components_below_g_order"]
+
+
+def test_burr_cycle_check_equals_search():
+    # every cycle case of total order <= 12: the colouring bound gives the
+    # exact search's answer
+    cases = 0
+    for g_order in range(1, 14):
+        for size in range(3, 15):
+            try:
+                r = burr_witness(g_order, "cycle", size)
+            except GraphError:  # g_order below sigma, or K_0
+                continue
+            if r.graph.order > 12:
+                continue
+            cases += 1
+            assert r.checks["pattern_absent"] \
+                == (has_cycle_of_length(r.graph, size) is None), (g_order, size)
+    assert cases == 72
+
+
+def test_burr_cycle_check_searches_a_nonbipartite_graph(monkeypatch):
+    # an edgeless red side makes the blue side complete: the search finds C_5
+    monkeypatch.setattr(constructions, "_clique_union",
+                        lambda sizes: empty_graph(sum(sizes)))
+    r = burr_witness(6, "cycle", 5)
+    assert not r.checks["pattern_absent"] and r.failed
 
 
 def test_burr_witness_errors():

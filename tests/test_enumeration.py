@@ -10,7 +10,6 @@ from ramsey_k2n.enumeration import (
     GenerationFilter,
     K2nFreeFilter,
     _children,
-    enumerate_graphs,
     enumerate_orders,
     enumerate_parallel,
     unlabeled_graph_count,
@@ -37,7 +36,7 @@ def test_burnside_oracle():
 
 def test_counts_match_oracle_up_to_7():
     for order in range(1, 8):
-        assert sum(1 for _ in enumerate_graphs(order)) \
+        assert sum(1 for _ in enumerate_orders(order, order)) \
             == unlabeled_graph_count(order)
 
 
@@ -51,7 +50,7 @@ def test_no_duplicates_and_matches_labeled_dedup():
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
         forms.add(canonical_form(Graph(5, tuple(adj))))
-    generated = [canonical_form(g) for g in enumerate_graphs(5)]
+    generated = [canonical_form(g) for g in enumerate_orders(5, 5)]
     assert len(generated) == len(set(generated))  # injective
     assert set(generated) == forms
 
@@ -60,8 +59,8 @@ def test_hereditary_pruning_soundness():
     for n in (2, 3):
         flt = K2nFreeFilter(n)
         for order in range(1, 7):
-            pruned = {canonical_form(g) for g in enumerate_graphs(order, flt)}
-            filtered = {canonical_form(g) for g in enumerate_graphs(order)
+            pruned = {canonical_form(g) for g in enumerate_orders(order, order, flt)}
+            filtered = {canonical_form(g) for g in enumerate_orders(order, order)
                         if k2n_free(g, n)}
             assert pruned == filtered
 
@@ -72,7 +71,7 @@ def test_candidate_masks_are_exactly_the_k2n_free_extensions():
     for n in range(1, 5):
         flt = K2nFreeFilter(n)
         for order in range(1, 7):
-            for g in enumerate_graphs(order, flt):
+            for g in enumerate_orders(order, order, flt):
                 brute = [s for s in range(1 << order)
                          if k2n_free(add_vertex(g, s), n)]
                 brute.sort(key=lambda s: list(bits(s)))
@@ -125,18 +124,23 @@ def test_c4_free_counts():
     # C_4-free = K_{2,2}-free; at order 4 only K_4, the diamond and C_4
     # itself contain a K_{2,2}, leaving 8 of the 11 classes
     flt = K2nFreeFilter(2)
-    counts = [sum(1 for _ in enumerate_graphs(n, flt)) for n in range(1, 8)]
+    counts = [sum(1 for _ in enumerate_orders(n, n, flt)) for n in range(1, 8)]
     assert counts == [1, 2, 4, 8, 18, 44, 117]
 
 
 def test_parallel_equals_sequential():
     flt = K2nFreeFilter(2)
-    seq = [encode_graph6(g) for g in enumerate_graphs(7, flt)]
+    seq = [encode_graph6(g) for g in enumerate_orders(7, 7, flt)]
     for workers in (2, 8):
         par = [encode_graph6(g) for g in enumerate_parallel(7, flt, workers)]
         assert par == seq
     one = [encode_graph6(g) for g in enumerate_parallel(7, workers=1)]
     assert len(one) == 1044
+    # lowest above the seed order, and highest at or below it
+    for lowest, highest in ((6, 8), (1, 4)):
+        runs = [[encode_graph6(g) for g in enumerate_orders(lowest, highest, flt, w)]
+                for w in (1, 2, 3)]
+        assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
@@ -178,8 +182,9 @@ def test_one_walk_gives_every_order():
     par = [encode_graph6(g) for g in enumerate_orders(3, 8, flt, 2)]
     assert par == walk
     for order in range(1, 9):
+        alone = [encode_graph6(g) for g in enumerate_orders(order, order, flt)]
         assert [g6 for g6 in walk if ord(g6[0]) - 63 == order] \
-            == [encode_graph6(g) for g in enumerate_graphs(order, flt)] * (order >= 3)
+            == alone * (order >= 3)
     assert list(enumerate_orders(3, 2, flt, 2)) == []
 
 
@@ -192,20 +197,20 @@ class TriangleFree(GenerationFilter):
 
 def test_custom_predicate_filter():
     flt = TriangleFree()
-    counts = [sum(1 for _ in enumerate_graphs(n, flt)) for n in range(1, 8)]
+    counts = [sum(1 for _ in enumerate_orders(n, n, flt)) for n in range(1, 8)]
     assert counts == [1, 2, 3, 7, 14, 38, 107]  # triangle-free classes
 
 
 def test_all_graphs_filter_is_default():
-    a = [encode_graph6(g) for g in enumerate_graphs(5)]
-    b = [encode_graph6(g) for g in enumerate_graphs(5, GenerationFilter())]
+    a = [encode_graph6(g) for g in enumerate_orders(5, 5)]
+    b = [encode_graph6(g) for g in enumerate_orders(5, 5, GenerationFilter())]
     assert a == b
 
 
 # Per case: the count, the sha256 of the newline-joined sorted canonical
 # forms (hex), which pins the set of classes, and the sha256 of the
-# newline-joined graph6 stream of enumerate_graphs, which pins the emitted
-# representatives and their order.  A change to the acceptance rule may
+# newline-joined graph6 stream of enumerate_orders(order, order, flt), which
+# pins the emitted representatives and their order.  A change to the acceptance rule may
 # move a representative, and so an ordered digest, only while every class
 # digest holds.
 STREAM_FILTERS = {
@@ -340,7 +345,7 @@ def _sha256(lines) -> str:
 def test_ordered_stream_is_pinned():
     for (name, order), (count, classes, ordered) in STREAMS.items():
         flt = STREAM_FILTERS[name]
-        graphs = list(enumerate_graphs(order, flt))
+        graphs = list(enumerate_orders(order, order, flt))
         forms = sorted(canonical_form(g).hex() for g in graphs)
         assert len(set(forms)) == len(forms), (name, order)  # one per class
         assert (len(forms), _sha256(forms)) == (count, classes), (name, order)

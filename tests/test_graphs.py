@@ -52,6 +52,11 @@ def test_order_bounds():
     with pytest.raises(GraphError):
         empty_graph(65)
     assert empty_graph(64).order == 64
+    # the builders leave the order range to Graph itself
+    with pytest.raises(GraphError):
+        add_vertex(empty_graph(64), 0)
+    with pytest.raises(GraphError):
+        disjoint_union(empty_graph(40), empty_graph(30))
 
 
 def test_mask_helpers():
@@ -67,6 +72,11 @@ def test_add_edge_and_vertex():
     assert g2.adj[3] == mask_of([0, 1])
     with pytest.raises(GraphError):
         add_edge(g, 1, 1)
+    # and the mask range too
+    with pytest.raises(GraphError):
+        add_vertex(g, 1 << g.order)
+    with pytest.raises(GraphError):
+        add_vertex(g, -1)
 
 
 def test_complement_involution(rng):

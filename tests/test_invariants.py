@@ -6,10 +6,11 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from ramsey_k2n.enumeration import enumerate_graphs
+from ramsey_k2n.enumeration import enumerate_orders
 from ramsey_k2n.graphs import (
     Graph,
     GraphError,
+    bits,
     complement,
     complete_graph,
     cycle_graph,
@@ -20,6 +21,7 @@ from ramsey_k2n.graphs import (
 )
 from ramsey_k2n.invariants import (
     all_cycles_of_length,
+    bipartition,
     circumference,
     connectivity,
     cycle_spectrum,
@@ -95,12 +97,25 @@ def test_girth_and_circumference():
     assert girth(complete_graph(6)) == 3
     assert circumference(complete_graph(6)) == 6
     # every class of order 3..7, and an unbalanced complete bipartite graph
-    graphs = [g for order in range(3, 8) for g in enumerate_graphs(order)]
+    graphs = [g for order in range(3, 8) for g in enumerate_orders(order, order)]
     graphs.append(complete_multipartite([3, 5]))
     for g in graphs:
         lengths = nx_cycle_lengths(g)
         assert circumference(g) == (max(lengths) if lengths else 0), g
         assert girth(g) == (min(lengths) if lengths else math.inf), g
+
+
+def test_bipartition_matches_networkx(rng):
+    graphs = [g for order in range(1, 8) for g in enumerate_orders(order, order)]
+    graphs += [random_graph(rng.randint(1, 16), rng.random() / 2, rng)
+               for _ in range(300)]
+    for g in graphs:
+        sides = bipartition(g)
+        assert (sides is not None) == nx.is_bipartite(to_nx(g)), g
+        if sides is not None:
+            a, b = sides
+            assert a | b == g.vertices_mask() and not a & b, g
+            assert all(not g.adj[v] & side for side in sides for v in bits(side)), g
 
 
 def test_cycle_witness_validates(rng):
@@ -170,7 +185,7 @@ def brute_force_k2n_present(g: Graph, n: int) -> bool:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_k2n_free_matches_embedding_oracle_exhaustive(n):
     for order in range(1, 7):
-        for g in enumerate_graphs(order):
+        for g in enumerate_orders(order, order):
             assert k2n_free(g, n) == (not brute_force_k2n_present(g, n))
 
 

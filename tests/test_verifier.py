@@ -6,7 +6,7 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from ramsey_k2n.constructions import star_witness
-from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_graphs
+from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_orders
 from ramsey_k2n.graphs import (
     add_vertex,
     bits,
@@ -108,7 +108,7 @@ def test_hamiltonian_lemma_vacuous_at_6():
 def test_hamiltonian_lemma_relaxed_reading_is_sound():
     # independent spot check of the relaxed (nonadjacent pairs) count at m=6
     count = 0
-    for g in enumerate_graphs(7):
+    for g in enumerate_orders(7, 7):
         if connectivity(g) < 2 or has_cycle_of_length(g, 6) is not None:
             continue
         if all(2 * union_neighborhood_excl(g, u, v) >= 6
@@ -223,7 +223,7 @@ def test_hamiltonian_lemma_matches_networkx_oracle_small():
 
 
 def test_hamiltonian_lemma_matches_networkx_oracle_at_7():
-    graphs = (to_nx(g) for g in enumerate_graphs(8))
+    graphs = (to_nx(g) for g in enumerate_orders(8, 8))
     _check_hamiltonian_lemma_against_oracle(7, graphs, (5, 16))
 
 
@@ -266,7 +266,7 @@ def _check_filter_contract(flt, passes, key=None) -> None:
     masks whose child ``passes``, in the listed order, for every passing
     parent of order <= 6."""
     for order in range(1, 7):
-        for g in enumerate_graphs(order, flt):
+        for g in enumerate_orders(order, order, flt):
             kept = [s for s in flt.candidate_masks(g) if flt.accepts(add_vertex(g, s))]
             brute = sorted((s for s in range(1 << order) if passes(add_vertex(g, s))),
                            key=key)
@@ -304,7 +304,8 @@ def _ramsey_by_post_filter(n: int, lengths: tuple[int, ...], max_order: int):
     count = 0
     witness = None
     for order in range(1, max_order + 1):
-        found = [encode_graph6(g) for g in enumerate_graphs(order, K2nFreeFilter(n))
+        found = [encode_graph6(g)
+                 for g in enumerate_orders(order, order, K2nFreeFilter(n))
                  if all(has_cycle_of_length(complement(g), ln) is None
                         for ln in lengths)]
         if not found:
