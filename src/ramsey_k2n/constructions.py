@@ -8,12 +8,15 @@ inspectable artifact rather than a silent error.
 All witnesses share one shape: the complement Ḡ is an apex vertex joined to
 a disjoint union of cliques (or, for the generic Burr witness, a plain
 disjoint union of cliques).  The graph G reported is the K_{2,n}-free side;
-Ḡ is the side avoiding the long cycle.
+Ḡ is the side avoiding the long cycle.  A builder states Ḡ, its claims,
+its side conditions and its notes; one step (``_report``) measures and
+assembles every report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .graphs import (
     Graph,
@@ -51,9 +54,10 @@ class ConstructionReport:
     ``forbidden_cycle_length``.  The last one is the length L such that the
     complement must contain no C_L; its measured value is L when the cycle
     is indeed absent and None when a C_L was found.  Keys listed in
-    ``skipped`` were not measured (order above CIRCUMFERENCE_CUTOFF) and do
-    not count toward failure.  ``checks`` holds named boolean side
-    conditions (freeness, inequality bounds) that must all be True.
+    ``skipped`` (claimed None, or the complement circumference at an order
+    above CIRCUMFERENCE_CUTOFF) do not count toward failure.  ``checks``
+    holds named boolean side conditions (freeness, inequality bounds) that
+    must all be True.
     """
 
     name: str
@@ -62,14 +66,14 @@ class ConstructionReport:
     complement_graph: Graph
     claimed: dict[str, int | None]
     measured: dict[str, int | None]
-    checks: dict[str, bool] = field(default_factory=dict)
-    skipped: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+    checks: dict[str, bool]
+    skipped: tuple[str, ...]
+    notes: tuple[str, ...]
 
     @property
     def failed(self) -> bool:
         for key, want in self.claimed.items():
-            if key in self.skipped or want is None:
+            if key in self.skipped:
                 continue
             if self.measured.get(key) != want:
                 return True
@@ -104,28 +108,35 @@ def _apex_over_cliques(sizes: list[int]) -> Graph:
     return join(empty_graph(1), _clique_union(sizes))
 
 
-def _measure(
-    g: Graph,
+def _report(
+    name: str,
+    params: dict[str, int],
     gbar: Graph,
     claimed: dict[str, int | None],
-) -> tuple[dict[str, int | None], tuple[str, ...]]:
-    measured: dict[str, int | None] = {"order": g.order}
-    skipped: list[str] = []
-    measured["max_common_neighborhood"] = max_common_neighborhood(g)
-    if g.order <= CIRCUMFERENCE_CUTOFF:
-        measured["complement_circumference"] = circumference(gbar)
-    else:
-        measured["complement_circumference"] = None
-        skipped.append("complement_circumference")
-    length = claimed.get("forbidden_cycle_length")
-    if length is None:
-        measured["forbidden_cycle_length"] = None
-        skipped.append("forbidden_cycle_length")
-    else:
-        measured["forbidden_cycle_length"] = (
-            length if has_cycle_of_length(gbar, length) is None else None
-        )
-    return measured, tuple(skipped)
+    checks: Callable[[Graph, int], dict[str, bool]],
+    notes: tuple[str, ...],
+) -> ConstructionReport:
+    """The report on G = complement(gbar): every claimed key measured from
+    scratch, and ``checks(g, mc)`` with G's measured largest common
+    neighbourhood mc.  A key claimed None is skipped, and so is the
+    complement circumference above CIRCUMFERENCE_CUTOFF; ``skipped`` lists
+    them in key order."""
+    g = complement(gbar)
+    small = g.order <= CIRCUMFERENCE_CUTOFF
+    mc = max_common_neighborhood(g)
+    length = claimed["forbidden_cycle_length"]
+    measured: dict[str, int | None] = {
+        "order": g.order,
+        "max_common_neighborhood": mc,
+        "complement_circumference": circumference(gbar) if small else None,
+        "forbidden_cycle_length": (
+            length if length is not None
+            and has_cycle_of_length(gbar, length) is None else None),
+    }
+    skipped = tuple(key for key in sorted(claimed) if claimed[key] is None
+                    or key == "complement_circumference" and not small)
+    return ConstructionReport(name, params, g, gbar, claimed, measured,
+                              checks(g, mc), skipped, notes)
 
 
 def star_witness(m: int) -> ConstructionReport:
@@ -138,29 +149,16 @@ def star_witness(m: int) -> ConstructionReport:
     if m < 3:
         raise ParameterError(f"star witness requires m >= 3, got m={m}")
     gbar = _clique_union([m - 1, 1])
-    g = complement(gbar)
     claimed: dict[str, int | None] = {
         "order": m,
         "max_common_neighborhood": 1,
         "complement_circumference": m - 1 if m >= 4 else 0,
         "forbidden_cycle_length": m,
     }
-    measured, skipped = _measure(g, gbar, claimed)
-    checks = {
+    return _report("star", {"m": m}, gbar, claimed, lambda g, mc: {
         "k2n_free_n2": k2n_free(g, 2),
         "no_forbidden_cycle_plus_one": has_cycle_of_length(gbar, m + 1) is None,
-    }
-    return ConstructionReport(
-        name="star",
-        params={"m": m},
-        graph=g,
-        complement_graph=gbar,
-        claimed=claimed,
-        measured=measured,
-        checks=checks,
-        skipped=skipped,
-        notes=(f"complement also avoids C_{m + 1}",),
-    )
+    }, (f"complement also avoids C_{m + 1}",))
 
 
 def burr_witness(g_order: int, kind: str, size: int) -> ConstructionReport:
@@ -195,46 +193,37 @@ def burr_witness(g_order: int, kind: str, size: int) -> ConstructionReport:
     if total > MAX_ORDER:
         raise ParameterError(f"total order {total} exceeds {MAX_ORDER}")
     clique_sizes = [g_order - 1] * (chi - 1) + ([sigma - 1] if sigma > 1 else [])
-    red = _clique_union(clique_sizes)
-    blue = complement(red)
-    red_circ = max((s for s in clique_sizes if s >= 3), default=0)
     claimed: dict[str, int | None] = {
         "order": total,
         "max_common_neighborhood": None,
-        "complement_circumference": red_circ,
+        "complement_circumference": max((s for s in clique_sizes if s >= 3),
+                                        default=0),
         "forbidden_cycle_length": g_order if g_order >= 3 else None,
     }
     if kind == "k2n":
         # blue is a star K_{1,g_order-1}: leaf pairs share only the center
         claimed["max_common_neighborhood"] = 1 if g_order >= 3 else 0
-    measured, skipped = _measure(blue, red, claimed)
-    if claimed["max_common_neighborhood"] is None:
-        skipped = skipped + ("max_common_neighborhood",)
-    largest_component = max(clique_sizes, default=0)
-    checks = {"red_components_below_g_order": largest_component <= g_order - 1}
-    if kind == "k2n":
-        checks["pattern_absent"] = k2n_free(blue, size)
-    else:
-        # a cycle of a bipartite graph is even and alternates sides, so it
-        # is at most twice the smaller side long
-        sides = bipartition(blue)
-        if sides and (size % 2 or size > 2 * min(c.bit_count() for c in sides)):
-            checks["pattern_absent"] = True
+
+    def checks(blue: Graph, mc: int) -> dict[str, bool]:
+        if kind == "k2n":
+            absent = k2n_free(blue, size)
         else:
-            checks["pattern_absent"] = has_cycle_of_length(blue, size) is None
-    return ConstructionReport(
-        name="burr",
-        params={"g_order": g_order, "chi": chi, "sigma": sigma,
-                "pattern_size": size},
-        graph=blue,
-        complement_graph=red,
-        claimed=claimed,
-        measured=measured,
-        checks=checks,
-        skipped=skipped,
-        notes=(f"pattern kind {kind}",
-               f"lower bound witnessed: R > {total}"),
-    )
+            # a cycle of a bipartite graph is even and alternates sides, so
+            # it is at most twice the smaller side long
+            sides = bipartition(blue)
+            absent = sides is not None and (
+                size % 2 == 1 or size > 2 * min(c.bit_count() for c in sides))
+            if not absent:
+                absent = has_cycle_of_length(blue, size) is None
+        return {"red_components_below_g_order":
+                max(clique_sizes, default=0) <= g_order - 1,
+                "pattern_absent": absent}
+
+    return _report("burr", {"g_order": g_order, "chi": chi, "sigma": sigma,
+                            "pattern_size": size},
+                   _clique_union(clique_sizes), claimed, checks,
+                   (f"pattern kind {kind}",
+                    f"lower bound witnessed: R > {total}"))
 
 
 def lemma41_witness(m: int, p: int, t: int) -> ConstructionReport:
@@ -254,33 +243,20 @@ def lemma41_witness(m: int, p: int, t: int) -> ConstructionReport:
     if total > MAX_ORDER:
         raise ParameterError(f"total order {total} exceeds {MAX_ORDER}")
     n = p * m + t
-    gbar = _apex_over_cliques([m + t - p] + [m + 1] * p)
-    g = complement(gbar)
     claimed: dict[str, int | None] = {
         "order": total,
         "max_common_neighborhood": n - 1,
         "complement_circumference": m + t - p + 1,
         "forbidden_cycle_length": 2 * m,
     }
-    measured, skipped = _measure(g, gbar, claimed)
-    mc = measured["max_common_neighborhood"]
-    checks = {
-        "k2n_free": k2n_free(g, n),
-        "max_common_equals_claim": mc == n - 1,
-        "max_common_at_most_n_minus_1": mc is not None and mc <= n - 1,
-        "circumference_below_2m": m + t - p + 1 < 2 * m,
-    }
-    return ConstructionReport(
-        name="lemma41",
-        params={"m": m, "p": p, "t": t, "n": n},
-        graph=g,
-        complement_graph=gbar,
-        claimed=claimed,
-        measured=measured,
-        checks=checks,
-        skipped=skipped,
-        notes=(f"witnesses R(K_2,{n}, C_{2 * m}) > {total}",),
-    )
+    return _report("lemma41", {"m": m, "p": p, "t": t, "n": n},
+                   _apex_over_cliques([m + t - p] + [m + 1] * p), claimed,
+                   lambda g, mc: {
+                       "k2n_free": k2n_free(g, n),
+                       "max_common_equals_claim": mc == n - 1,
+                       "max_common_at_most_n_minus_1": mc <= n - 1,
+                       "circumference_below_2m": m + t - p + 1 < 2 * m,
+                   }, (f"witnesses R(K_2,{n}, C_{2 * m}) > {total}",))
 
 
 def lemma42_witness(m: int, q: int, t: int) -> ConstructionReport:
@@ -305,33 +281,19 @@ def lemma42_witness(m: int, q: int, t: int) -> ConstructionReport:
     if total > MAX_ORDER:
         raise ParameterError(f"total order {total} exceeds {MAX_ORDER}")
     sizes = [2 * m - t - 2, m + 4] + [m + 1] * (q - 2)
-    gbar = _apex_over_cliques(sizes)
-    g = complement(gbar)
-    expected_common = (total - 1) - min(sizes)
     claimed: dict[str, int | None] = {
         "order": total,
-        "max_common_neighborhood": expected_common,
+        "max_common_neighborhood": (total - 1) - min(sizes),
         "complement_circumference": max(2 * m - t - 1, m + 5),
         "forbidden_cycle_length": 2 * m,
     }
-    measured, skipped = _measure(g, gbar, claimed)
-    mc = measured["max_common_neighborhood"]
-    checks = {
-        "k2n_free": k2n_free(g, n),
-        "max_common_at_most_n_minus_1": mc is not None and mc <= n - 1,
-        "circumference_below_2m": max(2 * m - t - 1, m + 5) < 2 * m,
-    }
-    return ConstructionReport(
-        name="lemma42",
-        params={"m": m, "q": q, "t": t, "n": n},
-        graph=g,
-        complement_graph=gbar,
-        claimed=claimed,
-        measured=measured,
-        checks=checks,
-        skipped=skipped,
-        notes=(f"witnesses R(K_2,{n}, C_{2 * m}) > {total}",),
-    )
+    return _report("lemma42", {"m": m, "q": q, "t": t, "n": n},
+                   _apex_over_cliques(sizes), claimed, lambda g, mc: {
+                       "k2n_free": k2n_free(g, n),
+                       "max_common_at_most_n_minus_1": mc <= n - 1,
+                       "circumference_below_2m":
+                           max(2 * m - t - 1, m + 5) < 2 * m,
+                   }, (f"witnesses R(K_2,{n}, C_{2 * m}) > {total}",))
 
 
 def badness_parameter_cover(n: int, m: int) -> dict:

@@ -34,8 +34,7 @@ from multiprocessing import get_context
 from typing import Iterable, Iterator
 
 from .canon import canonical_labeling, orbit_closure
-from .graphs import (Graph, add_vertex, bits, decode_graph6, empty_graph,
-                     encode_graph6)
+from .graphs import Graph, add_vertex, bits, empty_graph
 
 _PARALLEL_SPLIT_ORDER = 5
 
@@ -178,20 +177,20 @@ def _children(
 
 def _walk(
     g: Graph, auts: list[tuple[int, ...]], order: int, flt: GenerationFilter
-) -> Iterator[Graph]:
-    """g, then its accepted descendants up to ``order``, depth first."""
-    yield g
+) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
+    """g, then its accepted descendants up to ``order``, depth first, each
+    with the generators of its automorphism group."""
+    yield g, auts
     if g.order < order:
         for child, cauts in _children(g, auts, flt):
             yield from _walk(child, cauts, order, flt)
 
 
-def _parallel_task(args: tuple[str, int, int, GenerationFilter]) -> list[str]:
-    g6, lowest, highest, flt = args
-    seed = decode_graph6(g6)
-    auts = canonical_labeling(seed)[2]
-    return [encode_graph6(g) for g in _walk(seed, auts, highest, flt)
-            if g.order >= lowest]
+def _parallel_task(
+    args: tuple[Graph, list[tuple[int, ...]], int, int, GenerationFilter]
+) -> list[Graph]:
+    seed, auts, lowest, highest, flt = args
+    return [g for g, _ in _walk(seed, auts, highest, flt) if g.order >= lowest]
 
 
 def enumerate_orders(
@@ -216,25 +215,24 @@ def enumerate_orders(
         return
     g1 = empty_graph(1)  # its automorphism group is trivial: no generators
     if workers == 1 or highest <= _PARALLEL_SPLIT_ORDER + 1:
-        for g in _walk(g1, [], highest, flt):
+        for g, _ in _walk(g1, [], highest, flt):
             if g.order >= lowest:
                 yield g
         return
     top = list(_walk(g1, [], _PARALLEL_SPLIT_ORDER, flt))
-    seeds = [encode_graph6(g) for g in top if g.order == _PARALLEL_SPLIT_ORDER]
+    seeds = [(g, auts, lowest, highest, flt) for g, auts in top
+             if g.order == _PARALLEL_SPLIT_ORDER]
     if not seeds:  # the filter ends the tree below the seed order
-        yield from (g for g in top if g.order >= lowest)
+        yield from (g for g, _ in top if g.order >= lowest)
         return
     with get_context("fork").Pool(min(workers, len(seeds))) as pool:
-        subtrees = pool.imap(_parallel_task,
-                             [(s, lowest, highest, flt) for s in seeds])
-        for g in top:
+        subtrees = pool.imap(_parallel_task, seeds)
+        for g, _ in top:
             if g.order < _PARALLEL_SPLIT_ORDER:
                 if g.order >= lowest:
                     yield g
             else:  # a seed: its subtree, itself first
-                for g6 in next(subtrees):
-                    yield decode_graph6(g6)
+                yield from next(subtrees)
 
 
 def enumerate_parallel(

@@ -223,10 +223,17 @@ def circumference(g: Graph) -> int:
     """Longest cycle length, 0 for forests.
 
     A vertex of degree below 2 lies on no cycle, so the downward scan
-    starts at the number of vertices of degree at least 2.
+    starts at the number of vertices of degree at least 2.  A cycle of a
+    bipartite graph is even and alternates sides, so there the scan starts
+    no higher than twice the smaller side and visits even lengths only.
     """
     top = sum(row.bit_count() >= 2 for row in g.adj)
-    return next((ln for ln in range(top, 2, -1) if has_cycle_of_length(g, ln)), 0)
+    lengths = range(top, 2, -1)
+    sides = bipartition(g)
+    if sides is not None:
+        top = min(top, 2 * min(side.bit_count() for side in sides))
+        lengths = range(top - top % 2, 2, -2)
+    return next((ln for ln in lengths if has_cycle_of_length(g, ln)), 0)
 
 
 def girth(g: Graph) -> float:

@@ -98,10 +98,12 @@ def _report(claim: str, params: dict, start: float, count: int = 0,
                               time.monotonic() - start, notes, extra or {})
 
 
-def _pick(current: dict | None, candidate: dict) -> dict:
-    """Keep the counterexample minimal by graph6 (worker-order invariant)."""
-    if current is None or candidate["graph6"] < current["graph6"]:
-        return candidate
+def _pick(current: dict | None, g: Graph, detail: str) -> dict:
+    """The counterexample of least graph6 (worker-order invariant) among
+    ``current`` and g, which violates ``detail``; ``current`` on ties."""
+    g6 = encode_graph6(g)
+    if current is None or g6 < current["graph6"]:
+        return {"graph6": g6, "detail": detail}
     return current
 
 
@@ -162,10 +164,8 @@ def verify_upper_bound(
         gbar = complement(g)
         if not any(has_cycle_of_length(gbar, ln) is not None for ln in lengths):
             wanted = " or ".join(f"C_{ln}" for ln in lengths)
-            cex = _pick(cex, {
-                "graph6": encode_graph6(g),
-                "detail": f"K_2,{n}-free graph whose complement has no {wanted}",
-            })
+            cex = _pick(cex, g,
+                        f"K_2,{n}-free graph whose complement has no {wanted}")
     return _report(claim, params, start, count, cex, notes=tuple(notes))
 
 
@@ -196,8 +196,9 @@ def verify_badness(n: int, m: int) -> VerificationReport:
     if report.failed:
         problems.append("construction report flagged FAILED")
     if problems:
-        cex = {"graph6": encode_graph6(g), "detail": "; ".join(problems)}
-        return _report("thm1.4", params, start, 1, cex, extra={"cover": cover})
+        return _report("thm1.4", params, start, 1,
+                       _pick(None, g, "; ".join(problems)),
+                       extra={"cover": cover})
     return _report("thm1.4", params, start, 1,
                    extra={"cover": cover, "witness_graph6": encode_graph6(g)})
 
@@ -282,10 +283,7 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
             pairs, violation = _check_observations(g, wit.vertices)
             triples += pairs
             if violation is not None:
-                cex = _pick(cex, {
-                    "graph6": encode_graph6(g),
-                    "detail": f"cycle {list(wit.vertices)}: {violation}",
-                })
+                cex = _pick(cex, g, f"cycle {list(wit.vertices)}: {violation}")
     return _report("lemma3.1", params, start, triples, cex,
                    notes=(f"cycle cap hit on {cap_hits} graphs",),
                    extra={"graphs_examined": graphs_seen,
@@ -365,10 +363,7 @@ def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
             continue
         count += 1
         if is_hamiltonian(g) is None:
-            cex = _pick(cex, {
-                "graph6": encode_graph6(g),
-                "detail": "satisfies hypothesis but is not Hamiltonian",
-            })
+            cex = _pick(cex, g, "satisfies hypothesis but is not Hamiltonian")
     return _report("thm1.5", params, start, count, cex,
                    notes=("pair-union bound read over all distinct pairs; "
                           "nonadjacent-pairs-only reading counted in "
@@ -394,10 +389,7 @@ def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> Verification
     for g in enumerate_parallel(m + 1, RamseyFilter(n, (m,)), workers):
         count += 1
         if connectivity(complement(g)) < 2:
-            cex = _pick(cex, {
-                "graph6": encode_graph6(g),
-                "detail": "complement is C_m-free but not 2-connected",
-            })
+            cex = _pick(cex, g, "complement is C_m-free but not 2-connected")
     note = (f"stated range m >= 2n+2 = {2 * n + 2}: "
             f"{'inside' if in_range else 'outside (outcome reported, not asserted)'}")
     return _report("lemma2.6", params, start, count, cex, notes=(note,))
@@ -432,8 +424,7 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
         if 2 * delta >= n_:
             counts["min_degree_hamiltonian"] += 1
             if circ != n_:
-                cex = _pick(cex, {"graph6": encode_graph6(g),
-                                  "detail": "min_degree_hamiltonian"})
+                cex = _pick(cex, g, "min_degree_hamiltonian")
         if two_conn:
             ks = [g.adj[u].bit_count() + g.adj[v].bit_count()
                   for u in range(n_) for v in range(u + 1, n_)
@@ -441,20 +432,17 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
             k = min(ks) if ks else n_
             counts["degree_sum_cycle"] += 1
             if circ < min(k, n_):
-                cex = _pick(cex, {"graph6": encode_graph6(g),
-                                  "detail": "degree_sum_cycle"})
+                cex = _pick(cex, g, "degree_sum_cycle")
             if 3 * delta >= n_ + 2 and delta >= independence_number(g):
                 counts["nash_williams"] += 1
                 if circ != n_:
-                    cex = _pick(cex, {"graph6": encode_graph6(g),
-                                      "detail": "nash_williams"})
+                    cex = _pick(cex, g, "nash_williams")
             ku = min(union_neighborhood_excl(g, u, v)
                      for u in range(n_) for v in range(u + 1, n_))
             if circ >= n_ - ku:
                 counts["neighborhood_union_cycle"] += 1
                 if circ < min(2 * ku - 2, n_ - 1):
-                    cex = _pick(cex, {"graph6": encode_graph6(g),
-                                      "detail": "neighborhood_union_cycle"})
+                    cex = _pick(cex, g, "neighborhood_union_cycle")
     return _report("lemma-props", params, start, sum(counts.values()), cex,
                    extra={"per_lemma_hypothesis_counts": counts})
 

@@ -37,6 +37,15 @@ def test_construct_lemma41(capsys):
     assert "result: verified" in out
 
 
+def test_construct_human_marks_keys_claimed_none_skipped(capsys):
+    code, out, _ = run(capsys, "construct", "burr", "--g-order", "2",
+                       "--pattern", "cycle", "--size", "4")
+    assert code == 0
+    assert "max_common_neighborhood      claimed=None measured=0 [skipped]" in out
+    assert "forbidden_cycle_length       claimed=None measured=None [skipped]" \
+        in out
+
+
 def test_construct_invalid_params_exit_2(capsys):
     code, _, err = run(capsys, "construct", "lemma42",
                        "--m", "5", "--q", "2", "--t", "0")
@@ -295,6 +304,15 @@ def test_check_reads_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--circumference")
     assert code == 0
     assert "circumference: 4" in out
+
+
+def test_check_circumference_of_unbalanced_complete_bipartite(capsys):
+    # the scan starts at twice the smaller side, not at 13
+    k58 = encode_graph6(complete_multipartite([5, 8]))
+    start = time.monotonic()
+    code, out, _ = run(capsys, "check", k58, "--circumference")
+    assert code == 0 and out == "order: 13\nedges: 40\ncircumference: 10\n"
+    assert time.monotonic() - start < 0.5
 
 
 def _golden_ids(cases):

@@ -259,3 +259,44 @@ def test_report_json_serialization():
     assert back["failed"] is False
     assert decode_graph6(back["graph6"]) == r.graph
     assert decode_graph6(back["complement_graph6"]) == r.complement_graph
+
+
+def _construct_grid():
+    """Every builder call of the construct grid that takes its parameters."""
+    calls = [(star_witness, m) for m in range(3, 12)]
+    calls += [(burr_witness, g, "cycle", s) for g in range(1, 12)
+              for s in range(3, 13)]
+    calls += [(burr_witness, g, "k2n", s) for g in range(1, 12)
+              for s in range(1, 8)]
+    calls += [(lemma41_witness, m, p, t) for m in range(2, 9)
+              for p in range(4) for t in range(10)]
+    calls += [(lemma42_witness, m, q, t) for m in range(2, 9)
+              for q in range(1, 4) for t in range(4)]
+    reports = []
+    for builder, *args in calls:
+        try:
+            reports.append(builder(*args))
+        except GraphError:  # a ParameterError, or K_0 at burr g_order 1
+            continue
+    return reports
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_report_step_skips_and_fails_by_one_rule(monkeypatch, broken):
+    if broken:  # edgeless cliques: most claims and checks then fail
+        monkeypatch.setattr(constructions, "_clique_union",
+                            lambda sizes: empty_graph(sum(sizes)))
+    reports = _construct_grid()
+    assert len(reports) == 240
+    # 42 skip the circumference above the cutoff, 138 skip some key
+    assert sum("complement_circumference" in r.skipped for r in reports) == 42
+    assert sum(bool(r.skipped) for r in reports) == 138
+    for r in reports:
+        claimed_none = {key for key, want in r.claimed.items() if want is None}
+        assert claimed_none <= set(r.skipped), r.params
+        assert set(r.skipped) - claimed_none <= {"complement_circumference"}
+        assert list(r.skipped) == sorted(r.skipped)
+        mismatch = any(r.measured[key] != want for key, want in r.claimed.items()
+                       if key not in r.skipped)
+        assert r.failed == (mismatch or not all(r.checks.values())), r.params
+    assert any(r.failed for r in reports) == broken

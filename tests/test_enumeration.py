@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import time
 from types import SimpleNamespace
 
@@ -160,12 +161,28 @@ def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
         def imap(self, fn, items):
             return map(fn, items)
 
+    # every labeling, in the workers too, since they run in this process
+    labelings = []
+
+    def counted(g):
+        labelings.append(g.order)
+        return canonical_labeling(g)
+
     monkeypatch.setattr(enumeration, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(enumeration, "canonical_labeling", counted)
     flt = K2nFreeFilter(2)
     walk = [encode_graph6(g) for g in enumerate_orders(1, 7, flt)]
+    sequential = len(labelings)
     assert [encode_graph6(g) for g in enumerate_orders(1, 7, flt, 1000)] == walk
     assert sizes == [18]  # the C_4-free classes of order 5
+    # a seed travels with its generators: it is labeled once, not again
+    assert len(labelings) == 2 * sequential
+    labelings.clear()
+    walk = [encode_graph6(g) for g in enumerate_orders(1, 7)]
+    sequential = len(labelings)
+    assert [encode_graph6(g) for g in enumerate_orders(1, 7, workers=2)] == walk
+    assert len(labelings) == 2 * sequential
     # matchings whose complement has no triangle stop at order 4: no seed
     sizes.clear()
     flt = RamseyFilter(1, (3,))
@@ -173,6 +190,14 @@ def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
     assert len(walk) == 5
     assert [encode_graph6(g) for g in enumerate_orders(1, 12, flt, 2)] == walk
     assert sizes == []
+
+
+def test_graph_survives_pickling():
+    # workers send their Graphs back pickled, and Graph is a frozen,
+    # slotted dataclass: unpickling must not trip over the frozen fields
+    for g in (empty_graph(1), PETERSEN, complete_multipartite([2, 3])):
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and h.adj == g.adj and type(h) is Graph
 
 
 def test_one_walk_gives_every_order():

@@ -105,6 +105,37 @@ def test_girth_and_circumference():
         assert girth(g) == (min(lengths) if lengths else math.inf), g
 
 
+def scan_down_circumference(g: Graph) -> int:
+    """Reference: every length from the count of degree->=2 vertices down."""
+    top = sum(row.bit_count() >= 2 for row in g.adj)
+    return next((ln for ln in range(top, 2, -1) if has_cycle_of_length(g, ln)), 0)
+
+
+def random_bipartite(a: int, b: int, p: float, rng) -> Graph:
+    rows = [0] * (a + b)
+    for u in range(a):
+        for v in range(a, a + b):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(a + b, tuple(rows))
+
+
+def test_circumference_equals_full_downward_scan(rng):
+    graphs = [g for order in range(1, 8) for g in enumerate_orders(order, order)]
+    for _ in range(60):
+        graphs.append(random_bipartite(rng.randint(1, 7), rng.randint(1, 7),
+                                       rng.random(), rng))
+    for g in graphs:
+        assert circumference(g) == scan_down_circumference(g), g
+
+
+def test_circumference_of_complete_bipartite_graphs():
+    for a in range(2, 9):
+        for b in range(2, 9):
+            assert circumference(complete_multipartite([a, b])) == 2 * min(a, b)
+
+
 def test_bipartition_matches_networkx(rng):
     graphs = [g for order in range(1, 8) for g in enumerate_orders(order, order)]
     graphs += [random_graph(rng.randint(1, 16), rng.random() / 2, rng)
