@@ -16,7 +16,12 @@ from .graphs import Graph
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Stable equitable refinement of an ordered partition."""
+    """Stable equitable refinement of an ordered partition.
+
+    A vertex's key packs its neighbour count in each cell, first cell
+    most significant, into fixed 7-bit fields: a count is at most 63, so
+    keys sort as the tuples of counts would.
+    """
     while True:
         masks = [0] * len(cells)
         for i, cell in enumerate(cells):
@@ -30,10 +35,12 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            keyed: dict[tuple[int, ...], list[int]] = {}
+            keyed: dict[int, list[int]] = {}
             for v in cell:
                 row = adj[v]
-                key = tuple((row & m).bit_count() for m in masks)
+                key = 0
+                for m in masks:
+                    key = key << 7 | (row & m).bit_count()
                 keyed.setdefault(key, []).append(v)
             if len(keyed) == 1:
                 new_cells.append(cell)
@@ -73,7 +80,9 @@ def orbit_closure(points: Iterable[int],
     return closure
 
 
-def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
+def canonical_labeling(
+    g: Graph, base: list[list[int]] | None = None
+) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
     """Return (perm, form, automorphism generators).
 
     ``perm[i]`` is the original vertex placed at canonical position i.
@@ -84,14 +93,19 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int
     generators, so every leaf with the best form is an image of a
     searched one.
 
-    ``perm[-1]`` always has maximum degree in g: refinement first splits
-    the unit partition into degree cells, ascending, and then it and
-    individualization only split cells in place.  ``enumeration._children``
-    relies on this to reject extensions before labeling them.
+    The search starts from ``base``, the refined unit partition
+    ``_refine(g.adj, [list(range(g.order))])``, which a caller that has
+    it already may pass.  Individualization and refinement only split its
+    cells in place, so ``perm[-1]`` lies in its last cell, a union of
+    Aut(g)-orbits.  Refinement first splits the unit partition into degree
+    cells, ascending, so ``perm[-1]`` has maximum degree in g.
+    ``enumeration._children`` relies on both to settle extensions before
+    labeling them.
     """
     n = g.order
     adj = g.adj
-    base = _refine(adj, [list(range(n))])
+    if base is None:
+        base = _refine(adj, [list(range(n))])
 
     best_form: bytes | None = None
     best_perm: tuple[int, ...] | None = None

@@ -190,6 +190,11 @@ def burr_witness(g_order: int, kind: str, size: int) -> ConstructionReport:
             f"g_order must be >= sigma(pattern) = {sigma}, got {g_order}"
         )
     total = (g_order - 1) * (chi - 1) + sigma - 1
+    if total < 1:  # an odd cycle with g_order 1 would give K_0
+        raise ParameterError(
+            f"g_order {g_order} gives total order {total} for this pattern; "
+            f"need a total order >= 1"
+        )
     if total > MAX_ORDER:
         raise ParameterError(f"total order {total} exceeds {MAX_ORDER}")
     clique_sizes = [g_order - 1] * (chi - 1) + ([sigma - 1] if sigma > 1 else [])

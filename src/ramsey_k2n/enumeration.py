@@ -23,8 +23,12 @@ then checks only what that vertex adds to a passing parent.
 
 The canonically-last vertex always has maximum degree, so a mask whose new
 vertex would not have the child's maximum degree is rejected before orbit
-pruning, the filter and labeling.  This changes neither which
-representative is emitted nor the order of the stream.
+pruning, the filter and labeling.  It also lies in the last cell of the
+child's refined unit partition, a union of Aut(child)-orbits, so one
+refinement rejects a child whose new vertex is outside that cell and, at
+the last order of a walk, accepts one whose new vertex is alone in it;
+only the rest are labeled.  This changes neither which representative is
+emitted nor the order of the stream.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 from multiprocessing import get_context
 from typing import Iterable, Iterator
 
-from .canon import canonical_labeling, orbit_closure
+from .canon import _refine, canonical_labeling, orbit_closure
 from .graphs import Graph, add_vertex, bits, empty_graph
 
 _PARALLEL_SPLIT_ORDER = 5
@@ -138,9 +142,13 @@ def _orbit_min(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
 
 
 def _children(
-    g: Graph, auts: list[tuple[int, ...]], flt: GenerationFilter
-) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
-    """Accepted one-vertex extensions of g (exactly one per class)."""
+    g: Graph, auts: list[tuple[int, ...]], flt: GenerationFilter,
+    leaves: bool = False,
+) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
+    """Accepted one-vertex extensions of g (exactly one per class), each
+    with the generators of its automorphism group.  With ``leaves`` the
+    caller reads no generators, so a child that one refinement accepts is
+    not labeled and comes with None."""
     k = g.order
     # The canonically-last vertex has the child's maximum degree, so only a
     # new vertex of maximum degree can lie in its orbit: |s| above every
@@ -167,23 +175,36 @@ def _children(
         child = add_vertex(g, s)
         if not flt.accepts(child):
             continue
-        perm, _, cauts = canonical_labeling(child)
         # McKay's rule: the new vertex k must lie in the orbit of the
-        # canonically-last vertex under the whole of Aut(child).
+        # canonically-last vertex under the whole of Aut(child).  That
+        # vertex lies in the last refined cell, a union of orbits, so k
+        # outside the cell fails the rule and k alone in it passes.
+        base = _refine(child.adj, [list(range(k + 1))])
+        last = base[-1]
+        if k not in last:
+            continue
+        if leaves and len(last) == 1:
+            yield child, None
+            continue
+        perm, _, cauts = canonical_labeling(child, base)
         if k not in orbit_closure((perm[-1],), cauts):
             continue
         yield child, cauts
 
 
 def _walk(
-    g: Graph, auts: list[tuple[int, ...]], order: int, flt: GenerationFilter
-) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
+    g: Graph, auts: list[tuple[int, ...]], order: int, flt: GenerationFilter,
+    seeds: bool = False,
+) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
     """g, then its accepted descendants up to ``order``, depth first, each
-    with the generators of its automorphism group."""
+    with the generators of its automorphism group.  A descendant of order
+    ``order`` may come with None instead, unless ``seeds`` asks for the
+    generators of every node."""
     yield g, auts
     if g.order < order:
-        for child, cauts in _children(g, auts, flt):
-            yield from _walk(child, cauts, order, flt)
+        leaves = g.order + 1 == order and not seeds
+        for child, cauts in _children(g, auts, flt, leaves):
+            yield from _walk(child, cauts, order, flt, seeds)
 
 
 def _parallel_task(
@@ -219,7 +240,8 @@ def enumerate_orders(
             if g.order >= lowest:
                 yield g
         return
-    top = list(_walk(g1, [], _PARALLEL_SPLIT_ORDER, flt))
+    # the seeds travel to the workers with their generators
+    top = list(_walk(g1, [], _PARALLEL_SPLIT_ORDER, flt, seeds=True))
     seeds = [(g, auts, lowest, highest, flt) for g, auts in top
              if g.order == _PARALLEL_SPLIT_ORDER]
     if not seeds:  # the filter ends the tree below the seed order

@@ -5,7 +5,13 @@ import time
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
-from ramsey_k2n.canon import canonical_form, canonical_labeling, orbit_closure
+from ramsey_k2n import enumeration
+from ramsey_k2n.canon import (
+    _refine,
+    canonical_form,
+    canonical_labeling,
+    orbit_closure,
+)
 from ramsey_k2n.enumeration import (
     ALL_GRAPHS,
     K2nFreeFilter,
@@ -280,3 +286,87 @@ def test_children_of_parents_with_pseudo_similar_vertices():
         got = [canonical_form(child) for child, _ in _children(g, auts, ALL_GRAPHS)]
         assert len(got) == len(set(got)) == len(oracle) == classes, g6
         assert set(got) == oracle, g6
+
+
+def tuple_keyed_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """The reference: ``_refine`` with each vertex keyed by the tuple of
+    its neighbour counts in the cells, which its packed integer keys must
+    order the same way."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        new_cells = []
+        changed = False
+        for cell in cells:
+            keyed = {}
+            for v in cell:
+                key = tuple((adj[v] & m).bit_count() for m in masks)
+                keyed.setdefault(key, []).append(v)
+            changed |= len(keyed) > 1
+            new_cells.extend(keyed[key] for key in sorted(keyed))
+        if not changed:
+            return new_cells
+        cells = new_cells
+
+
+def test_integer_keyed_refinement_equals_tuple_keyed(rng):
+    # every class of order 1..7, random graphs of order up to 20, K_64 and
+    # K_{1,63}, where a count of 63 must not overflow its field, and
+    # K_{1,61} + K_2: with a K_2 end individualized, the other end's key
+    # (1, 0) must stay above the star centre's (0, 61)
+    graphs = [from_nx(h) for h in graph_atlas_g() if h.number_of_nodes()]
+    graphs += [random_graph(rng.randint(1, 20), rng.random(), rng)
+               for _ in range(300)]
+    graphs += [complete_graph(64), complete_multipartite([1, 63]),
+               disjoint_union(complete_multipartite([1, 61]), complete_graph(2))]
+    for g in graphs:
+        n = g.order
+        partitions = [[list(range(n))]]
+        for v in {0, n - 1} if n > 1 else ():  # individualized
+            partitions.append([[v], [w for w in range(n) if w != v]])
+        for cells in partitions:
+            assert _refine(g.adj, cells) == tuple_keyed_refine(g.adj, cells), \
+                encode_graph6(g)
+
+
+def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
+    # Every child _children refines, in three trees, is labeled in full
+    # here.  The last refined cell is a union of Aut(child)-orbits holding
+    # perm[-1]: a new vertex outside it is off the orbit of perm[-1], and
+    # one alone in it is perm[-1].  The children accepted, some of them
+    # without a labeling, must be exactly those that pass McKay's rule.
+    refine = enumeration._refine
+    tried = []
+
+    def recorded(adj, cells):
+        base = refine(adj, cells)
+        tried.append((adj, base))
+        return base
+
+    cases = [(7, ALL_GRAPHS), (9, K2nFreeFilter(2)), (8, K2nFreeFilter(3))]
+    settled = {"outside": 0, "alone": 0, "shared": 0}
+    for top, flt in cases:
+        parents = list(enumerate_orders(1, top - 1, flt))
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "_refine", recorded)
+            for g in parents:
+                k = g.order
+                _, _, auts = canonical_labeling(g)
+                tried.clear()
+                accepted = {child.adj: cauts for child, cauts
+                            in _children(g, auts, flt, leaves=True)}
+                for adj, base in tried:
+                    perm, _, cauts = canonical_labeling(Graph(k + 1, adj))
+                    rule = k in orbit_closure((perm[-1],), cauts)
+                    assert (adj in accepted) == rule, (encode_graph6(g), adj)
+                    last = base[-1]
+                    if k not in last:
+                        assert not rule
+                        settled["outside"] += 1
+                    elif last == [k]:
+                        assert perm[-1] == k
+                        settled["alone"] += 1
+                    else:
+                        settled["shared"] += 1
+                        if rule:
+                            assert accepted[adj] == cauts
+    assert all(settled.values()), settled

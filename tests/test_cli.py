@@ -53,6 +53,15 @@ def test_construct_invalid_params_exit_2(capsys):
     assert "m >= 6" in err
 
 
+def test_construct_burr_total_order_0_exit_2(capsys):
+    # an odd cycle has sigma = 1, so g_order 1 would give K_0
+    code, out, err = run(capsys, "construct", "burr", "--g-order", "1",
+                         "--pattern", "cycle", "--size", "3")
+    assert code == 2 and out == ""
+    assert err == "error: g_order 1 gives total order 0 for this pattern; " \
+        "need a total order >= 1\n"
+
+
 def test_construct_json_output(capsys):
     code, out, _ = run(capsys, "construct", "star", "--m", "6",
                        "--output", "json")

@@ -14,7 +14,6 @@ from ramsey_k2n.constructions import (
     star_witness,
 )
 from ramsey_k2n.graphs import (
-    GraphError,
     complement,
     decode_graph6,
     empty_graph,
@@ -76,7 +75,7 @@ def test_burr_cycle_check_equals_search():
         for size in range(3, 15):
             try:
                 r = burr_witness(g_order, "cycle", size)
-            except GraphError:  # g_order below sigma, or K_0
+            except ParameterError:  # g_order below sigma, or total order 0
                 continue
             if r.graph.order > 12:
                 continue
@@ -99,6 +98,8 @@ def test_burr_witness_errors():
         burr_witness(1, "k2n", 2)  # g_order < sigma
     with pytest.raises(ParameterError):
         burr_witness(40, "cycle", 7)  # order 78 > 64
+    with pytest.raises(ParameterError, match="g_order 1 gives total order 0"):
+        burr_witness(1, "cycle", 3)  # sigma = 1: K_0
 
 
 def test_burr_witness_chromatic_data():
@@ -276,7 +277,7 @@ def _construct_grid():
     for builder, *args in calls:
         try:
             reports.append(builder(*args))
-        except GraphError:  # a ParameterError, or K_0 at burr g_order 1
+        except ParameterError:
             continue
     return reports
 

@@ -123,10 +123,13 @@ def test_children_of_a_highly_symmetric_parent():
 
 def test_c4_free_counts():
     # C_4-free = K_{2,2}-free; at order 4 only K_4, the diamond and C_4
-    # itself contain a K_{2,2}, leaving 8 of the 11 classes
-    flt = K2nFreeFilter(2)
-    counts = [sum(1 for _ in enumerate_orders(n, n, flt)) for n in range(1, 8)]
-    assert counts == [1, 2, 4, 8, 18, 44, 117]
+    # itself contain a K_{2,2}, leaving 8 of the 11 classes.  The counts
+    # are the terms of OEIS A006786 (squarefree graphs on n nodes); the
+    # acceptance gate checks order 11 (25,181).
+    counts = [0] * 10
+    for g in enumerate_orders(1, 10, K2nFreeFilter(2)):
+        counts[g.order - 1] += 1
+    assert counts == [1, 2, 4, 8, 18, 44, 117, 351, 1230, 5069]
 
 
 def test_parallel_equals_sequential():
@@ -164,9 +167,9 @@ def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
     # every labeling, in the workers too, since they run in this process
     labelings = []
 
-    def counted(g):
+    def counted(g, *rest):
         labelings.append(g.order)
-        return canonical_labeling(g)
+        return canonical_labeling(g, *rest)
 
     monkeypatch.setattr(enumeration, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))

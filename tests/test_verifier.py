@@ -355,3 +355,18 @@ def test_goodness_table():
         witness = decode_graph6(r.extra["witness_graph6"])
         assert witness.order == value - 1
         assert _brute_ramsey_ok(witness, n, (m,) if kind == "cycle" else (m, m + 1))
+
+
+# Cells of the goodness map not yet in GOODNESS_TABLE, which each take
+# over 10 s: opt in with ``pytest -m slow``.
+@pytest.mark.slow
+@pytest.mark.parametrize("n, m, max_order, value", [
+    (2, 12, 13, 13),
+    (3, 10, 12, 11),
+])
+def test_goodness_cells_outside_tier_1(n, m, max_order, value):
+    r = compute_ramsey(n, "cycle", m, max_order)
+    assert (r.outcome, r.extra["value"]) == ("verified", value)
+    witness = decode_graph6(r.extra["witness_graph6"])
+    assert witness.order == value - 1
+    assert _brute_ramsey_ok(witness, n, (m,))
