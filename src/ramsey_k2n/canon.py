@@ -133,12 +133,18 @@ def canonical_labeling(
         fixed = [cell[0] for cell in cells if len(cell) == 1]
         cell = cells[idx]
         tried: list[int] = []
+        # fixing: those of the first ``checked`` discovered automorphisms
+        # that fix the prefix; a sibling's search only appends to ``auts``
+        fixing: list[tuple[int, ...]] = []
+        checked = 0
         for v in cell:
-            # skip v in the orbit of a tried vertex under the discovered
-            # automorphisms that fix the prefix
-            if tried and v in orbit_closure(
-                    tried, [a for a in auts if all(a[f] == f for f in fixed)]):
-                continue
+            # skip v in the orbit of a tried vertex under those
+            if tried:
+                fixing += [a for a in auts[checked:]
+                           if all(a[f] == f for f in fixed)]
+                checked = len(auts)
+                if v in orbit_closure(tried, fixing):
+                    continue
             tried.append(v)
             rest = [w for w in cell if w != v]
             rec(_refine(adj, cells[:idx] + [[v], rest] + cells[idx + 1:]))

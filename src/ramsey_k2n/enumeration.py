@@ -19,7 +19,8 @@ are read off it.
 
 Every filter meets one contract (``GenerationFilter``): its candidate
 masks are the only neighbourhoods tried for the new vertex, and ``accepts``
-then checks only what that vertex adds to a passing parent.
+then checks only what that vertex adds to a passing parent, reading the
+child's adjacency rows.
 
 The canonically-last vertex always has maximum degree, so a mask whose new
 vertex would not have the child's maximum degree is rejected before orbit
@@ -29,6 +30,11 @@ refinement rejects a child whose new vertex is outside that cell and, at
 the last order of a walk, accepts one whose new vertex is alone in it;
 only the rest are labeled.  This changes neither which representative is
 emitted nor the order of the stream.
+
+A tried child is only a tuple of rows until that refinement keeps it:
+``add_vertex`` builds a ``Graph`` for a child that is then labeled or
+emitted, and nothing else, so ``Graph`` still validates every graph that
+leaves generation.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from multiprocessing import get_context
 from typing import Iterable, Iterator
 
 from .canon import _refine, canonical_labeling, orbit_closure
-from .graphs import Graph, add_vertex, bits, empty_graph
+from .graphs import Graph, add_vertex, empty_graph
 
 _PARALLEL_SPLIT_ORDER = 5
 
@@ -51,15 +57,17 @@ class GenerationFilter:
     ``candidate_masks(g)`` lists the neighbourhoods tried for the new
     vertex of a passing parent g, in the order tried.  The list is
     Aut(g)-invariant and holds every mask whose child passes.
-    ``accepts(child)`` is asked only about a child built from a listed
-    mask, whose new vertex is the last one, and checks only what that
-    vertex adds.  By default every mask is listed and every child passes.
+    ``accepts(rows)`` is asked only about a child built from a listed
+    mask and checks only what its new vertex adds.  ``rows`` are the
+    child's neighbour bitmasks, new vertex last, as ``Graph.adj`` would
+    hold them; the child is not yet a ``Graph``.  By default every mask is
+    listed and every child passes.
     """
 
     def candidate_masks(self, g: Graph) -> Iterable[int]:
         return range(1 << g.order)
 
-    def accepts(self, child: Graph) -> bool:
+    def accepts(self, rows: tuple[int, ...]) -> bool:
         return True
 
 
@@ -96,7 +104,11 @@ class K2nFreeFilter(GenerationFilter):
         def rec(mask: int, allowed: int, start: int, hits: list[int]) -> None:
             # hits[j]: the vertices with more than j neighbours in mask
             out.append(mask)
-            for v in bits(allowed & ~((1 << start) - 1)):
+            todo = allowed & ~((1 << start) - 1)
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
                 rest = allowed & ok[v]
                 grown = hits
                 if hits:
@@ -104,9 +116,12 @@ class K2nFreeFilter(GenerationFilter):
                     grown = [hits[0] | nbrs]
                     for j in range(1, n - 1):
                         grown.append(hits[j] | (hits[j - 1] & nbrs))
-                    for u in bits(grown[-1] & ~hits[-1]):
-                        rest &= ~adj[u]
-                rec(mask | (1 << v), rest, v + 1, grown)
+                    filled = grown[-1] & ~hits[-1]
+                    while filled:
+                        ulow = filled & -filled
+                        filled ^= ulow
+                        rest &= ~adj[ulow.bit_length() - 1]
+                rec(mask | low, rest, v + 1, grown)
 
         allowed = (1 << k) - 1
         if n == 1:  # every vertex already has its n-1 = 0 neighbours in S
@@ -150,13 +165,15 @@ def _children(
     caller reads no generators, so a child that one refinement accepts is
     not labeled and comes with None."""
     k = g.order
+    adj = g.adj
+    new_bit = 1 << k
     # The canonically-last vertex has the child's maximum degree, so only a
     # new vertex of maximum degree can lie in its orbit: |s| above every
     # degree of g, or equal to the top degree D with no degree-D vertex of g
     # in s.  The test is invariant under Aut(g) and only drops masks whose
     # child fails the orbit rule, so the accepted children and their order
     # are unchanged.
-    degrees = [row.bit_count() for row in g.adj]
+    degrees = [row.bit_count() for row in adj]
     top = max(degrees)
     top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
     seen_orbit: set[int] = set()
@@ -172,17 +189,27 @@ def _children(
             if s in seen_orbit:
                 continue
             seen_orbit |= _orbit_min(s, auts)
-        child = add_vertex(g, s)
-        if not flt.accepts(child):
+        # The child's rows, new vertex last, for the filter and the
+        # refinement; only a child that the refinement keeps becomes a Graph.
+        rows = list(adj)
+        m = s
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] |= new_bit
+            m ^= low
+        rows.append(s)
+        rows = tuple(rows)
+        if not flt.accepts(rows):
             continue
         # McKay's rule: the new vertex k must lie in the orbit of the
         # canonically-last vertex under the whole of Aut(child).  That
         # vertex lies in the last refined cell, a union of orbits, so k
         # outside the cell fails the rule and k alone in it passes.
-        base = _refine(child.adj, [list(range(k + 1))])
+        base = _refine(rows, [list(range(k + 1))])
         last = base[-1]
         if k not in last:
             continue
+        child = add_vertex(g, s)
         if leaves and len(last) == 1:
             yield child, None
             continue

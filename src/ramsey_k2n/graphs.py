@@ -47,10 +47,15 @@ class Graph:
                 raise GraphError(f"vertex {v} has neighbors beyond the order")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
+        adj = self.adj
+        for v, row in enumerate(adj):
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise GraphError(f"asymmetric edge {v}-{u}")
+                row ^= low
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)

@@ -63,8 +63,10 @@ def _reachable(adj: Sequence[int], v: int, allowed: int) -> int:
     frontier = seen
     while frontier:
         nxt = 0
-        for w in bits(frontier):
-            nxt |= adj[w]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen
@@ -107,7 +109,10 @@ def connectivity(g: Graph) -> int:
                     for a in frontier:
                         new = res[a] & ~seen
                         seen |= new
-                        for b in bits(new):
+                        while new:
+                            low = new & -new
+                            new ^= low
+                            b = low.bit_length() - 1
                             prev[b] = a
                             nxt.append(b)
                     frontier = nxt
@@ -169,9 +174,13 @@ def lowest_vertex_cycles(
         reach = _reachable(adj, v, rem)
         if reach.bit_count() < m - depth or not adj[s] & reach:
             return False
-        for w in bits(adj[v] & rem):
+        nbrs = adj[v] & rem
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            w = low.bit_length() - 1
             stack_path.append(w)
-            if dfs(w, used | (1 << w)):
+            if dfs(w, used | low):
                 return True
             stack_path.pop()
         return False

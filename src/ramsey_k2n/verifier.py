@@ -120,8 +120,11 @@ class RamseyFilter(K2nFreeFilter):
         super().__init__(n)
         self.lengths = lengths
 
-    def accepts(self, g: Graph) -> bool:
-        return not has_cycle_through_last(complement(g).adj, self.lengths)
+    def accepts(self, rows: tuple[int, ...]) -> bool:
+        # the complement's rows; a row never holds its own vertex's bit
+        full = (1 << len(rows)) - 1
+        comp = [full ^ (1 << v) ^ row for v, row in enumerate(rows)]
+        return not has_cycle_through_last(comp, self.lengths)
 
 
 def verify_upper_bound(
@@ -307,14 +310,15 @@ class HamiltonianHypothesisFilter(GenerationFilter):
     def __init__(self, m: int):
         self.m = m
 
-    def pair_bound_holds(self, g: Graph, adjacent: bool) -> bool:
+    def pair_bound_holds(self, adj: tuple[int, ...], adjacent: bool) -> bool:
         """2 * (|N(u) | N(v) - {u, v}| + m+1-k) >= m for every adjacent
-        (or every nonadjacent) pair u, v of g, where k is its order."""
+        (or every nonadjacent) pair u, v of the graph with rows ``adj``,
+        where k is its order."""
         m = self.m
-        slack = m + 1 - g.order
-        adj = g.adj
-        full = g.vertices_mask()
-        for u in range(g.order):
+        k = len(adj)
+        slack = m + 1 - k
+        full = (1 << k) - 1
+        for u in range(k):
             later = (adj[u] if adjacent else full & ~adj[u]) >> (u + 1) << (u + 1)
             while later:
                 bit_v = later & -later
@@ -326,9 +330,9 @@ class HamiltonianHypothesisFilter(GenerationFilter):
                     return False
         return True
 
-    def accepts(self, g: Graph) -> bool:
-        return (self.pair_bound_holds(g, adjacent=False)
-                and not has_cycle_through_last(g.adj, (self.m,)))
+    def accepts(self, rows: tuple[int, ...]) -> bool:
+        return (self.pair_bound_holds(rows, adjacent=False)
+                and not has_cycle_through_last(rows, (self.m,)))
 
 
 def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
@@ -359,7 +363,7 @@ def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
         if connectivity(g) < 2:
             continue
         relaxed += 1
-        if not flt.pair_bound_holds(g, adjacent=True):
+        if not flt.pair_bound_holds(g.adj, adjacent=True):
             continue
         count += 1
         if is_hamiltonian(g) is None:

@@ -121,6 +121,37 @@ def test_children_of_a_highly_symmetric_parent():
     assert time.perf_counter() - start < 5
 
 
+def test_only_labeled_or_emitted_children_are_built(monkeypatch):
+    # a tried child stays a tuple of rows: _children builds a Graph only for
+    # a child it then labels or yields unlabeled
+    calls = {"add_vertex": 0, "labeling": 0, "unlabeled": 0}
+    add, label, children = (enumeration.add_vertex,
+                            enumeration.canonical_labeling, enumeration._children)
+
+    def counted_add(g, s):
+        calls["add_vertex"] += 1
+        return add(g, s)
+
+    def counted_label(g, base=None):
+        calls["labeling"] += 1
+        return label(g, base)
+
+    def counted_children(*args):
+        for child, cauts in children(*args):
+            calls["unlabeled"] += cauts is None
+            yield child, cauts
+
+    monkeypatch.setattr(enumeration, "add_vertex", counted_add)
+    monkeypatch.setattr(enumeration, "canonical_labeling", counted_label)
+    monkeypatch.setattr(enumeration, "_children", counted_children)
+    for flt, order in ((HamiltonianHypothesisFilter(7), 8), (K2nFreeFilter(2), 9)):
+        calls.update(dict.fromkeys(calls, 0))
+        for _ in enumerate_orders(1, order, flt):
+            pass
+        assert calls["labeling"] and calls["unlabeled"]
+        assert calls["add_vertex"] == calls["labeling"] + calls["unlabeled"]
+
+
 def test_c4_free_counts():
     # C_4-free = K_{2,2}-free; at order 4 only K_4, the diamond and C_4
     # itself contain a K_{2,2}, leaving 8 of the 11 classes.  The counts
@@ -217,10 +248,10 @@ def test_one_walk_gives_every_order():
 
 
 class TriangleFree(GenerationFilter):
-    def accepts(self, g: Graph) -> bool:
-        return all(not (g.adj[u] & g.adj[v])
-                   for u in range(g.order) for v in range(u + 1, g.order)
-                   if g.adj[u] >> v & 1)
+    def accepts(self, rows: tuple[int, ...]) -> bool:
+        return all(not (rows[u] & rows[v])
+                   for u in range(len(rows)) for v in range(u + 1, len(rows))
+                   if rows[u] >> v & 1)
 
 
 def test_custom_predicate_filter():

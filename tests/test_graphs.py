@@ -44,6 +44,16 @@ def test_validation_rejects_bad_adjacency():
         Graph(2, (0, 0, 0))  # wrong length
     with pytest.raises(GraphError):
         Graph(2, (4, 0))  # bit beyond order
+    # the same errors at the top of the order range
+    full = complete_graph(64).adj
+    with pytest.raises(GraphError, match="asymmetric edge 63-0"):
+        Graph(64, (full[0] & ~(1 << 63),) + full[1:])
+    with pytest.raises(GraphError, match="loop at vertex 62"):
+        Graph(64, full[:62] + (full[62] | 1 << 62,) + full[63:])
+    with pytest.raises(GraphError, match="vertex 63 has neighbors beyond"):
+        Graph(64, full[:63] + (full[63] | 1 << 64,))
+    with pytest.raises(GraphError, match="vertex 5 has neighbors beyond"):
+        Graph(6, (0,) * 5 + (1 << 6,))
 
 
 def test_order_bounds():

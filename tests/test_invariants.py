@@ -28,6 +28,7 @@ from ramsey_k2n.invariants import (
     find_k2n,
     girth,
     has_cycle_of_length,
+    has_cycle_through_last,
     independence_number,
     is_hamiltonian,
     k2n_free,
@@ -40,6 +41,7 @@ from conftest import (
     from_nx,
     path_graph,
     random_graph,
+    relabel,
     to_nx,
 )
 
@@ -160,6 +162,24 @@ def test_cycle_witness_validates(rng):
                 assert w.validate(g)
         with pytest.raises(GraphError):
             has_cycle_of_length(g, 2)
+
+
+def test_cycle_through_last_matches_cycle_membership():
+    # every class of order <= 7, with each vertex in turn made the last one;
+    # through[ln]: the vertices on some C_ln, by networkx
+    for g in enumerate_orders(3, 7):
+        through = {ln: set() for ln in range(3, g.order + 1)}
+        for c in nx.simple_cycles(to_nx(g), length_bound=g.order):
+            if len(c) >= 3:
+                through[len(c)].update(c)
+        for x in range(g.order):
+            perm = list(range(g.order))
+            perm[x], perm[-1] = perm[-1], perm[x]
+            rows = relabel(g, perm).adj
+            for ln, on in through.items():
+                assert has_cycle_through_last(rows, (ln,)) == (x in on)
+            assert has_cycle_through_last(rows, tuple(through)) \
+                == any(x in on for on in through.values())
 
 
 def test_fixed_length_search_is_deterministic():

@@ -267,7 +267,8 @@ def _check_filter_contract(flt, passes, key=None) -> None:
     parent of order <= 6."""
     for order in range(1, 7):
         for g in enumerate_orders(order, order, flt):
-            kept = [s for s in flt.candidate_masks(g) if flt.accepts(add_vertex(g, s))]
+            kept = [s for s in flt.candidate_masks(g)
+                    if flt.accepts(add_vertex(g, s).adj)]
             brute = sorted((s for s in range(1 << order) if passes(add_vertex(g, s))),
                            key=key)
             assert kept == brute, encode_graph6(g)
@@ -370,3 +371,13 @@ def test_goodness_cells_outside_tier_1(n, m, max_order, value):
     witness = decode_graph6(r.extra["witness_graph6"])
     assert witness.order == value - 1
     assert _brute_ramsey_ok(witness, n, (m,))
+
+
+# thm1.5 at m=9, the largest m under HAMILTONIAN_LEMMA_MAX_ORDER (the gate
+# checks m = 6..8); about 30 s with 2 workers.
+@pytest.mark.slow
+def test_hamiltonian_lemma_at_m9():
+    r = verify_hamiltonian_lemma(9, workers=2)
+    assert (r.outcome, r.counterexample) == ("verified", None)
+    assert r.hypothesis_count == 6
+    assert r.extra["relaxed_hypothesis_count"] == 108
