@@ -30,7 +30,6 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                 m |= 1 << v
             masks[i] = m
         new_cells: list[list[int]] = []
-        changed = False
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -42,13 +41,13 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                 for m in masks:
                     key = key << 7 | (row & m).bit_count()
                 keyed.setdefault(key, []).append(v)
-            if len(keyed) == 1:
+            if len(keyed) == 1:  # a cell that does not split needs no sort
                 new_cells.append(cell)
             else:
-                changed = True
                 for key in sorted(keyed):
                     new_cells.append(keyed[key])
-        if not changed:
+        # cells only ever split, so no new cell means no cell split
+        if len(new_cells) == len(cells):
             return new_cells
         cells = new_cells
 

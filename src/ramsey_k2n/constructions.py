@@ -146,8 +146,9 @@ def star_witness(m: int) -> ConstructionReport:
     neighbor) while Ḡ contains neither C_m nor C_{m+1}, witnessing
     R(K_{2,n}, C_{m,m+1}) > m.
     """
-    if m < 3:
-        raise ParameterError(f"star witness requires m >= 3, got m={m}")
+    if not 3 <= m <= MAX_ORDER:
+        raise ParameterError(
+            f"star witness requires 3 <= m <= {MAX_ORDER}, got m={m}")
     gbar = _clique_union([m - 1, 1])
     claimed: dict[str, int | None] = {
         "order": m,

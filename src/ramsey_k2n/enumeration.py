@@ -86,8 +86,10 @@ class K2nFreeFilter(GenerationFilter):
 
         The new vertex w creates a K_{2,n} only through pairs inside S
         (their common count grows by one) or pairs (w, u) with
-        |S & N(u)| >= n.  So once u has n-1 neighbours in S, N(u) leaves
-        the vertices S may still take.
+        |S & N(u)| >= n.  So a vertex v joins S only if it may coexist
+        with every vertex already there, and then every neighbour u of v
+        with |S & N(u)| >= n - 1 takes N(u) out of the vertices S may
+        still take.
         """
         n = self.n
         adj = g.adj
@@ -101,33 +103,29 @@ class K2nFreeFilter(GenerationFilter):
 
         out: list[int] = []
 
-        def rec(mask: int, allowed: int, start: int, hits: list[int]) -> None:
-            # hits[j]: the vertices with more than j neighbours in mask
+        def rec(mask: int, allowed: int, start: int) -> None:
             out.append(mask)
             todo = allowed & ~((1 << start) - 1)
             while todo:
                 low = todo & -todo
                 todo ^= low
                 v = low.bit_length() - 1
+                grown = mask | low
                 rest = allowed & ok[v]
-                grown = hits
-                if hits:
-                    nbrs = adj[v]
-                    grown = [hits[0] | nbrs]
-                    for j in range(1, n - 1):
-                        grown.append(hits[j] | (hits[j - 1] & nbrs))
-                    filled = grown[-1] & ~hits[-1]
-                    while filled:
-                        ulow = filled & -filled
-                        filled ^= ulow
-                        rest &= ~adj[ulow.bit_length() - 1]
-                rec(mask | low, rest, v + 1, grown)
+                nbrs = adj[v]
+                while nbrs:
+                    ulow = nbrs & -nbrs
+                    nbrs ^= ulow
+                    row = adj[ulow.bit_length() - 1]
+                    if (grown & row).bit_count() >= n - 1:
+                        rest &= ~row
+                rec(grown, rest, v + 1)
 
         allowed = (1 << k) - 1
         if n == 1:  # every vertex already has its n-1 = 0 neighbours in S
             for row in adj:
                 allowed &= ~row
-        rec(0, allowed, 0, [0] * (n - 1))
+        rec(0, allowed, 0)
         return out
 
 

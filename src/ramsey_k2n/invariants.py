@@ -1,9 +1,9 @@
 """Exact structural invariants: degrees, connectivity, bipartiteness,
 cycles, independence and K_{2,n}-freeness.
 
-Everything here is exact search, no heuristics.  One exact-length cycle
-search, ``lowest_vertex_cycles`` run from every start vertex by
-``all_cycles_of_length``, gives every cycle quantity: fixed-length cycles,
+Everything here is exact search, no heuristics.  One exact-length search
+for the cycles through a vertex within an allowed vertex set,
+``cycles_through``, gives every cycle quantity: fixed-length cycles,
 cycles through one vertex, Hamiltonicity, the cycle spectrum,
 circumference and girth.  It backtracks over bitmasks with reachability
 pruning, which is fast on the dense clique-union graphs this package cares
@@ -149,17 +149,17 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
     return side, other
 
 
-def lowest_vertex_cycles(
-    adj: Sequence[int], s: int, m: int, cap: int
+def cycles_through(
+    adj: Sequence[int], s: int, others: int, m: int, cap: int
 ) -> list[CycleWitness]:
-    """The cycles of length exactly m whose lowest vertex is s, at most cap
-    of them, in the order of ``all_cycles_of_length``.
+    """The cycles of length exactly m through s whose other vertices lie in
+    the mask ``others``, at most cap of them.
 
-    ``adj`` is a graph's rows of neighbour bitmasks.  With s = 0 these are
-    all the cycles of length m through vertex 0.
+    ``adj`` is a graph's rows of neighbour bitmasks.  A cycle starts at s
+    and runs toward the smaller of s's two cycle neighbours, and cycles
+    come in lexicographic order.
     """
     out: list[CycleWitness] = []
-    gt = ((1 << len(adj)) - 1) & ~((2 << s) - 1)
     stack_path = [s]
 
     def dfs(v: int, used: int) -> bool:
@@ -170,7 +170,7 @@ def lowest_vertex_cycles(
                 out.append(CycleWitness(tuple(stack_path)))
                 return len(out) >= cap
             return False
-        rem = gt & ~used
+        rem = others & ~used
         reach = _reachable(adj, v, rem)
         if reach.bit_count() < m - depth or not adj[s] & reach:
             return False
@@ -191,16 +191,10 @@ def lowest_vertex_cycles(
 
 def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int]) -> bool:
     """Whether a cycle of one of the given lengths passes through the last
-    vertex of the graph with rows ``adj``.
-
-    The rows are rotated so that the last vertex becomes 0; the cycles
-    through it are then those whose lowest vertex is 0.
-    """
-    k = len(adj)
-    last = k - 1
-    full = (1 << k) - 1
-    rows = [(adj[v] << 1 | adj[v] >> last) & full for v in (last, *range(last))]
-    return any(lowest_vertex_cycles(rows, 0, ln, 1) for ln in lengths if ln <= k)
+    vertex of the graph with rows ``adj``."""
+    last = len(adj) - 1
+    return any(cycles_through(adj, last, (1 << last) - 1, ln, 1)
+               for ln in lengths if ln <= len(adj))
 
 
 def all_cycles_of_length(
@@ -215,8 +209,10 @@ def all_cycles_of_length(
     if m < 3:
         raise GraphError(f"cycle length {m} below 3")
     out: list[CycleWitness] = []
+    full = g.vertices_mask()
     for s in range(g.order - m + 1):
-        out += lowest_vertex_cycles(g.adj, s, m, cap - len(out))
+        out += cycles_through(g.adj, s, full & ~((2 << s) - 1), m,
+                              cap - len(out))
         if len(out) >= cap:
             return out, True
     return out, False

@@ -53,6 +53,12 @@ def test_construct_invalid_params_exit_2(capsys):
     assert "m >= 6" in err
 
 
+def test_construct_star_above_max_order_exit_2(capsys):
+    code, out, err = run(capsys, "construct", "star", "--m", "65")
+    assert code == 2 and out == ""
+    assert err == "error: star witness requires 3 <= m <= 64, got m=65\n"
+
+
 def test_construct_burr_total_order_0_exit_2(capsys):
     # an odd cycle has sigma = 1, so g_order 1 would give K_0
     code, out, err = run(capsys, "construct", "burr", "--g-order", "1",

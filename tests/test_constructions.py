@@ -1,4 +1,5 @@
 import json
+import signal
 import time
 
 import pytest
@@ -58,6 +59,32 @@ def test_burr_witness_odd_cycle():
         assert r.checks["pattern_absent"]  # blue is K_{9,9}, no odd cycle
         # read off the colouring: an exact search for C_11 runs over a minute
         assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("builder, args, order", [
+    (star_witness, (64,), 64),
+    (lemma41_witness, (20, 2, 3), 64),
+    (lemma42_witness, (10, 4, 0), 55),
+    (burr_witness, (33, "cycle", 3), 64),
+])
+def test_builders_report_within_a_second_near_max_order(builder, args, order):
+    # The cycle searches on these clique unions rely on the reachability
+    # pruning: without it star_witness(12) takes seconds and order 64 is
+    # out of reach.  The alarm turns a runaway search into a failure.
+    def expire(signum, frame):
+        raise TimeoutError(f"{builder.__name__}{args} still running")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = time.monotonic()
+        r = builder(*args)
+        elapsed = time.monotonic() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert r.graph.order == order and not r.failed
+    assert elapsed < 1
 
 
 def test_burr_witness_small_even_cycle():
@@ -159,6 +186,11 @@ def test_lemma41_parameter_errors():
         lemma41_witness(5, 1, 5)  # t < m+p-1 violated
     with pytest.raises(ParameterError):
         lemma41_witness(20, 2, 4)  # order 65 > 64
+
+
+def test_star_parameter_errors():
+    with pytest.raises(ParameterError, match="got m=65$"):
+        star_witness(65)  # order 65 > 64
 
 
 def test_lemma42_flagship_parameters():

@@ -71,7 +71,7 @@ def test_candidate_masks_are_exactly_the_k2n_free_extensions():
     # exactly the K_{2,n}-free extensions, in increasing order of vertex lists
     for n in range(1, 5):
         flt = K2nFreeFilter(n)
-        for order in range(1, 7):
+        for order in range(1, 8 if n in (2, 3) else 7):
             for g in enumerate_orders(order, order, flt):
                 brute = [s for s in range(1 << order)
                          if k2n_free(add_vertex(g, s), n)]

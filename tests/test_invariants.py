@@ -25,6 +25,7 @@ from ramsey_k2n.invariants import (
     circumference,
     connectivity,
     cycle_spectrum,
+    cycles_through,
     find_k2n,
     girth,
     has_cycle_of_length,
@@ -180,6 +181,28 @@ def test_cycle_through_last_matches_cycle_membership():
                 assert has_cycle_through_last(rows, (ln,)) == (x in on)
             assert has_cycle_through_last(rows, tuple(through)) \
                 == any(x in on for on in through.values())
+
+
+def test_cycles_through_lists_the_cycles_inside_others(rng):
+    # every class of order <= 6 and every s, against every others mask at
+    # orders <= 5 and a sample of masks at order 6; the brute force lists,
+    # in lexicographic order, each sequence s, v1, ..., v_{m-1} of other
+    # vertices in others that closes a cycle with v1 < v_{m-1}
+    for g in enumerate_orders(3, 6):
+        k = g.order
+        masks = range(1 << k) if k <= 5 else rng.sample(range(1 << k), 16)
+        for s in range(k):
+            for others in masks:
+                inside = [v for v in bits(others) if v != s]
+                for m in range(3, k + 1):
+                    brute = [
+                        (s, *p) for p in itertools.permutations(inside, m - 1)
+                        if p[0] < p[-1] and g.has_edge(s, p[0])
+                        and g.has_edge(p[-1], s)
+                        and all(g.has_edge(a, b) for a, b in zip(p, p[1:]))]
+                    got = cycles_through(g.adj, s, others, m, math.inf)
+                    assert [c.vertices for c in got] == brute, \
+                        (g.adj, s, others, m)
 
 
 def test_fixed_length_search_is_deterministic():

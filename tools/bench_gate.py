@@ -38,6 +38,8 @@ GATE_RUNS = {
     "thm1.5 m=8": ("verify", "thm1.5", "--m", "8"),
     "lemma-props order 8": ("verify", "lemma-props", "--max-order", "8"),
     "lemma3.1 order 7": ("verify", "lemma3.1", "--max-order", "7"),
+    "R(K_{2,2}, C_10)": ("ramsey", "--n", "2", "--cycle", "10"),
+    "R(K_{2,3}, C_9)": ("ramsey", "--n", "3", "--cycle", "9"),
 }
 
 
