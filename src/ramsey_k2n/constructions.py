@@ -30,7 +30,6 @@ from .graphs import (
     join,
 )
 from .invariants import (
-    bipartition,
     circumference,
     has_cycle_of_length,
     k2n_free,
@@ -214,13 +213,7 @@ def burr_witness(g_order: int, kind: str, size: int) -> ConstructionReport:
         if kind == "k2n":
             absent = k2n_free(blue, size)
         else:
-            # a cycle of a bipartite graph is even and alternates sides, so
-            # it is at most twice the smaller side long
-            sides = bipartition(blue)
-            absent = sides is not None and (
-                size % 2 == 1 or size > 2 * min(c.bit_count() for c in sides))
-            if not absent:
-                absent = has_cycle_of_length(blue, size) is None
+            absent = has_cycle_of_length(blue, size) is None
         return {"red_components_below_g_order":
                 max(clique_sizes, default=0) <= g_order - 1,
                 "pattern_absent": absent}

@@ -26,10 +26,11 @@ The canonically-last vertex always has maximum degree, so a mask whose new
 vertex would not have the child's maximum degree is rejected before orbit
 pruning, the filter and labeling.  It also lies in the last cell of the
 child's refined unit partition, a union of Aut(child)-orbits, so one
-refinement rejects a child whose new vertex is outside that cell and, at
-the last order of a walk, accepts one whose new vertex is alone in it;
-only the rest are labeled.  This changes neither which representative is
-emitted nor the order of the stream.
+refinement rejects a child whose new vertex is outside that cell and
+accepts one whose new vertex is alone in it; only the rest are labeled.
+A child accepted unlabeled is labeled where it is expanded, so a leaf of
+the walk never is.  This changes neither which representative is emitted
+nor the order of the stream.
 
 A tried child is only a tuple of rows until that refinement keeps it:
 ``add_vertex`` builds a ``Graph`` for a child that is then labeled or
@@ -155,13 +156,14 @@ def _orbit_min(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
 
 
 def _children(
-    g: Graph, auts: list[tuple[int, ...]], flt: GenerationFilter,
-    leaves: bool = False,
+    g: Graph, auts: list[tuple[int, ...]] | None, flt: GenerationFilter,
 ) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
     """Accepted one-vertex extensions of g (exactly one per class), each
-    with the generators of its automorphism group.  With ``leaves`` the
-    caller reads no generators, so a child that one refinement accepts is
-    not labeled and comes with None."""
+    with the generators of its automorphism group, or with None if one
+    refinement accepted it unlabeled.  ``auts`` are g's generators; g is
+    labeled here if they are None."""
+    if auts is None:
+        auts = canonical_labeling(g)[2]
     k = g.order
     adj = g.adj
     new_bit = 1 << k
@@ -208,7 +210,7 @@ def _children(
         if k not in last:
             continue
         child = add_vertex(g, s)
-        if leaves and len(last) == 1:
+        if len(last) == 1:
             yield child, None
             continue
         perm, _, cauts = canonical_labeling(child, base)
@@ -218,22 +220,20 @@ def _children(
 
 
 def _walk(
-    g: Graph, auts: list[tuple[int, ...]], order: int, flt: GenerationFilter,
-    seeds: bool = False,
+    g: Graph, auts: list[tuple[int, ...]] | None, order: int,
+    flt: GenerationFilter,
 ) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
     """g, then its accepted descendants up to ``order``, depth first, each
-    with the generators of its automorphism group.  A descendant of order
-    ``order`` may come with None instead, unless ``seeds`` asks for the
-    generators of every node."""
+    with the generators of its automorphism group or None, as
+    ``_children`` gives them."""
     yield g, auts
     if g.order < order:
-        leaves = g.order + 1 == order and not seeds
-        for child, cauts in _children(g, auts, flt, leaves):
-            yield from _walk(child, cauts, order, flt, seeds)
+        for child, cauts in _children(g, auts, flt):
+            yield from _walk(child, cauts, order, flt)
 
 
 def _parallel_task(
-    args: tuple[Graph, list[tuple[int, ...]], int, int, GenerationFilter]
+    args: tuple[Graph, list[tuple[int, ...]] | None, int, int, GenerationFilter]
 ) -> list[Graph]:
     seed, auts, lowest, highest, flt = args
     return [g for g, _ in _walk(seed, auts, highest, flt) if g.order >= lowest]
@@ -265,8 +265,8 @@ def enumerate_orders(
             if g.order >= lowest:
                 yield g
         return
-    # the seeds travel to the workers with their generators
-    top = list(_walk(g1, [], _PARALLEL_SPLIT_ORDER, flt, seeds=True))
+    # the seeds travel to the workers with their generators or None
+    top = list(_walk(g1, [], _PARALLEL_SPLIT_ORDER, flt))
     seeds = [(g, auts, lowest, highest, flt) for g, auts in top
              if g.order == _PARALLEL_SPLIT_ORDER]
     if not seeds:  # the filter ends the tree below the seed order

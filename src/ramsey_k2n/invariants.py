@@ -7,7 +7,9 @@ for the cycles through a vertex within an allowed vertex set,
 cycles through one vertex, Hamiltonicity, the cycle spectrum,
 circumference and girth.  It backtracks over bitmasks with reachability
 pruning, which is fast on the dense clique-union graphs this package cares
-about and exhaustive everywhere.
+about and exhaustive everywhere.  ``all_cycles_of_length`` answers a
+length that a bipartite graph cannot hold (odd, or above twice its smaller
+side) without a search, and every whole-graph cycle quantity reads it.
 """
 
 from __future__ import annotations
@@ -204,10 +206,16 @@ def all_cycles_of_length(
 
     A cycle starts at its lowest vertex and runs toward the smaller of that
     vertex's two cycle neighbors, and cycles come in lexicographic order.
-    A graph has no C_m when m exceeds its order.
+    A graph has no C_m when m exceeds its order.  A cycle of a bipartite
+    graph alternates sides, so it is even and at most twice the smaller
+    side long; other lengths are answered without a search.
     """
     if m < 3:
         raise GraphError(f"cycle length {m} below 3")
+    sides = bipartition(g)
+    if sides is not None and (
+            m % 2 == 1 or m > 2 * min(side.bit_count() for side in sides)):
+        return [], False
     out: list[CycleWitness] = []
     full = g.vertices_mask()
     for s in range(g.order - m + 1):
@@ -228,17 +236,10 @@ def circumference(g: Graph) -> int:
     """Longest cycle length, 0 for forests.
 
     A vertex of degree below 2 lies on no cycle, so the downward scan
-    starts at the number of vertices of degree at least 2.  A cycle of a
-    bipartite graph is even and alternates sides, so there the scan starts
-    no higher than twice the smaller side and visits even lengths only.
+    starts at the number of vertices of degree at least 2.
     """
     top = sum(row.bit_count() >= 2 for row in g.adj)
-    lengths = range(top, 2, -1)
-    sides = bipartition(g)
-    if sides is not None:
-        top = min(top, 2 * min(side.bit_count() for side in sides))
-        lengths = range(top - top % 2, 2, -2)
-    return next((ln for ln in lengths if has_cycle_of_length(g, ln)), 0)
+    return next((ln for ln in range(top, 2, -1) if has_cycle_of_length(g, ln)), 0)
 
 
 def girth(g: Graph) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .constructions import (
     ParameterError,
@@ -209,10 +210,9 @@ def verify_badness(n: int, m: int) -> VerificationReport:
 def _check_observations(g: Graph, cycle: tuple[int, ...]) -> tuple[int, str | None]:
     """Check the three longest-cycle adjacency restrictions on one cycle.
 
-    Returns (pairs examined, violation description or None).  Index pairs
-    where the implied longer cycle would degenerate (the two target
-    vertices coincide) are skipped: obs 3's +1/+2 form needs i != j+1 and
-    its -1/-2 mirror needs i != j-1, all mod cycle length.
+    Returns (pairs examined, violation description or None).  A pattern
+    whose two target vertices coincide implies no longer cycle and is
+    skipped.
     """
     l = len(cycle)
     on = 0
@@ -230,28 +230,19 @@ def _check_observations(g: Graph, cycle: tuple[int, ...]) -> tuple[int, str | No
                 return pairs, (f"obs1: vertex {x} adjacent to consecutive "
                                f"cycle vertices {cycle[i]},{cycle[(i + 1) % l]}")
     for ai, x in enumerate(xset):
-        idx = nbr_idx[x]
         for y in xset[ai + 1:]:
             pairs += 1
             for x_, y_ in ((x, y), (y, x)):
                 xi, yrow = nbr_idx[x_], g.adj[y_]
-                for i in xi:
-                    for j in xi:
-                        if i == j:
-                            continue
-                        for d1, d2 in ((1, 1), (-1, -1), (1, 2), (-1, -2)):
-                            if d2 == 2 and (i - j) % l == 1:
-                                continue
-                            if d2 == -2 and (j - i) % l == 1:
-                                continue
-                            a = cycle[(i + d1) % l]
-                            b = cycle[(j + d2) % l]
-                            if yrow >> a & 1 and yrow >> b & 1:
-                                obs = "obs2" if abs(d2) == 1 else "obs3"
-                                return pairs, (
-                                    f"{obs}: x={x_} adjacent to cycle "
-                                    f"positions {i},{j}; y={y_} adjacent to "
-                                    f"offsets {d1:+},{d2:+} of them")
+                for i, j in permutations(xi, 2):
+                    for d1, d2 in ((1, 1), (-1, -1), (1, 2), (-1, -2)):
+                        a, b = (i + d1) % l, (j + d2) % l
+                        if a != b and yrow >> cycle[a] & 1 and yrow >> cycle[b] & 1:
+                            obs = "obs2" if abs(d2) == 1 else "obs3"
+                            return pairs, (
+                                f"{obs}: x={x_} adjacent to cycle "
+                                f"positions {i},{j}; y={y_} adjacent to "
+                                f"offsets {d1:+},{d2:+} of them")
     return pairs, None
 
 

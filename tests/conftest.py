@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 from typing import Iterable
 
 import networkx as nx
 import pytest
 
 from ramsey_k2n.graphs import Graph, add_edge, bits, empty_graph
+from ramsey_k2n.invariants import cycles_through
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -59,6 +61,25 @@ def from_nx(h: nx.Graph) -> Graph:
 PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(i, i + 5) for i in range(5)]
                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def brute_force_k2n_present(g: Graph, n: int) -> bool:
+    """Literal K_{2,n} embedding search: two centers plus n common leaves."""
+    for u, v in combinations(range(g.order), 2):
+        leaves = [w for w in range(g.order)
+                  if w not in (u, v)
+                  and g.adj[u] >> w & 1 and g.adj[v] >> w & 1]
+        if len(leaves) >= n:
+            return True
+    return False
+
+
+def searched_for_cycle(g: Graph, m: int) -> bool:
+    """Whether g has a C_m, by ``cycles_through`` from every vertex s over
+    the vertices above s: the exact search without the bipartite rule."""
+    full = (1 << g.order) - 1
+    return any(cycles_through(g.adj, s, full & ~((2 << s) - 1), m, 1)
+               for s in range(g.order))
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

@@ -11,7 +11,6 @@ EJC Dynamic Survey DS1).  Every expected count is confirmed by the networkx
 oracle in test_verifier.py.
 """
 
-import itertools
 import json
 import os
 import subprocess
@@ -28,6 +27,8 @@ from ramsey_k2n.enumeration import (
 from ramsey_k2n.graphs import complement, decode_graph6
 from ramsey_k2n.invariants import connectivity, has_cycle_of_length, k2n_free
 from ramsey_k2n.verifier import verify_cited_lemmas, verify_lemma_3_1
+
+from conftest import brute_force_k2n_present
 
 CLI = [sys.executable, "-m", "ramsey_k2n"]
 # the CLI runs the package these tests import, installed or not
@@ -183,16 +184,6 @@ def test_criterion_10_enumeration_counts():
         got.append(sum(1 for _ in enumerate_orders(order, order)))
     ok = got == expected
     report(10, ok, f"class counts orders 1-9: {got} == Burnside oracle")
-
-
-def brute_force_k2n_present(g, n: int) -> bool:
-    for u, v in itertools.combinations(range(g.order), 2):
-        common = sum(1 for w in range(g.order)
-                     if w not in (u, v)
-                     and g.adj[u] >> w & 1 and g.adj[v] >> w & 1)
-        if common >= n:
-            return True
-    return False
 
 
 def test_criterion_11_freeness_oracle_equivalence():

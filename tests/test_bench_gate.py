@@ -1,0 +1,32 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).parents[1] / "tools" / "bench_gate.py"
+_spec = importlib.util.spec_from_file_location("bench_gate", _path)
+bench_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_gate)
+
+
+def test_spread_gives_quartiles_and_iqr_share():
+    # statistics.quantiles' default (exclusive) method on 5 runs puts q1
+    # halfway between the first two and q3 halfway between the last two
+    assert bench_gate.spread([5.0, 4.0, 6.0, 4.5, 5.5]) == {
+        "median_wall_s": 5.0, "q1_wall_s": 4.25, "q3_wall_s": 5.75,
+        "iqr_share": 0.3}
+
+
+@pytest.mark.parametrize("change, verdict", [
+    # parent median 5.00 s, IQR 4.85-5.15 s
+    ([4.0, 4.1, 4.2, 4.3, 4.4], "change 4.20 s (IQR 7%)"),  # 0.8 s apart
+    ([4.7, 4.8, 4.9, 5.0, 5.1], "change 4.90 s (IQR 6%) unresolved"),
+    # 0.4 s apart: outside the parent's IQR, inside the change's own
+    ([3.0, 3.5, 4.6, 5.0, 6.0], "change 4.60 s (IQR 49%) unresolved"),
+])
+def test_summary_marks_differences_inside_either_iqr(change, verdict):
+    row = {"same_output": True,
+           "parent": bench_gate.spread([4.8, 4.9, 5.0, 5.1, 5.2]),
+           "change": bench_gate.spread(change)}
+    assert bench_gate.summary("thm1.5 m=8", row, ["parent", "change"]) == (
+        f"thm1.5 m=8: parent 5.00 s (IQR 6%), {verdict}; same output: True")

@@ -261,7 +261,9 @@ def test_orbit_acceptance_is_sound():
         for g in enumerate_orders(order - 1, order - 1, flt):
             _, form, auts = canonical_labeling(g)
             for child, cauts in _children(g, auts, flt):
-                perm, _, _ = canonical_labeling(child)
+                perm, _, own = canonical_labeling(child)
+                if cauts is None:  # accepted by one refinement, unlabeled
+                    cauts = own
                 assert g.order in orbit_closure((perm[-1],), cauts), child
                 parent = induced_subgraph(child, list(perm[:-1]))
                 assert canonical_form(parent) == form, child
@@ -353,7 +355,7 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
                 _, _, auts = canonical_labeling(g)
                 tried.clear()
                 accepted = {child.adj: cauts for child, cauts
-                            in _children(g, auts, flt, leaves=True)}
+                            in _children(g, auts, flt)}
                 for adj, base in tried:
                     perm, _, cauts = canonical_labeling(Graph(k + 1, adj))
                     rule = k in orbit_closure((perm[-1],), cauts)
@@ -363,7 +365,7 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
                         assert not rule
                         settled["outside"] += 1
                     elif last == [k]:
-                        assert perm[-1] == k
+                        assert perm[-1] == k and accepted[adj] is None
                         settled["alone"] += 1
                     else:
                         settled["shared"] += 1

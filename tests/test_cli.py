@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import signal
 import time
 from pathlib import Path
 from unittest import mock
@@ -322,12 +323,39 @@ def test_check_reads_stdin(capsys, monkeypatch):
 
 
 def test_check_circumference_of_unbalanced_complete_bipartite(capsys):
-    # the scan starts at twice the smaller side, not at 13
+    # lengths 13, 12 and 11 exceed twice the smaller side: no search
     k58 = encode_graph6(complete_multipartite([5, 8]))
     start = time.monotonic()
     code, out, _ = run(capsys, "check", k58, "--circumference")
     assert code == 0 and out == "order: 13\nedges: 40\ncircumference: 10\n"
     assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("sides", [(7, 10), (32, 32)])
+def test_check_cycles_of_complete_bipartite_within_a_second(capsys, sides):
+    # every odd length and every length above twice the smaller side is
+    # answered by the bipartite rule; searched, K_{6,9}'s spectrum alone
+    # takes half a minute.  The alarm turns a runaway search into a failure.
+    def expire(signum, frame):
+        raise TimeoutError(f"check of K_{sides} still running")
+
+    g6 = encode_graph6(complete_multipartite(list(sides)))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = time.monotonic()
+        code, out, _ = run(capsys, "check", g6, "--spectrum", "--girth",
+                           "--circumference", "--cycle", "15", "--output", "json")
+        elapsed = time.monotonic() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    longest = 2 * min(sides)
+    assert code == 0 and json.loads(out) == {
+        "order": sum(sides), "edges": sides[0] * sides[1],
+        "spectrum": list(range(4, longest + 1, 2)), "girth": 4,
+        "circumference": longest, "cycle": {"found": False, "length": 15}}
+    assert elapsed < 1
 
 
 def _golden_ids(cases):

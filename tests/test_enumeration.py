@@ -123,8 +123,12 @@ def test_children_of_a_highly_symmetric_parent():
 
 def test_only_labeled_or_emitted_children_are_built(monkeypatch):
     # a tried child stays a tuple of rows: _children builds a Graph only for
-    # a child it then labels or yields unlabeled
+    # a child it then labels from its refinement (given a base) or yields
+    # unlabeled.  A child yielded unlabeled is labeled once, without a
+    # base, where it is expanded; the walk labels every node at most once,
+    # so the totals are the traced labeling counts of these trees.
     calls = {"add_vertex": 0, "labeling": 0, "unlabeled": 0}
+    labeled = []
     add, label, children = (enumeration.add_vertex,
                             enumeration.canonical_labeling, enumeration._children)
 
@@ -133,7 +137,8 @@ def test_only_labeled_or_emitted_children_are_built(monkeypatch):
         return add(g, s)
 
     def counted_label(g, base=None):
-        calls["labeling"] += 1
+        calls["labeling"] += base is not None
+        labeled.append(g.adj)
         return label(g, base)
 
     def counted_children(*args):
@@ -144,12 +149,15 @@ def test_only_labeled_or_emitted_children_are_built(monkeypatch):
     monkeypatch.setattr(enumeration, "add_vertex", counted_add)
     monkeypatch.setattr(enumeration, "canonical_labeling", counted_label)
     monkeypatch.setattr(enumeration, "_children", counted_children)
-    for flt, order in ((HamiltonianHypothesisFilter(7), 8), (K2nFreeFilter(2), 9)):
+    for flt, order, total in ((HamiltonianHypothesisFilter(7), 8, 428),
+                              (K2nFreeFilter(2), 9, 759)):
         calls.update(dict.fromkeys(calls, 0))
+        labeled.clear()
         for _ in enumerate_orders(1, order, flt):
             pass
         assert calls["labeling"] and calls["unlabeled"]
         assert calls["add_vertex"] == calls["labeling"] + calls["unlabeled"]
+        assert len(labeled) == len(set(labeled)) == total
 
 
 def test_c4_free_counts():

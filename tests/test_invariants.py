@@ -38,11 +38,13 @@ from ramsey_k2n.invariants import (
 )
 
 from conftest import (
+    brute_force_k2n_present,
     complete_multipartite,
     from_nx,
     path_graph,
     random_graph,
     relabel,
+    searched_for_cycle,
     to_nx,
 )
 
@@ -87,9 +89,18 @@ def nx_cycle_lengths(g: Graph) -> set[int]:
 
 
 def test_cycle_spectrum_matches_networkx(rng):
+    # random graphs, then random bipartite graphs of order <= 9, whose odd
+    # lengths and lengths above twice the smaller side are answered by the
+    # bipartite rule without a search
+    graphs = [random_graph(rng.randint(3, 8), rng.random(), rng)
+              for _ in range(60)]
     for _ in range(60):
-        g = random_graph(rng.randint(3, 8), rng.random(), rng)
-        assert cycle_spectrum(g) == nx_cycle_lengths(g)
+        a = rng.randint(1, 8)
+        graphs.append(random_bipartite(a, rng.randint(1, 9 - a), rng.random(), rng))
+    for g in graphs:
+        lengths = nx_cycle_lengths(g)
+        assert cycle_spectrum(g) == lengths, g
+        assert girth(g) == (min(lengths) if lengths else math.inf), g
 
 
 def test_girth_and_circumference():
@@ -109,9 +120,10 @@ def test_girth_and_circumference():
 
 
 def scan_down_circumference(g: Graph) -> int:
-    """Reference: every length from the count of degree->=2 vertices down."""
+    """Reference: every length from the count of degree->=2 vertices down,
+    searched without the bipartite rule."""
     top = sum(row.bit_count() >= 2 for row in g.adj)
-    return next((ln for ln in range(top, 2, -1) if has_cycle_of_length(g, ln)), 0)
+    return next((ln for ln in range(top, 2, -1) if searched_for_cycle(g, ln)), 0)
 
 
 def random_bipartite(a: int, b: int, p: float, rng) -> Graph:
@@ -244,17 +256,6 @@ def test_hamiltonicity_and_pancyclicity():
 
 
 # ------------------------------------------------- K_{2,n} and neighborhoods
-
-def brute_force_k2n_present(g: Graph, n: int) -> bool:
-    """Literal K_{2,n} embedding search: two centers plus n common leaves."""
-    for u, v in itertools.combinations(range(g.order), 2):
-        leaves = [w for w in range(g.order)
-                  if w not in (u, v)
-                  and g.adj[u] >> w & 1 and g.adj[v] >> w & 1]
-        if len(leaves) >= n:
-            return True
-    return False
-
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_k2n_free_matches_embedding_oracle_exhaustive(n):

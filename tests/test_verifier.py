@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import networkx as nx
 import pytest
@@ -16,6 +17,8 @@ from ramsey_k2n.graphs import (
     union_neighborhood_excl,
 )
 from ramsey_k2n.invariants import (
+    all_cycles_of_length,
+    circumference,
     connectivity,
     find_k2n,
     has_cycle_of_length,
@@ -25,6 +28,7 @@ from ramsey_k2n.invariants import (
 from ramsey_k2n.verifier import (
     HamiltonianHypothesisFilter,
     RamseyFilter,
+    _check_observations,
     compute_ramsey,
     verify_badness,
     verify_cited_lemmas,
@@ -34,7 +38,7 @@ from ramsey_k2n.verifier import (
     verify_upper_bound,
 )
 
-from conftest import to_nx
+from conftest import from_edges, to_nx
 
 
 def test_upper_bound_pair_small():
@@ -88,6 +92,79 @@ def test_lemma_3_1_small():
     r7 = verify_lemma_3_1(7)
     assert r7.outcome == "verified"
     assert r7.hypothesis_count > r.hypothesis_count
+
+
+SHIFT_PATTERNS = ((1, 1), (-1, -1), (1, 2), (-1, -2))
+
+
+def lemma_3_1_violated(g, cycle) -> bool:
+    """Literal search for a vertex x off the cycle adjacent to two
+    consecutive cycle vertices, or an ordered pair x, y off it, two cycle
+    positions i != j adjacent to x and a shift pattern taking them to two
+    distinct cycle vertices adjacent to y."""
+    l = len(cycle)
+    off = [v for v in range(g.order) if v not in cycle]
+
+    def adjacent(u, v):
+        return g.adj[u] >> v & 1
+
+    if any(adjacent(x, cycle[i]) and adjacent(x, cycle[(i + 1) % l])
+           for x in off for i in range(l)):
+        return True
+    for x, y in itertools.permutations(off, 2):
+        for i, j in itertools.permutations(range(l), 2):
+            for d1, d2 in SHIFT_PATTERNS:
+                a, b = cycle[(i + d1) % l], cycle[(j + d2) % l]
+                if (a != b and adjacent(x, cycle[i]) and adjacent(x, cycle[j])
+                        and adjacent(y, a) and adjacent(y, b)):
+                    return True
+    return False
+
+
+def test_lemma_3_1_violations_are_exactly_the_literal_ones():
+    # every cycle of length <= order-2 of every class of order 4..7
+    # (25,743 cycles, 23,600 of them violating): a violation is reported
+    # iff the literal search finds one, and each implies a longer cycle
+    cycles = 0
+    first = set()
+    for g in enumerate_orders(4, 7):
+        for m in range(3, g.order - 1):
+            for wit in all_cycles_of_length(g, m, math.inf)[0]:
+                cycles += 1
+                _, violation = _check_observations(g, wit.vertices)
+                assert (violation is not None) \
+                    == lemma_3_1_violated(g, wit.vertices), (g, wit)
+                if violation is not None:
+                    assert circumference(g) > m, (g, wit)
+                    first.add(violation.split(":")[0])
+    assert cycles == 25_743
+    # obs3 is never the first violation here: the hand-built cases cover it
+    assert first == {"obs1", "obs2"}
+
+
+@pytest.mark.parametrize("cycle_order, x_edges, y_edges, detail", [
+    (4, (0, 1), (2,), "obs1: vertex 4 adjacent to consecutive cycle vertices 0,1"),
+    (6, (0, 2), (1, 3), "obs2: x=6 adjacent to cycle positions 0,2; "
+                        "y=7 adjacent to offsets +1,+1 of them"),
+    (6, (0, 2), (5, 1), "obs2: x=6 adjacent to cycle positions 0,2; "
+                        "y=7 adjacent to offsets -1,-1 of them"),
+    (6, (0, 2), (1, 4), "obs3: x=6 adjacent to cycle positions 0,2; "
+                        "y=7 adjacent to offsets +1,+2 of them"),
+    (7, (0, 3), (1, 6), "obs3: x=7 adjacent to cycle positions 0,3; "
+                        "y=8 adjacent to offsets -1,-2 of them"),
+])
+def test_lemma_3_1_first_violation(cycle_order, x_edges, y_edges, detail):
+    # a cycle 0..cycle_order-1 and two vertices x, y off it, each adjacent
+    # to the given cycle vertices: the named observation and shift pattern
+    # is the first violation found
+    x, y = cycle_order, cycle_order + 1
+    g = from_edges(cycle_order + 2,
+                   [(v, (v + 1) % cycle_order) for v in range(cycle_order)]
+                   + [(x, v) for v in x_edges] + [(y, v) for v in y_edges])
+    cycle = tuple(range(cycle_order))
+    pairs = 0 if detail.startswith("obs1") else 1  # obs1 is checked first
+    assert _check_observations(g, cycle) == (pairs, detail)
+    assert lemma_3_1_violated(g, cycle)
 
 
 def test_lemma_3_1_guard():

@@ -13,9 +13,13 @@ drift in machine speed falls on all of them alike.
 The JSON written to ``--out`` holds, per gate run and tree, every run's
 wall time, exit code, counts (outcome, hypothesis count and ``extra``),
 the sha256 of its output without ``elapsed`` and the load averages when it
-started, then the median wall time.  ``same_output`` says whether every
-run of every tree printed the same bytes; the machine record gives the CPU
-count and the Python version.  Only the standard library is used.
+started, then the median wall time, the quartiles of the wall times and
+their interquartile range as a share of the median.  ``same_output`` says
+whether every run of every tree printed the same bytes; the machine record
+gives the CPU count and the Python version.  The printed summary compares
+each tree with the first and marks a median difference smaller than
+either tree's interquartile range as ``unresolved``.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -63,6 +67,32 @@ def run_once(src: str, argv: tuple[str, ...]) -> dict:
             "loadavg": [round(x, 2) for x in load]}
 
 
+def spread(walls: list[float]) -> dict:
+    """The median of one tree's wall times, their quartiles as
+    ``statistics.quantiles(n=4)`` gives them, and the interquartile range
+    as a share of the median."""
+    q1, _, q3 = statistics.quantiles(walls, n=4)
+    median = statistics.median(walls)
+    return {"median_wall_s": round(median, 4), "q1_wall_s": round(q1, 4),
+            "q3_wall_s": round(q3, 4), "iqr_share": round((q3 - q1) / median, 4)}
+
+
+def summary(name: str, row: dict, labels: list[str]) -> str:
+    """One gate run's line: each tree's median and interquartile share,
+    with ``unresolved`` after a tree whose median differs from the first
+    tree's by less than either tree's interquartile range."""
+    base = row[labels[0]]
+    parts = []
+    for label in labels:
+        tree = row[label]
+        gap = abs(tree["median_wall_s"] - base["median_wall_s"])
+        noise = max(t["q3_wall_s"] - t["q1_wall_s"] for t in (base, tree))
+        parts.append(f"{label} {tree['median_wall_s']:.2f} s"
+                     f" (IQR {tree['iqr_share']:.0%})"
+                     + (" unresolved" if label != labels[0] and gap < noise else ""))
+    return f"{name}: {', '.join(parts)}; same output: {row['same_output']}"
+
+
 def bench(trees: dict[str, str], runs: int) -> dict:
     labels = list(trees)
     results = {name: {label: [] for label in labels} for name in GATE_RUNS}
@@ -81,8 +111,7 @@ def bench(trees: dict[str, str], runs: int) -> dict:
         table[name] = {
             "argv": list(GATE_RUNS[name]),
             "same_output": len(digests) == 1,
-            **{label: {"median_wall_s": round(statistics.median(
-                           run["wall_s"] for run in tree_runs), 4),
+            **{label: {**spread([run["wall_s"] for run in tree_runs]),
                        "runs": tree_runs}
                for label, tree_runs in per_tree.items()},
         }
@@ -114,9 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for name, row in record["gate_runs"].items():
-        medians = ", ".join(f"{label} {row[label]['median_wall_s']:.2f} s"
-                            for label in trees)
-        print(f"{name}: {medians}; same output: {row['same_output']}")
+        print(summary(name, row, list(trees)))
     return 0 if all(row["same_output"] for row in record["gate_runs"].values()) else 1
 
 
