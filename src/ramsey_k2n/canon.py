@@ -15,20 +15,33 @@ from typing import Iterable
 from .graphs import Graph
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(adj: tuple[int, ...], cells: list[list[int]],
+            splitters: list[int]) -> list[list[int]]:
     """Stable equitable refinement of an ordered partition.
 
-    A vertex's key packs its neighbour count in each cell, first cell
-    most significant, into fixed 7-bit fields: a count is at most 63, so
-    keys sort as the tuples of counts would.
+    Each round splits every cell by its vertices' neighbour counts in the
+    splitters, masks in partition order, and sorts the fragments by those
+    counts, the first splitter most significant; a cell that does not
+    split keeps its order.  A key packs the counts into fixed 7-bit
+    fields: a count is at most 63, so keys sort as the tuples of counts
+    would.  The caller names the splitters of the first round: the cells
+    of ``cells`` that may split its cells.  The unit partition's splitter
+    is the whole vertex mask, so its first key is the degree; an equitable
+    partition with v individualized has the one splitter ``1 << v``.
+
+    Every later round's splitters are the fragments the last round split
+    off, each split cell's last fragment left out (McKay and Piperno's
+    splitter rule, with the last fragment in place of the largest).  This
+    refines exactly as keying every vertex by its counts in every cell
+    would.  Within one cell, every vertex has the same count in each cell
+    that did not split, and the same total over the fragments of each cell
+    that did, so its count in a last fragment follows from its counts in
+    the fragments before it.  Two such full tuples therefore first differ
+    at a position that is kept, and the shorter keys group and order the
+    vertices of a cell as the full ones do.
     """
-    while True:
-        masks = [0] * len(cells)
-        for i, cell in enumerate(cells):
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks[i] = m
+    while splitters:
+        split: list[int] = []
         new_cells: list[list[int]] = []
         for cell in cells:
             if len(cell) == 1:
@@ -38,18 +51,23 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             for v in cell:
                 row = adj[v]
                 key = 0
-                for m in masks:
+                for m in splitters:
                     key = key << 7 | (row & m).bit_count()
                 keyed.setdefault(key, []).append(v)
             if len(keyed) == 1:  # a cell that does not split needs no sort
                 new_cells.append(cell)
-            else:
-                for key in sorted(keyed):
-                    new_cells.append(keyed[key])
-        # cells only ever split, so no new cell means no cell split
-        if len(new_cells) == len(cells):
-            return new_cells
+                continue
+            keys = sorted(keyed)
+            for key in keys:
+                new_cells.append(keyed[key])
+            for key in keys[:-1]:
+                m = 0
+                for v in keyed[key]:
+                    m |= 1 << v
+                split.append(m)
         cells = new_cells
+        splitters = split
+    return cells
 
 
 def _pack(adj: tuple[int, ...], perm: tuple[int, ...], n: int) -> bytes:
@@ -93,18 +111,21 @@ def canonical_labeling(
     searched one.
 
     The search starts from ``base``, the refined unit partition
-    ``_refine(g.adj, [list(range(g.order))])``, which a caller that has
-    it already may pass.  Individualization and refinement only split its
-    cells in place, so ``perm[-1]`` lies in its last cell, a union of
-    Aut(g)-orbits.  Refinement first splits the unit partition into degree
-    cells, ascending, so ``perm[-1]`` has maximum degree in g.
+    ``_refine(g.adj, [list(range(g.order))], [g.vertices_mask()])``, which
+    a caller that has it already passes: ``enumeration._children`` hands
+    each child it refines but does not label on with its ``base``, and
+    the child is labeled from it where it is expanded, so no graph's unit
+    partition is refined twice.  Individualization and refinement only
+    split its cells in place, so ``perm[-1]`` lies in its last cell, a
+    union of Aut(g)-orbits.  Refinement first splits the unit partition
+    into degree cells, ascending, so ``perm[-1]`` has maximum degree in g.
     ``enumeration._children`` relies on both to settle extensions before
     labeling them.
     """
     n = g.order
     adj = g.adj
     if base is None:
-        base = _refine(adj, [list(range(n))])
+        base = _refine(adj, [list(range(n))], [g.vertices_mask()])
 
     best_form: bytes | None = None
     best_perm: tuple[int, ...] | None = None
@@ -146,7 +167,9 @@ def canonical_labeling(
                     continue
             tried.append(v)
             rest = [w for w in cell if w != v]
-            rec(_refine(adj, cells[:idx] + [[v], rest] + cells[idx + 1:]))
+            # cells is equitable, so only v can split a cell
+            rec(_refine(adj, cells[:idx] + [[v], rest] + cells[idx + 1:],
+                        [1 << v]))
 
     rec(base)
     assert best_perm is not None

@@ -28,9 +28,10 @@ pruning, the filter and labeling.  It also lies in the last cell of the
 child's refined unit partition, a union of Aut(child)-orbits, so one
 refinement rejects a child whose new vertex is outside that cell and
 accepts one whose new vertex is alone in it; only the rest are labeled.
-A child accepted unlabeled is labeled where it is expanded, so a leaf of
-the walk never is.  This changes neither which representative is emitted
-nor the order of the stream.
+A child accepted unlabeled carries that refinement and is labeled from it
+where it is expanded, so a leaf of the walk never is and no graph's unit
+partition is refined twice.  This changes neither which representative is
+emitted nor the order of the stream.
 
 A tried child is only a tuple of rows until that refinement keeps it:
 ``add_vertex`` builds a ``Graph`` for a child that is then labeled or
@@ -41,7 +42,6 @@ leaves generation.
 from __future__ import annotations
 
 import math
-from multiprocessing import get_context
 from typing import Iterable, Iterator
 
 from .canon import _refine, canonical_labeling, orbit_closure
@@ -156,14 +156,16 @@ def _orbit_min(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
 
 
 def _children(
-    g: Graph, auts: list[tuple[int, ...]] | None, flt: GenerationFilter,
-) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
+    g: Graph, auts: list[tuple[int, ...]] | None, base: list[list[int]],
+    flt: GenerationFilter,
+) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None, list[list[int]]]]:
     """Accepted one-vertex extensions of g (exactly one per class), each
     with the generators of its automorphism group, or with None if one
-    refinement accepted it unlabeled.  ``auts`` are g's generators; g is
-    labeled here if they are None."""
+    refinement accepted it unlabeled, and with its refined unit partition.
+    ``auts`` and ``base`` are g's; g is labeled here from ``base`` if
+    ``auts`` is None."""
     if auts is None:
-        auts = canonical_labeling(g)[2]
+        auts = canonical_labeling(g, base)[2]
     k = g.order
     adj = g.adj
     new_bit = 1 << k
@@ -205,38 +207,40 @@ def _children(
         # canonically-last vertex under the whole of Aut(child).  That
         # vertex lies in the last refined cell, a union of orbits, so k
         # outside the cell fails the rule and k alone in it passes.
-        base = _refine(rows, [list(range(k + 1))])
+        base = _refine(rows, [list(range(k + 1))], [(new_bit << 1) - 1])
         last = base[-1]
         if k not in last:
             continue
         child = add_vertex(g, s)
         if len(last) == 1:
-            yield child, None
+            yield child, None, base
             continue
         perm, _, cauts = canonical_labeling(child, base)
         if k not in orbit_closure((perm[-1],), cauts):
             continue
-        yield child, cauts
+        yield child, cauts, base
 
 
 def _walk(
-    g: Graph, auts: list[tuple[int, ...]] | None, order: int,
-    flt: GenerationFilter,
-) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
+    g: Graph, auts: list[tuple[int, ...]] | None, base: list[list[int]],
+    order: int, flt: GenerationFilter,
+) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None, list[list[int]]]]:
     """g, then its accepted descendants up to ``order``, depth first, each
-    with the generators of its automorphism group or None, as
-    ``_children`` gives them."""
-    yield g, auts
+    with the generators of its automorphism group or None and its refined
+    unit partition, as ``_children`` gives them."""
+    yield g, auts, base
     if g.order < order:
-        for child, cauts in _children(g, auts, flt):
-            yield from _walk(child, cauts, order, flt)
+        for child, cauts, cbase in _children(g, auts, base, flt):
+            yield from _walk(child, cauts, cbase, order, flt)
 
 
 def _parallel_task(
-    args: tuple[Graph, list[tuple[int, ...]] | None, int, int, GenerationFilter]
+    args: tuple[Graph, list[tuple[int, ...]] | None, list[list[int]],
+                int, int, GenerationFilter]
 ) -> list[Graph]:
-    seed, auts, lowest, highest, flt = args
-    return [g for g, _ in _walk(seed, auts, highest, flt) if g.order >= lowest]
+    seed, auts, base, lowest, highest, flt = args
+    return [g for g, _, _ in _walk(seed, auts, base, highest, flt)
+            if g.order >= lowest]
 
 
 def enumerate_orders(
@@ -259,22 +263,25 @@ def enumerate_orders(
         raise ValueError("workers must be >= 1")
     if highest < lowest:
         return
-    g1 = empty_graph(1)  # its automorphism group is trivial: no generators
+    # K_1: its automorphism group is trivial, so it has no generators
+    root = (empty_graph(1), [], [[0]])
     if workers == 1 or highest <= _PARALLEL_SPLIT_ORDER + 1:
-        for g, _ in _walk(g1, [], highest, flt):
+        for g, _, _ in _walk(*root, highest, flt):
             if g.order >= lowest:
                 yield g
         return
-    # the seeds travel to the workers with their generators or None
-    top = list(_walk(g1, [], _PARALLEL_SPLIT_ORDER, flt))
-    seeds = [(g, auts, lowest, highest, flt) for g, auts in top
+    # the seeds travel to the workers with their generators or None and
+    # their refined unit partitions
+    top = list(_walk(*root, _PARALLEL_SPLIT_ORDER, flt))
+    seeds = [(g, auts, base, lowest, highest, flt) for g, auts, base in top
              if g.order == _PARALLEL_SPLIT_ORDER]
     if not seeds:  # the filter ends the tree below the seed order
-        yield from (g for g, _ in top if g.order >= lowest)
+        yield from (g for g, _, _ in top if g.order >= lowest)
         return
+    from multiprocessing import get_context  # only a parallel run needs it
     with get_context("fork").Pool(min(workers, len(seeds))) as pool:
         subtrees = pool.imap(_parallel_task, seeds)
-        for g, _ in top:
+        for g, _, _ in top:
             if g.order < _PARALLEL_SPLIT_ORDER:
                 if g.order >= lowest:
                     yield g

@@ -208,11 +208,14 @@ def all_cycles_of_length(
     vertex's two cycle neighbors, and cycles come in lexicographic order.
     A graph has no C_m when m exceeds its order.  A cycle of a bipartite
     graph alternates sides, so it is even and at most twice the smaller
-    side long; other lengths are answered without a search.
+    side long; other lengths are answered without a search.  A bipartite
+    graph has at most ⌊n²/4⌋ edges (Mantel), so a denser one is not
+    coloured.
     """
     if m < 3:
         raise GraphError(f"cycle length {m} below 3")
-    sides = bipartition(g)
+    n = g.order
+    sides = bipartition(g) if g.edge_count() <= n * n // 4 else None
     if sides is not None and (
             m % 2 == 1 or m > 2 * min(side.bit_count() for side in sides)):
         return [], False

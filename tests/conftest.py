@@ -5,6 +5,7 @@ from typing import Iterable
 import networkx as nx
 import pytest
 
+from ramsey_k2n.canon import _refine
 from ramsey_k2n.graphs import Graph, add_edge, bits, empty_graph
 from ramsey_k2n.invariants import cycles_through
 
@@ -80,6 +81,11 @@ def searched_for_cycle(g: Graph, m: int) -> bool:
     full = (1 << g.order) - 1
     return any(cycles_through(g.adj, s, full & ~((2 << s) - 1), m, 1)
                for s in range(g.order))
+
+
+def unit_refinement(g: Graph) -> list[list[int]]:
+    """g's refined unit partition, the ``base`` a node of the walk carries."""
+    return _refine(g.adj, [list(range(g.order))], [g.vertices_mask()])
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

@@ -5,7 +5,7 @@ import time
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
-from ramsey_k2n import enumeration
+from ramsey_k2n import canon, enumeration
 from ramsey_k2n.canon import (
     _refine,
     canonical_form,
@@ -39,6 +39,7 @@ from conftest import (
     random_graph,
     relabel,
     to_nx,
+    unit_refinement,
 )
 
 
@@ -260,7 +261,7 @@ def test_orbit_acceptance_is_sound():
         accepted = 0
         for g in enumerate_orders(order - 1, order - 1, flt):
             _, form, auts = canonical_labeling(g)
-            for child, cauts in _children(g, auts, flt):
+            for child, cauts, _ in _children(g, auts, unit_refinement(g), flt):
                 perm, _, own = canonical_labeling(child)
                 if cauts is None:  # accepted by one refinement, unlabeled
                     cauts = own
@@ -285,15 +286,16 @@ def test_children_of_parents_with_pseudo_similar_vertices():
             perm, cform, _ = canonical_labeling(child)
             if canonical_form(induced_subgraph(child, list(perm[:-1]))) == form:
                 oracle.add(cform)
-        got = [canonical_form(child) for child, _ in _children(g, auts, ALL_GRAPHS)]
+        got = [canonical_form(child) for child, _, _
+               in _children(g, auts, unit_refinement(g), ALL_GRAPHS)]
         assert len(got) == len(set(got)) == len(oracle) == classes, g6
         assert set(got) == oracle, g6
 
 
 def tuple_keyed_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """The reference: ``_refine`` with each vertex keyed by the tuple of
-    its neighbour counts in the cells, which its packed integer keys must
-    order the same way."""
+    """The reference: ``_refine`` with each vertex keyed, every round, by
+    the tuple of its neighbour counts in every cell, which its packed
+    integer keys in the splitters alone must order the same way."""
     while True:
         masks = [sum(1 << v for v in cell) for cell in cells]
         new_cells = []
@@ -311,23 +313,70 @@ def tuple_keyed_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[lis
 
 
 def test_integer_keyed_refinement_equals_tuple_keyed(rng):
-    # every class of order 1..7, random graphs of order up to 20, K_64 and
+    # _refine keys each vertex only by its counts in the splitters: first
+    # those the caller names, then the fragments each round split off but
+    # the last of each cell.  The reference keys it by its counts in every
+    # cell.  They must give the same ordered partitions from the unit
+    # partition (the whole vertex mask as splitter), at every node of the
+    # individualization tree (v individualized in an equitable partition,
+    # 1 << v as splitter; at most 200 nodes a graph) and from partitions
+    # that are not equitable (every cell a splitter).  The graphs: every
+    # class of order 1..7, random graphs of order up to 30, K_64 and
     # K_{1,63}, where a count of 63 must not overflow its field, and
     # K_{1,61} + K_2: with a K_2 end individualized, the other end's key
     # (1, 0) must stay above the star centre's (0, 61)
     graphs = [from_nx(h) for h in graph_atlas_g() if h.number_of_nodes()]
-    graphs += [random_graph(rng.randint(1, 20), rng.random(), rng)
+    graphs += [random_graph(rng.randint(1, 30), rng.random(), rng)
                for _ in range(300)]
     graphs += [complete_graph(64), complete_multipartite([1, 63]),
                disjoint_union(complete_multipartite([1, 61]), complete_graph(2))]
+
+    def mask(cell):
+        return sum(1 << v for v in cell)
+
     for g in graphs:
         n = g.order
-        partitions = [[list(range(n))]]
-        for v in {0, n - 1} if n > 1 else ():  # individualized
-            partitions.append([[v], [w for w in range(n) if w != v]])
+        adj = g.adj
+        base = tuple_keyed_refine(adj, [list(range(n))])
+        assert _refine(adj, [list(range(n))], [g.vertices_mask()]) == base, \
+            encode_graph6(g)
+        todo = [base]
+        nodes = 0
+        while todo and nodes < 200:
+            cells = todo.pop(0)
+            idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+            if idx is None:
+                continue
+            for v in cells[idx][:200 - nodes]:
+                rest = [w for w in cells[idx] if w != v]
+                split = cells[:idx] + [[v], rest] + cells[idx + 1:]
+                want = tuple_keyed_refine(adj, split)
+                assert _refine(adj, split, [1 << v]) == want, \
+                    (encode_graph6(g), v)
+                todo.append(want)
+                nodes += 1
+        partitions = [[[v], [w for w in range(n) if w != v]]
+                      for v in ({0, n - 1} if n > 1 else ())]
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        order = rng.sample(sorted(set(labels)), len(set(labels)))
+        partitions.append([[v for v in range(n) if labels[v] == c]
+                           for c in order])
         for cells in partitions:
-            assert _refine(g.adj, cells) == tuple_keyed_refine(g.adj, cells), \
-                encode_graph6(g)
+            assert _refine(adj, cells, [mask(c) for c in cells]) == \
+                tuple_keyed_refine(adj, cells), encode_graph6(g)
+
+
+def test_labeling_with_reference_refinement_is_identical(rng, monkeypatch):
+    # canonical_labeling gives the same perm, form and generators when
+    # every refinement keys each vertex by its counts in every cell
+    graphs = [from_nx(h) for h in graph_atlas_g() if h.number_of_nodes()]
+    graphs += [random_graph(rng.randint(9, 14), rng.random(), rng)
+               for _ in range(300)]
+    got = [canonical_labeling(g) for g in graphs]
+    monkeypatch.setattr(canon, "_refine", lambda adj, cells, splitters:
+                        tuple_keyed_refine(adj, cells))
+    for g, labeling in zip(graphs, got):
+        assert canonical_labeling(g) == labeling, encode_graph6(g)
 
 
 def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
@@ -335,12 +384,13 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
     # here.  The last refined cell is a union of Aut(child)-orbits holding
     # perm[-1]: a new vertex outside it is off the orbit of perm[-1], and
     # one alone in it is perm[-1].  The children accepted, some of them
-    # without a labeling, must be exactly those that pass McKay's rule.
+    # without a labeling, must be exactly those that pass McKay's rule, and
+    # each carries its refinement, which an unlabeled one is labeled from.
     refine = enumeration._refine
     tried = []
 
-    def recorded(adj, cells):
-        base = refine(adj, cells)
+    def recorded(adj, cells, splitters):
+        base = refine(adj, cells, splitters)
         tried.append((adj, base))
         return base
 
@@ -354,10 +404,13 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
                 k = g.order
                 _, _, auts = canonical_labeling(g)
                 tried.clear()
-                accepted = {child.adj: cauts for child, cauts
-                            in _children(g, auts, flt)}
+                accepted = {child.adj: (cauts, cbase) for child, cauts, cbase
+                            in _children(g, auts, unit_refinement(g), flt)}
                 for adj, base in tried:
-                    perm, _, cauts = canonical_labeling(Graph(k + 1, adj))
+                    child = Graph(k + 1, adj)
+                    perm, _, cauts = canonical_labeling(child)
+                    if adj in accepted:
+                        assert accepted[adj][1] is base
                     rule = k in orbit_closure((perm[-1],), cauts)
                     assert (adj in accepted) == rule, (encode_graph6(g), adj)
                     last = base[-1]
@@ -365,10 +418,12 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
                         assert not rule
                         settled["outside"] += 1
                     elif last == [k]:
-                        assert perm[-1] == k and accepted[adj] is None
+                        assert perm[-1] == k and accepted[adj][0] is None
+                        assert canonical_labeling(child, base) == \
+                            canonical_labeling(child)
                         settled["alone"] += 1
                     else:
                         settled["shared"] += 1
                         if rule:
-                            assert accepted[adj] == cauts
+                            assert accepted[adj][0] == cauts
     assert all(settled.values()), settled

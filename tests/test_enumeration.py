@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import multiprocessing
 import pickle
 import time
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ from ramsey_k2n.graphs import (
 from ramsey_k2n.invariants import k2n_free
 from ramsey_k2n.verifier import HamiltonianHypothesisFilter, RamseyFilter
 
-from conftest import PETERSEN, complete_multipartite
+from conftest import PETERSEN, complete_multipartite, unit_refinement
 
 KNOWN_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
 
@@ -96,7 +97,7 @@ def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
         orbits.clear()
         _, _, auts = canonical_labeling(g)
         assert auts
-        list(_children(g, auts, flt))
+        list(_children(g, auts, unit_refinement(g), flt))
         degrees = [row.bit_count() for row in g.adj]
         top = max(degrees)
         top_mask = sum(1 << v for v in range(g.order) if degrees[v] == top)
@@ -116,19 +117,22 @@ def test_children_of_a_highly_symmetric_parent():
     g = empty_graph(12)
     _, _, auts = canonical_labeling(g)
     start = time.perf_counter()
-    children = list(_children(g, auts, ALL_GRAPHS))
+    children = list(_children(g, auts, unit_refinement(g), ALL_GRAPHS))
     assert len(children) == 13
     assert time.perf_counter() - start < 5
 
 
 def test_only_labeled_or_emitted_children_are_built(monkeypatch):
     # a tried child stays a tuple of rows: _children builds a Graph only for
-    # a child it then labels from its refinement (given a base) or yields
-    # unlabeled.  A child yielded unlabeled is labeled once, without a
-    # base, where it is expanded; the walk labels every node at most once,
-    # so the totals are the traced labeling counts of these trees.
-    calls = {"add_vertex": 0, "labeling": 0, "unlabeled": 0}
+    # a child it then labels from its refinement or yields unlabeled.  A
+    # child yielded unlabeled carries that refinement and is labeled from
+    # it where it is expanded, so every labeling is given the graph's
+    # refined unit partition and none refines it again.  The walk labels
+    # every node at most once, so the totals are the traced labeling
+    # counts of these trees.
+    calls = {"add_vertex": 0, "without_base": 0}
     labeled = []
+    unlabeled = set()
     add, label, children = (enumeration.add_vertex,
                             enumeration.canonical_labeling, enumeration._children)
 
@@ -137,14 +141,18 @@ def test_only_labeled_or_emitted_children_are_built(monkeypatch):
         return add(g, s)
 
     def counted_label(g, base=None):
-        calls["labeling"] += base is not None
+        if base is None:
+            calls["without_base"] += 1
+        else:
+            assert base == unit_refinement(g)
         labeled.append(g.adj)
         return label(g, base)
 
     def counted_children(*args):
-        for child, cauts in children(*args):
-            calls["unlabeled"] += cauts is None
-            yield child, cauts
+        for child, cauts, base in children(*args):
+            if cauts is None:
+                unlabeled.add(child.adj)
+            yield child, cauts, base
 
     monkeypatch.setattr(enumeration, "add_vertex", counted_add)
     monkeypatch.setattr(enumeration, "canonical_labeling", counted_label)
@@ -153,10 +161,14 @@ def test_only_labeled_or_emitted_children_are_built(monkeypatch):
                               (K2nFreeFilter(2), 9, 759)):
         calls.update(dict.fromkeys(calls, 0))
         labeled.clear()
+        unlabeled.clear()
         for _ in enumerate_orders(1, order, flt):
             pass
-        assert calls["labeling"] and calls["unlabeled"]
-        assert calls["add_vertex"] == calls["labeling"] + calls["unlabeled"]
+        assert calls["without_base"] == 0
+        # labeled in their parent: every built child not yielded unlabeled
+        in_parent = set(labeled) - unlabeled
+        assert in_parent and unlabeled & set(labeled)
+        assert calls["add_vertex"] == len(in_parent) + len(unlabeled)
         assert len(labeled) == len(set(labeled)) == total
 
 
@@ -210,7 +222,9 @@ def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
         labelings.append(g.order)
         return canonical_labeling(g, *rest)
 
-    monkeypatch.setattr(enumeration, "get_context",
+    # enumerate_orders imports get_context from multiprocessing when a run
+    # needs a pool, so the module attribute is the one to replace
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))
     monkeypatch.setattr(enumeration, "canonical_labeling", counted)
     flt = K2nFreeFilter(2)
@@ -218,7 +232,8 @@ def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
     sequential = len(labelings)
     assert [encode_graph6(g) for g in enumerate_orders(1, 7, flt, 1000)] == walk
     assert sizes == [18]  # the C_4-free classes of order 5
-    # a seed travels with its generators: it is labeled once, not again
+    # a seed travels with its generators or its refined unit partition:
+    # it is labeled once, not again
     assert len(labelings) == 2 * sequential
     labelings.clear()
     walk = [encode_graph6(g) for g in enumerate_orders(1, 7)]

@@ -10,6 +10,7 @@ from ramsey_k2n.enumeration import enumerate_orders
 from ramsey_k2n.graphs import (
     Graph,
     GraphError,
+    add_edge,
     bits,
     complement,
     complete_graph,
@@ -40,6 +41,7 @@ from ramsey_k2n.invariants import (
 from conftest import (
     brute_force_k2n_present,
     complete_multipartite,
+    from_edges,
     from_nx,
     path_graph,
     random_graph,
@@ -91,12 +93,23 @@ def nx_cycle_lengths(g: Graph) -> set[int]:
 def test_cycle_spectrum_matches_networkx(rng):
     # random graphs, then random bipartite graphs of order <= 9, whose odd
     # lengths and lengths above twice the smaller side are answered by the
-    # bipartite rule without a search
+    # bipartite rule without a search, then dense graphs on both sides of
+    # the floor(n^2/4) edges above which no graph is coloured: K_{n//2,n-n//2}
+    # with at most that many edges, the same plus one edge, and random
+    # graphs with one edge fewer, exactly that many and one more
     graphs = [random_graph(rng.randint(3, 8), rng.random(), rng)
               for _ in range(60)]
     for _ in range(60):
         a = rng.randint(1, 8)
         graphs.append(random_bipartite(a, rng.randint(1, 9 - a), rng.random(), rng))
+    for n in range(3, 10):
+        half = complete_multipartite([n // 2, n - n // 2])
+        assert half.edge_count() == n * n // 4
+        graphs += [half, add_edge(half, n - 2, n - 1)]
+        pairs = list(itertools.combinations(range(n), 2))
+        for edges in (n * n // 4 - 1, n * n // 4, n * n // 4 + 1):
+            for _ in range(3):
+                graphs.append(from_edges(n, rng.sample(pairs, edges)))
     for g in graphs:
         lengths = nx_cycle_lengths(g)
         assert cycle_spectrum(g) == lengths, g
