@@ -1,5 +1,5 @@
-"""Exact structural invariants: degrees, connectivity, bipartiteness,
-cycles, independence and K_{2,n}-freeness.
+"""Exact structural invariants: degrees, connectivity and 2-connectivity,
+bipartiteness, cycles, independence and K_{2,n}-freeness.
 
 Everything here is exact search, no heuristics.  One exact-length search
 for the cycles through a vertex within an allowed vertex set,
@@ -72,6 +72,20 @@ def _reachable(adj: Sequence[int], v: int, allowed: int) -> int:
         frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen
+
+
+def two_connected(g: Graph) -> bool:
+    """Whether g is 2-connected: it has at least 3 vertices and no cut
+    vertex, so with any one vertex v deleted, every other vertex is
+    reachable from the lowest vertex other than v."""
+    if g.order < 3:
+        return False
+    full = g.vertices_mask()
+    for v in range(g.order):
+        rest = full & ~(1 << v)
+        if _reachable(g.adj, 0 if v else 1, rest) != rest:
+            return False
+    return True
 
 
 def connectivity(g: Graph) -> int:

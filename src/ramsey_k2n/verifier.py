@@ -39,12 +39,12 @@ from .invariants import (
     CYCLE_CAP,
     all_cycles_of_length,
     circumference,
-    connectivity,
     has_cycle_of_length,
     has_cycle_through_last,
     independence_number,
     is_hamiltonian,
     min_degree,
+    two_connected,
 )
 
 UPPER_BOUND_MAX_ORDER = 16
@@ -351,7 +351,7 @@ def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
     cex: dict | None = None
     flt = HamiltonianHypothesisFilter(m)
     for g in enumerate_parallel(m + 1, flt, workers):
-        if connectivity(g) < 2:
+        if not two_connected(g):
             continue
         relaxed += 1
         if not flt.pair_bound_holds(g.adj, adjacent=True):
@@ -383,7 +383,7 @@ def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> Verification
     cex: dict | None = None
     for g in enumerate_parallel(m + 1, RamseyFilter(n, (m,)), workers):
         count += 1
-        if connectivity(complement(g)) < 2:
+        if not two_connected(complement(g)):
             cex = _pick(cex, g, "complement is C_m-free but not 2-connected")
     note = (f"stated range m >= 2n+2 = {2 * n + 2}: "
             f"{'inside' if in_range else 'outside (outcome reported, not asserted)'}")
@@ -414,7 +414,7 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
     for g in enumerate_orders(3, max_order, workers=workers):
         n_ = g.order
         delta = min_degree(g)
-        two_conn = connectivity(g) >= 2
+        two_conn = two_connected(g)
         circ = circumference(g)
         if 2 * delta >= n_:
             counts["min_degree_hamiltonian"] += 1

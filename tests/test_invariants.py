@@ -36,6 +36,7 @@ from ramsey_k2n.invariants import (
     k2n_free,
     max_common_neighborhood,
     min_degree,
+    two_connected,
 )
 
 from conftest import (
@@ -82,6 +83,27 @@ def test_connectivity_known_values():
     assert connectivity(disjoint_union(complete_graph(2), complete_graph(2))) == 0
     assert connectivity(disjoint_union(empty_graph(1), empty_graph(1))) == 0
     assert connectivity(empty_graph(1)) == 0
+
+
+def test_two_connected_matches_connectivity_and_networkx(rng):
+    # every class of order 1..7, random graphs of order 1..30, stars
+    # centred at the first and at the last vertex (the sweep must find a
+    # cut vertex at either end), disjoint unions and K_{32,32}; networkx
+    # calls K_2 biconnected, so its answer counts only from order 3
+    graphs = [from_nx(h) for h in graph_atlas_g() if h.number_of_nodes()]
+    graphs += [random_graph(rng.randint(1, 30), rng.random(), rng)
+               for _ in range(300)]
+    for n in range(2, 16):
+        graphs += [complete_multipartite([1, n - 1]),
+                   complete_multipartite([n - 1, 1])]
+    graphs += [disjoint_union(cycle_graph(4), cycle_graph(5)),
+               disjoint_union(complete_graph(4), empty_graph(1)),
+               disjoint_union(empty_graph(1), complete_graph(4)),
+               disjoint_union(empty_graph(1), empty_graph(2)),
+               complete_multipartite([32, 32])]
+    for g in graphs:
+        expected = g.order >= 3 and nx.is_biconnected(to_nx(g))
+        assert two_connected(g) == expected == (connectivity(g) >= 2), g
 
 
 # ------------------------------------------------------------------ cycles

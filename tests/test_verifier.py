@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
+from ramsey_k2n import verifier
 from ramsey_k2n.constructions import star_witness
 from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_orders
 from ramsey_k2n.graphs import (
@@ -325,6 +326,28 @@ def test_two_connected_lemma_matches_networkx_oracle():
         assert r.hypothesis_count == count
         assert r.outcome == ("counterexample" if violated
                              else "verified" if count else "verified-vacuous")
+
+
+def test_harnesses_ask_two_connected_what_exact_connectivity_answers(monkeypatch):
+    # every graph whose 2-connectivity lemma-props (order 7), thm1.5 (m=7)
+    # and lemma2.6 (2,5) ask about gets the answer connectivity >= 2 gives
+    asked = []
+    sweep = verifier.two_connected
+
+    def checked(g):
+        answer = sweep(g)
+        assert answer == (connectivity(g) >= 2), g
+        asked.append(g)
+        return answer
+
+    monkeypatch.setattr(verifier, "two_connected", checked)
+    runs = [(lambda: verify_cited_lemmas(7), 1249),
+            (lambda: verify_hamiltonian_lemma(7), 144),
+            (lambda: verify_two_connected_lemma(2, 5), 2)]
+    for run, calls in runs:
+        asked.clear()
+        assert run().outcome == "verified"
+        assert len(asked) == calls
 
 
 # ----------------------------------------------- the Ramsey value's filter
