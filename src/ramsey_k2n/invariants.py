@@ -5,11 +5,15 @@ Everything here is exact search, no heuristics.  One exact-length search
 for the cycles through a vertex within an allowed vertex set,
 ``cycles_through``, gives every cycle quantity: fixed-length cycles,
 cycles through one vertex, Hamiltonicity, the cycle spectrum,
-circumference and girth.  It backtracks over bitmasks with reachability
-pruning, which is fast on the dense clique-union graphs this package cares
-about and exhaustive everywhere.  ``all_cycles_of_length`` answers a
-length that a bipartite graph cannot hold (odd, or above twice its smaller
-side) without a search, and every whole-graph cycle quantity reads it.
+circumference and girth.  It backtracks over bitmasks from a vertex s,
+carrying the mask of s's neighbours that may still close the cycle: once
+the path's second vertex is fixed, only those above it, so no cycle is
+explored in both directions.  Reachability pruning drops every path whose
+end cannot reach enough unused vertices or a closing one, which is fast on
+the dense clique-union graphs this package cares about and exhaustive
+everywhere.  ``all_cycles_of_length`` answers a length that a bipartite
+graph cannot hold (odd, or above twice its smaller side) without a search,
+and every whole-graph cycle quantity reads it.
 """
 
 from __future__ import annotations
@@ -174,34 +178,59 @@ def cycles_through(
     ``adj`` is a graph's rows of neighbour bitmasks.  A cycle starts at s
     and runs toward the smaller of s's two cycle neighbours, and cycles
     come in lexicographic order.
+
+    A depth-first search grows the path s, p1, p2, ... through unused
+    vertices of ``others``, carrying ``close``: the neighbours of s that
+    may end the cycle.  Once p1 is fixed, ``close`` holds only those
+    above p1, so each cycle is explored in one direction only.  A path
+    is dropped unless its end reaches, through unused vertices, enough of
+    them for the length and a vertex of ``close``; the breadth-first
+    search for them stops as soon as both hold.  At m - 1 vertices the
+    cycles are closed at once by the end's unused neighbours in
+    ``close``, in ascending order.  There is no cycle of length below 3.
     """
     out: list[CycleWitness] = []
-    stack_path = [s]
+    path = [s]
 
-    def dfs(v: int, used: int) -> bool:
-        """Extend the path; True once the cap is reached."""
-        depth = len(stack_path)
-        if depth == m:
-            if adj[v] >> s & 1 and stack_path[1] < stack_path[-1]:
-                out.append(CycleWitness(tuple(stack_path)))
-                return len(out) >= cap
+    def dfs(v: int, depth: int, rem: int, close: int) -> bool:
+        """Extend the path of ``depth`` vertices ending at v through the
+        vertices of rem; True once the cap is reached."""
+        if depth == m - 1:
+            ends = adj[v] & rem & close
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                out.append(CycleWitness((*path, low.bit_length() - 1)))
+                if len(out) >= cap:
+                    return True
             return False
-        rem = others & ~used
-        reach = _reachable(adj, v, rem)
-        if reach.bit_count() < m - depth or not adj[s] & reach:
-            return False
-        nbrs = adj[v] & rem
+        # the vertices of rem reachable from v, as _reachable, inlined and
+        # grown only until they could finish the cycle
+        nbrs = reach = frontier = adj[v] & rem
+        while reach.bit_count() < m - depth or not close & reach:
+            if not frontier:
+                return False
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & rem & ~reach
+            reach |= frontier
         while nbrs:
             low = nbrs & -nbrs
             nbrs ^= low
             w = low.bit_length() - 1
-            stack_path.append(w)
-            if dfs(w, used | low):
+            path.append(w)
+            # at depth 1, w is p1: keep only the closers above it
+            if dfs(w, depth + 1, rem ^ low,
+                   close if depth > 1 else close & -(low << 1)):
                 return True
-            stack_path.pop()
+            path.pop()
         return False
 
-    dfs(s, 1 << s)
+    if m >= 3:
+        dfs(s, 1, others & ~(1 << s), adj[s])
     return out
 
 

@@ -290,39 +290,48 @@ class HamiltonianHypothesisFilter(GenerationFilter):
 
     Both conditions survive vertex deletion: C_m-freeness directly, and
     the pair-union bound with slack m+1-k at order k, since adding one
-    vertex grows any pair's neighborhood union by at most one.  A child
-    of a passing parent can gain a C_m only through its new vertex, but
-    the slack shrinks with the order, so every nonadjacent pair is
-    checked again.  The bound on adjacent pairs would prune too, but the
-    harness counts the graphs without it as well, so it and
-    2-connectivity (not hereditary) are checked only at the top.
+    vertex grows any pair's neighborhood union by at most one.
+    ``accepts`` is asked only about children of passing parents, and such
+    a child can gain a C_m only through its new vertex.  Let S be the new
+    vertex's neighbourhood.  A parent pair with an end in S gains the new
+    vertex in its union while the slack drops by one, so it still passes;
+    ``accepts`` checks again only the nonadjacent pairs with no end in S,
+    the new vertex paired with each of its non-neighbours included.  The
+    bound on adjacent pairs would prune too, but the harness counts the
+    graphs without it as well, so it and 2-connectivity (not hereditary)
+    are checked only at the top, by ``pair_bound_holds`` over all pairs.
     """
 
     def __init__(self, m: int):
         self.m = m
 
-    def pair_bound_holds(self, adj: tuple[int, ...], adjacent: bool) -> bool:
+    def pair_bound_holds(self, adj: tuple[int, ...], adjacent: bool,
+                         among: int = -1) -> bool:
         """2 * (|N(u) | N(v) - {u, v}| + m+1-k) >= m for every adjacent
-        (or every nonadjacent) pair u, v of the graph with rows ``adj``,
-        where k is its order."""
+        (or every nonadjacent) pair u, v of vertices in the mask ``among``
+        (all by default) of the graph with rows ``adj``, where k is its
+        order."""
         m = self.m
         k = len(adj)
         slack = m + 1 - k
-        full = (1 << k) - 1
-        for u in range(k):
-            later = (adj[u] if adjacent else full & ~adj[u]) >> (u + 1) << (u + 1)
+        rest = among & ((1 << k) - 1)
+        while rest:
+            bit_u = rest & -rest
+            rest ^= bit_u  # now the vertices of among above u
+            row = adj[bit_u.bit_length() - 1]
+            later = (row if adjacent else ~row) & rest
             while later:
                 bit_v = later & -later
                 later ^= bit_v
                 # |N(u) | N(v) - {u, v}|, as union_neighborhood_excl, inlined
-                union = ((adj[u] | adj[bit_v.bit_length() - 1])
-                         & ~(1 << u | bit_v)).bit_count()
+                union = ((row | adj[bit_v.bit_length() - 1])
+                         & ~(bit_u | bit_v)).bit_count()
                 if 2 * (union + slack) < m:
                     return False
         return True
 
     def accepts(self, rows: tuple[int, ...]) -> bool:
-        return (self.pair_bound_holds(rows, adjacent=False)
+        return (self.pair_bound_holds(rows, adjacent=False, among=~rows[-1])
                 and not has_cycle_through_last(rows, (self.m,)))
 
 
@@ -415,6 +424,8 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
         n_ = g.order
         delta = min_degree(g)
         two_conn = two_connected(g)
+        if not (two_conn or 2 * delta >= n_):
+            continue  # no lemma below reads this graph's circumference
         circ = circumference(g)
         if 2 * delta >= n_:
             counts["min_degree_hamiltonian"] += 1

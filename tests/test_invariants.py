@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
+from ramsey_k2n import constructions
 from ramsey_k2n.enumeration import enumerate_orders
 from ramsey_k2n.graphs import (
     Graph,
@@ -230,26 +231,50 @@ def test_cycle_through_last_matches_cycle_membership():
                 == any(x in on for on in through.values())
 
 
+def _brute_cycles_through(g, s: int, others: int, m: int) -> list[tuple]:
+    """In lexicographic order, each sequence s, v1, ..., v_{m-1} of other
+    vertices in others that closes a cycle with v1 < v_{m-1}."""
+    inside = [v for v in bits(others) if v != s]
+    return [(s, *p) for p in itertools.permutations(inside, m - 1)
+            if p[0] < p[-1] and g.has_edge(s, p[0]) and g.has_edge(p[-1], s)
+            and all(g.has_edge(a, b) for a, b in zip(p, p[1:]))]
+
+
 def test_cycles_through_lists_the_cycles_inside_others(rng):
     # every class of order <= 6 and every s, against every others mask at
-    # orders <= 5 and a sample of masks at order 6; the brute force lists,
-    # in lexicographic order, each sequence s, v1, ..., v_{m-1} of other
-    # vertices in others that closes a cycle with v1 < v_{m-1}
+    # orders <= 5 and a sample of masks at order 6
     for g in enumerate_orders(3, 6):
         k = g.order
         masks = range(1 << k) if k <= 5 else rng.sample(range(1 << k), 16)
         for s in range(k):
             for others in masks:
-                inside = [v for v in bits(others) if v != s]
                 for m in range(3, k + 1):
-                    brute = [
-                        (s, *p) for p in itertools.permutations(inside, m - 1)
-                        if p[0] < p[-1] and g.has_edge(s, p[0])
-                        and g.has_edge(p[-1], s)
-                        and all(g.has_edge(a, b) for a, b in zip(p, p[1:]))]
                     got = cycles_through(g.adj, s, others, m, math.inf)
-                    assert [c.vertices for c in got] == brute, \
+                    assert [c.vertices for c in got] \
+                        == _brute_cycles_through(g, s, others, m), \
                         (g.adj, s, others, m)
+
+
+def test_cycles_through_stops_at_the_cap(rng):
+    # the first cap cycles of the full list, on sampled classes of order 7,
+    # random graphs of order 8 and clique unions with and without an apex,
+    # which hold many cycles of each length; every s, against the whole
+    # vertex set and one sampled others mask
+    graphs = [*rng.sample(list(enumerate_orders(7, 7)), 4),
+              *(random_graph(8, p, rng) for p in (0.4, 0.6, 0.8)),
+              constructions._clique_union([3, 4]),
+              constructions._apex_over_cliques([3, 4]),
+              constructions._apex_over_cliques([2, 2, 3])]
+    for g in graphs:
+        k = g.order
+        for s in range(k):
+            for others in ((1 << k) - 1, rng.randrange(1 << k)):
+                for m in range(3, k + 1):
+                    brute = _brute_cycles_through(g, s, others, m)
+                    for cap in (1, 2, 5):
+                        got = cycles_through(g.adj, s, others, m, cap)
+                        assert [c.vertices for c in got] == brute[:cap], \
+                            (g.adj, s, others, m, cap)
 
 
 def test_fixed_length_search_is_deterministic():

@@ -23,6 +23,7 @@ from ramsey_k2n.invariants import (
     connectivity,
     find_k2n,
     has_cycle_of_length,
+    has_cycle_through_last,
     is_hamiltonian,
     k2n_free,
 )
@@ -397,6 +398,23 @@ def _brute_hamiltonian_ok(g, m: int) -> bool:
 def test_hamiltonian_filter_keeps_exactly_the_passing_extensions(m):
     _check_filter_contract(HamiltonianHypothesisFilter(m),
                            lambda h: _brute_hamiltonian_ok(h, m))
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_hamiltonian_filter_rechecks_only_pairs_outside_the_new_neighbourhood(m):
+    # accepts rechecks only the nonadjacent pairs with no end in the new
+    # vertex's neighbourhood; on every listed child of every passing parent
+    # of order <= 7 (the last level of thm1.5 at m=7 and m=8) it must agree
+    # with the full recheck of every nonadjacent pair
+    flt = HamiltonianHypothesisFilter(m)
+    for order in range(1, 8):
+        for g in enumerate_orders(order, order, flt):
+            for s in flt.candidate_masks(g):
+                rows = add_vertex(g, s).adj
+                assert flt.accepts(rows) == (
+                    flt.pair_bound_holds(rows, adjacent=False)
+                    and not has_cycle_through_last(rows, (m,))), \
+                    (encode_graph6(g), s)
 
 
 def _ramsey_by_post_filter(n: int, lengths: tuple[int, ...], max_order: int):

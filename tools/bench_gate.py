@@ -40,6 +40,7 @@ GATE_RUNS = {
     "thm1.3 n=3 m=8": ("verify", "thm1.3", "--n", "3", "--m", "8"),
     "thm1.6 n=2 m=10": ("verify", "thm1.6", "--n", "2", "--m", "10"),
     "thm1.5 m=6": ("verify", "thm1.5", "--m", "6"),
+    "thm1.5 m=7": ("verify", "thm1.5", "--m", "7"),
     "thm1.5 m=8": ("verify", "thm1.5", "--m", "8"),
     "lemma-props order 8": ("verify", "lemma-props", "--max-order", "8"),
     "lemma3.1 order 7": ("verify", "lemma3.1", "--max-order", "7"),
