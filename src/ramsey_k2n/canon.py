@@ -3,9 +3,11 @@
 Two graphs have equal canonical form iff they are isomorphic.  The search
 individualizes vertices inside the first non-singleton cell of the refined
 partition and keeps the lexicographically smallest packed adjacency matrix.
-Automorphisms discovered when two branches tie are used to prune sibling
-branches, which keeps highly symmetric graphs (cliques, unions of cliques,
-complete multipartite graphs) tractable.
+A leaf that ties with the best one gives an automorphism, and the search
+then returns straight to the node where the two leaves' paths part; the
+automorphisms found also prune sibling branches (McKay, "Practical graph
+isomorphism", Congr. Numer. 30, 1981).  This keeps highly symmetric graphs
+(cliques, unions of cliques, complete multipartite graphs) tractable.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .graphs import Graph
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]],
-            splitters: list[int]) -> list[list[int]]:
+            splitters: list[int], stay: int = -1) -> list[list[int]]:
     """Stable equitable refinement of an ordered partition.
 
     Each round splits every cell by its vertices' neighbour counts in the
@@ -39,8 +41,14 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]],
     the fragments before it.  Two such full tuples therefore first differ
     at a position that is kept, and the shorter keys group and order the
     vertices of a cell as the full ones do.
+
+    A caller that asks only whether the vertex ``stay`` ends in the last
+    cell names it, and the refinement returns as soon as a round leaves
+    ``stay`` outside the last cell: cells only split in place, so it never
+    comes back.  Only then is the partition returned not the full
+    refinement.
     """
-    while splitters:
+    while splitters and (stay < 0 or stay in cells[-1]):
         split: list[int] = []
         new_cells: list[list[int]] = []
         for cell in cells:
@@ -105,10 +113,20 @@ def canonical_labeling(
     ``perm[i]`` is the original vertex placed at canonical position i.
     ``form`` is equal across all graphs isomorphic to g and only those.
     The generators are the automorphisms that map the best leaf to each
-    later leaf with the same form, and they generate all of Aut(g): a
-    pruned branch is the image of a searched one under earlier
-    generators, so every leaf with the best form is an image of a
-    searched one.
+    later leaf with the same form.
+
+    Such an automorphism γ maps the best leaf's path of individualized
+    vertices onto the tying leaf's, node by node: each node individualizes
+    in the first non-singleton cell, and refinement commutes with γ.  So
+    below the node at depth k, where the two paths part, the child on the
+    tying leaf's path roots the γ-image of a subtree already searched, and
+    the search returns straight to depth k, leaving that child's other
+    branches (McKay's rule, "Practical graph isomorphism", 1981).  A
+    sibling in the orbit of a tried vertex under the generators fixing its
+    node is skipped likewise.  Every skipped leaf is thus the image of an
+    earlier leaf under the group found so far, so the generators generate
+    all of Aut(g), and the first leaf in search order with the least form,
+    which gives ``perm``, is never skipped.
 
     The search starts from ``base``, the refined unit partition
     ``_refine(g.adj, [list(range(g.order))], [g.vertices_mask()])``, which
@@ -130,9 +148,14 @@ def canonical_labeling(
     best_form: bytes | None = None
     best_perm: tuple[int, ...] | None = None
     auts: list[tuple[int, ...]] = []
+    path: list[int] = []  # the vertices individualized, in order
+    best_path: list[int] = []
 
-    def rec(cells: list[list[int]]) -> None:
-        nonlocal best_form, best_perm
+    def rec(cells: list[list[int]]) -> int:
+        """Search below the node of ``path``; return the depth to resume
+        at, this node's own unless a tying leaf sends the search back."""
+        nonlocal best_form, best_perm, best_path
+        depth = len(path)
         idx = -1
         for i, cell in enumerate(cells):
             if len(cell) > 1:
@@ -142,14 +165,17 @@ def canonical_labeling(
             perm = tuple(cell[0] for cell in cells)
             form = _pack(adj, perm, n)
             if best_form is None or form < best_form:
-                best_form, best_perm = form, perm
+                best_form, best_perm, best_path = form, perm, path.copy()
             elif form == best_form:
                 # a leaf other than the best one, so not the identity
                 aut = [0] * n
                 for a, b in zip(best_perm, perm):
                     aut[a] = b
                 auts.append(tuple(aut))
-            return
+                # back to where the paths part, of equal length under aut
+                return next(i for i, (a, b) in enumerate(zip(path, best_path))
+                            if a != b)
+            return depth
         fixed = [cell[0] for cell in cells if len(cell) == 1]
         cell = cells[idx]
         tried: list[int] = []
@@ -167,14 +193,15 @@ def canonical_labeling(
                     continue
             tried.append(v)
             rest = [w for w in cell if w != v]
+            path.append(v)
             # cells is equitable, so only v can split a cell
-            rec(_refine(adj, cells[:idx] + [[v], rest] + cells[idx + 1:],
-                        [1 << v]))
+            back = rec(_refine(adj, cells[:idx] + [[v], rest] + cells[idx + 1:],
+                               [1 << v]))
+            path.pop()
+            if back < depth:
+                return back
+        return depth
 
     rec(base)
     assert best_perm is not None
     return best_perm, best_form, auts
-
-
-def canonical_form(g: Graph) -> bytes:
-    return canonical_labeling(g)[1]

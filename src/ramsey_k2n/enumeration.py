@@ -28,10 +28,13 @@ pruning, the filter and labeling.  It also lies in the last cell of the
 child's refined unit partition, a union of Aut(child)-orbits, so one
 refinement rejects a child whose new vertex is outside that cell and
 accepts one whose new vertex is alone in it; only the rest are labeled.
-A child accepted unlabeled carries that refinement and is labeled from it
-where it is expanded, so a leaf of the walk never is and no graph's unit
-partition is refined twice.  This changes neither which representative is
-emitted nor the order of the stream.
+Cells only split in place, so the refinement of a child stops at the first
+round that leaves the new vertex outside the last cell; a kept child's
+refinement is always the full one.  A child accepted unlabeled carries
+that refinement and is labeled from it where it is expanded, so a leaf of
+the walk never is and no graph's unit partition is refined twice.  This
+changes neither which representative is emitted nor the order of the
+stream.
 
 A tried child is only a tuple of rows until that refinement keeps it:
 ``add_vertex`` builds a ``Graph`` for a child that is then labeled or
@@ -206,8 +209,9 @@ def _children(
         # McKay's rule: the new vertex k must lie in the orbit of the
         # canonically-last vertex under the whole of Aut(child).  That
         # vertex lies in the last refined cell, a union of orbits, so k
-        # outside the cell fails the rule and k alone in it passes.
-        base = _refine(rows, [list(range(k + 1))], [(new_bit << 1) - 1])
+        # outside the cell fails the rule and k alone in it passes; the
+        # refinement stops once k leaves the last cell.
+        base = _refine(rows, [list(range(k + 1))], [(new_bit << 1) - 1], k)
         last = base[-1]
         if k not in last:
             continue

@@ -8,7 +8,7 @@ All mutators return new graphs, and ``Graph`` alone validates each one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 MAX_ORDER = 64
 
@@ -103,9 +103,15 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
+def complement_rows(adj: Sequence[int]) -> tuple[int, ...]:
+    """The complement's rows of the graph with rows ``adj``; a row never
+    holds its own vertex's bit."""
+    full = (1 << len(adj)) - 1
+    return tuple(full ^ (1 << v) ^ row for v, row in enumerate(adj))
+
+
 def complement(g: Graph) -> Graph:
-    full = (1 << g.order) - 1
-    return Graph(g.order, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return Graph(g.order, complement_rows(g.adj))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -120,20 +126,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     m2 = ((1 << g.order) - 1) ^ m1
     rows = [row | (m2 if v < g1.order else m1) for v, row in enumerate(g.adj)]
     return Graph(g.order, tuple(rows))
-
-
-def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
-    """Induced subgraph, relabeled so vertices[i] becomes i."""
-    pos = {v: i for i, v in enumerate(vertices)}
-    if len(pos) != len(vertices):
-        raise GraphError("duplicate vertices")
-    rows = [0] * len(vertices)
-    for i, v in enumerate(vertices):
-        for u in bits(g.adj[v]):
-            j = pos.get(u)
-            if j is not None:
-                rows[i] |= 1 << j
-    return Graph(len(vertices), tuple(rows))
 
 
 def add_vertex(g: Graph, neighbors_mask: int) -> Graph:

@@ -242,6 +242,17 @@ def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int]) -> bool:
                for ln in lengths if ln <= len(adj))
 
 
+def has_cycle_in_rows(adj: Sequence[int], lengths: Iterable[int]) -> bool:
+    """Whether the graph with rows ``adj`` has a cycle of one of the given
+    lengths: ``cycles_through`` from each vertex s over the vertices above
+    it, as ``all_cycles_of_length`` searches, without its bipartite rule.
+    It asks for no ``Graph``, so rows derived from a valid graph are not
+    validated again."""
+    full = (1 << len(adj)) - 1
+    return any(cycles_through(adj, s, full & ~((2 << s) - 1), ln, 1)
+               for ln in lengths for s in range(len(adj) - ln + 1))
+
+
 def all_cycles_of_length(
     g: Graph, m: int, cap: int = CYCLE_CAP
 ) -> tuple[list[CycleWitness], bool]:

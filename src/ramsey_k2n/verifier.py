@@ -34,12 +34,19 @@ from .enumeration import (
     enumerate_orders,
     enumerate_parallel,
 )
-from .graphs import Graph, bits, complement, encode_graph6, union_neighborhood_excl
+from .graphs import (
+    Graph,
+    bits,
+    complement,
+    complement_rows,
+    encode_graph6,
+    union_neighborhood_excl,
+)
 from .invariants import (
     CYCLE_CAP,
     all_cycles_of_length,
     circumference,
-    has_cycle_of_length,
+    has_cycle_in_rows,
     has_cycle_through_last,
     independence_number,
     is_hamiltonian,
@@ -122,10 +129,7 @@ class RamseyFilter(K2nFreeFilter):
         self.lengths = lengths
 
     def accepts(self, rows: tuple[int, ...]) -> bool:
-        # the complement's rows; a row never holds its own vertex's bit
-        full = (1 << len(rows)) - 1
-        comp = [full ^ (1 << v) ^ row for v, row in enumerate(rows)]
-        return not has_cycle_through_last(comp, self.lengths)
+        return not has_cycle_through_last(complement_rows(rows), self.lengths)
 
 
 def verify_upper_bound(
@@ -165,8 +169,7 @@ def verify_upper_bound(
     cex: dict | None = None
     for g in enumerate_parallel(m + 1, K2nFreeFilter(n), workers):
         count += 1
-        gbar = complement(g)
-        if not any(has_cycle_of_length(gbar, ln) is not None for ln in lengths):
+        if not has_cycle_in_rows(complement_rows(g.adj), lengths):
             wanted = " or ".join(f"C_{ln}" for ln in lengths)
             cex = _pick(cex, g,
                         f"K_2,{n}-free graph whose complement has no {wanted}")

@@ -5,9 +5,8 @@ from typing import Iterable
 import networkx as nx
 import pytest
 
-from ramsey_k2n.canon import _refine
-from ramsey_k2n.graphs import Graph, add_edge, bits, empty_graph
-from ramsey_k2n.invariants import cycles_through
+from ramsey_k2n.canon import _refine, canonical_labeling
+from ramsey_k2n.graphs import Graph, GraphError, add_edge, bits, empty_graph
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -23,6 +22,24 @@ def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(order, tuple(rows))
+
+
+def canonical_form(g: Graph) -> bytes:
+    return canonical_labeling(g)[1]
+
+
+def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
+    """Induced subgraph, relabeled so vertices[i] becomes i."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    if len(pos) != len(vertices):
+        raise GraphError("duplicate vertices")
+    rows = [0] * len(vertices)
+    for i, v in enumerate(vertices):
+        for u in bits(g.adj[v]):
+            j = pos.get(u)
+            if j is not None:
+                rows[i] |= 1 << j
+    return Graph(len(vertices), tuple(rows))
 
 
 def path_graph(order: int) -> Graph:
@@ -73,14 +90,6 @@ def brute_force_k2n_present(g: Graph, n: int) -> bool:
         if len(leaves) >= n:
             return True
     return False
-
-
-def searched_for_cycle(g: Graph, m: int) -> bool:
-    """Whether g has a C_m, by ``cycles_through`` from every vertex s over
-    the vertices above s: the exact search without the bipartite rule."""
-    full = (1 << g.order) - 1
-    return any(cycles_through(g.adj, s, full & ~((2 << s) - 1), m, 1)
-               for s in range(g.order))
 
 
 def unit_refinement(g: Graph) -> list[list[int]]:

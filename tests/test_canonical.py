@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -6,12 +7,7 @@ import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
 from ramsey_k2n import canon, enumeration
-from ramsey_k2n.canon import (
-    _refine,
-    canonical_form,
-    canonical_labeling,
-    orbit_closure,
-)
+from ramsey_k2n.canon import _refine, canonical_labeling, orbit_closure
 from ramsey_k2n.enumeration import (
     ALL_GRAPHS,
     K2nFreeFilter,
@@ -28,13 +24,14 @@ from ramsey_k2n.graphs import (
     disjoint_union,
     empty_graph,
     encode_graph6,
-    induced_subgraph,
 )
 
 from conftest import (
     PETERSEN,
+    canonical_form,
     complete_multipartite,
     from_nx,
+    induced_subgraph,
     path_graph,
     random_graph,
     relabel,
@@ -119,6 +116,86 @@ def test_symmetric_graphs_fast():
         assert time.perf_counter() - start < 2
         assert canonical_form(relabel(g, perm)) is not None
         assert auts  # symmetric graphs must expose generators
+
+
+def test_labeling_of_every_class_to_order_8_is_pinned():
+    # one sha256 over (adj, perm, form) of the 13,598 classes of order <= 8:
+    # pruning may change the generators, never the labeling
+    digest = hashlib.sha256()
+    for g in enumerate_orders(1, 8):
+        perm, form, _ = canonical_labeling(g)
+        digest.update(repr((g.adj, perm, form)).encode())
+    assert digest.hexdigest() == \
+        "ce60fdc3cca9ffb0bf9a9ccc6210abd4233f04df6f92ad2602258f3c01ba4fb4"
+
+
+def test_empty_and_complete_graphs_get_one_generator_per_level():
+    # a tying leaf sends the search back to where its path parts from the
+    # best one, so each level of the individualization tree adds one
+    # transposition, not one per leaf of its subtree: n - 1, not n(n-1)/2
+    for n in range(1, 17):
+        for g in (empty_graph(n), complete_graph(n)):
+            assert len(canonical_labeling(g)[2]) == n - 1, g
+
+
+def reference_labeling(g: Graph):
+    """``canonical_labeling`` without the jump back on a tying leaf: every
+    child of a node is searched unless its vertex lies in the orbit of a
+    tried sibling under the generators found so far that fix the node."""
+    n = g.order
+    adj = g.adj
+    best = None  # (form, perm)
+    auts = []
+
+    def rec(cells):
+        nonlocal best
+        idx = next((i for i, cell in enumerate(cells) if len(cell) > 1), -1)
+        if idx < 0:
+            perm = tuple(cell[0] for cell in cells)
+            form = canon._pack(adj, perm, n)
+            if best is None or form < best[0]:
+                best = (form, perm)
+            elif form == best[0]:
+                aut = [0] * n
+                for a, b in zip(best[1], perm):
+                    aut[a] = b
+                auts.append(tuple(aut))
+            return
+        fixed = [cell[0] for cell in cells if len(cell) == 1]
+        tried = []
+        for v in cells[idx]:
+            fixing = [a for a in auts if all(a[f] == f for f in fixed)]
+            if v in orbit_closure(tried, fixing):
+                continue
+            tried.append(v)
+            rest = [w for w in cells[idx] if w != v]
+            rec(_refine(adj, cells[:idx] + [[v], rest] + cells[idx + 1:],
+                        [1 << v]))
+
+    rec(unit_refinement(g))
+    return best[1], best[0], auts
+
+
+def test_labeling_equals_search_without_the_jump(rng):
+    # the jump skips only images of searched leaves, so perm and form are
+    # the reference search's, with no more generators; random graphs of
+    # order 9..16, unions of equal cliques and complete multipartite graphs
+    graphs = [random_graph(rng.randint(9, 16), rng.random(), rng)
+              for _ in range(600)]
+    for size in range(1, 9):
+        clique = union = complete_graph(size)
+        for _ in range(16 // size - 1):
+            union = disjoint_union(union, clique)
+            graphs.append(union)
+            graphs.append(complement(union))  # complete multipartite
+    graphs += [complete_multipartite(parts) for parts in
+               ([1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 1, 2, 2, 3],
+                [2, 2, 3, 3], [1, 5, 5], [4, 4, 4, 4])]
+    for g in graphs:
+        perm, form, auts = canonical_labeling(g)
+        ref_perm, ref_form, ref_auts = reference_labeling(g)
+        assert (perm, form) == (ref_perm, ref_form), encode_graph6(g)
+        assert len(auts) <= len(ref_auts), encode_graph6(g)
 
 
 def test_last_canonical_vertex_has_maximum_degree(rng):
@@ -386,16 +463,18 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
     # one alone in it is perm[-1].  The children accepted, some of them
     # without a labeling, must be exactly those that pass McKay's rule, and
     # each carries its refinement, which an unlabeled one is labeled from.
+    # _children names the new vertex, so its refinement stops once that
+    # vertex leaves the last cell; a kept child's must be the full one.
     refine = enumeration._refine
     tried = []
 
-    def recorded(adj, cells, splitters):
-        base = refine(adj, cells, splitters)
-        tried.append((adj, base))
+    def recorded(adj, cells, splitters, stay):
+        base = refine(adj, cells, splitters, stay)
+        tried.append((adj, base, refine(adj, cells, splitters)))
         return base
 
     cases = [(7, ALL_GRAPHS), (9, K2nFreeFilter(2)), (8, K2nFreeFilter(3))]
-    settled = {"outside": 0, "alone": 0, "shared": 0}
+    settled = {"outside": 0, "stopped": 0, "alone": 0, "shared": 0}
     for top, flt in cases:
         parents = list(enumerate_orders(1, top - 1, flt))
         with monkeypatch.context() as m:
@@ -406,7 +485,7 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
                 tried.clear()
                 accepted = {child.adj: (cauts, cbase) for child, cauts, cbase
                             in _children(g, auts, unit_refinement(g), flt)}
-                for adj, base in tried:
+                for adj, base, full in tried:
                     child = Graph(k + 1, adj)
                     perm, _, cauts = canonical_labeling(child)
                     if adj in accepted:
@@ -415,9 +494,12 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
                     assert (adj in accepted) == rule, (encode_graph6(g), adj)
                     last = base[-1]
                     if k not in last:
-                        assert not rule
+                        assert not rule and k not in full[-1]
                         settled["outside"] += 1
-                    elif last == [k]:
+                        settled["stopped"] += base != full
+                        continue
+                    assert base == full, (encode_graph6(g), adj)
+                    if last == [k]:
                         assert perm[-1] == k and accepted[adj][0] is None
                         assert canonical_labeling(child, base) == \
                             canonical_labeling(child)

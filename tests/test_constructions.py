@@ -5,7 +5,6 @@ import time
 import pytest
 
 from ramsey_k2n import constructions
-from ramsey_k2n.canon import canonical_form
 from ramsey_k2n.constructions import (
     ParameterError,
     badness_parameter_cover,
@@ -18,11 +17,10 @@ from ramsey_k2n.graphs import (
     complement,
     decode_graph6,
     empty_graph,
-    induced_subgraph,
 )
-from ramsey_k2n.invariants import has_cycle_of_length, k2n_free
+from ramsey_k2n.invariants import has_cycle_in_rows, has_cycle_of_length, k2n_free
 
-from conftest import complete_multipartite, searched_for_cycle
+from conftest import canonical_form, complete_multipartite, induced_subgraph
 
 
 def test_star_witness_basic():
@@ -108,7 +106,7 @@ def test_burr_cycle_check_equals_search():
                 continue
             cases += 1
             assert r.checks["pattern_absent"] \
-                == (not searched_for_cycle(r.graph, size)), (g_order, size)
+                == (not has_cycle_in_rows(r.graph.adj, (size,))), (g_order, size)
     assert cases == 72
 
 

@@ -6,7 +6,7 @@ import time
 from types import SimpleNamespace
 
 from ramsey_k2n import enumeration
-from ramsey_k2n.canon import canonical_form, canonical_labeling
+from ramsey_k2n.canon import canonical_labeling
 from ramsey_k2n.enumeration import (
     ALL_GRAPHS,
     GenerationFilter,
@@ -27,7 +27,12 @@ from ramsey_k2n.graphs import (
 from ramsey_k2n.invariants import k2n_free
 from ramsey_k2n.verifier import HamiltonianHypothesisFilter, RamseyFilter
 
-from conftest import PETERSEN, complete_multipartite, unit_refinement
+from conftest import (
+    PETERSEN,
+    canonical_form,
+    complete_multipartite,
+    unit_refinement,
+)
 
 KNOWN_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
 

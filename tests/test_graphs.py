@@ -15,13 +15,13 @@ from ramsey_k2n.graphs import (
     disjoint_union,
     empty_graph,
     encode_graph6,
-    induced_subgraph,
     join,
     union_neighborhood_excl,
 )
 
 from conftest import (
     complete_multipartite,
+    induced_subgraph,
     mask_of,
     path_graph,
     random_graph,

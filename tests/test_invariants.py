@@ -30,6 +30,7 @@ from ramsey_k2n.invariants import (
     cycles_through,
     find_k2n,
     girth,
+    has_cycle_in_rows,
     has_cycle_of_length,
     has_cycle_through_last,
     independence_number,
@@ -48,7 +49,6 @@ from conftest import (
     path_graph,
     random_graph,
     relabel,
-    searched_for_cycle,
     to_nx,
 )
 
@@ -159,7 +159,8 @@ def scan_down_circumference(g: Graph) -> int:
     """Reference: every length from the count of degree->=2 vertices down,
     searched without the bipartite rule."""
     top = sum(row.bit_count() >= 2 for row in g.adj)
-    return next((ln for ln in range(top, 2, -1) if searched_for_cycle(g, ln)), 0)
+    return next((ln for ln in range(top, 2, -1)
+                 if has_cycle_in_rows(g.adj, (ln,))), 0)
 
 
 def random_bipartite(a: int, b: int, p: float, rng) -> Graph:

@@ -13,6 +13,7 @@ from ramsey_k2n.graphs import (
     add_vertex,
     bits,
     complement,
+    complement_rows,
     decode_graph6,
     encode_graph6,
     union_neighborhood_excl,
@@ -22,6 +23,7 @@ from ramsey_k2n.invariants import (
     circumference,
     connectivity,
     find_k2n,
+    has_cycle_in_rows,
     has_cycle_of_length,
     has_cycle_through_last,
     is_hamiltonian,
@@ -415,6 +417,27 @@ def test_hamiltonian_filter_rechecks_only_pairs_outside_the_new_neighbourhood(m)
                     flt.pair_bound_holds(rows, adjacent=False)
                     and not has_cycle_through_last(rows, (m,))), \
                     (encode_graph6(g), s)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_complement_row_search_agrees_with_graph_search(n):
+    # verify_upper_bound searches each complement's rows without building a
+    # Graph; on the order-9 trees of thm1.3 at (2, 8) and (3, 8), the first
+    # also thm1.6's at (2, 8), it must give has_cycle_of_length's answer for
+    # every graph and every length
+    answers = set()
+    for g in enumerate_orders(9, 9, K2nFreeFilter(n)):
+        rows = complement_rows(g.adj)
+        gbar = complement(g)
+        assert rows == gbar.adj
+        for ln in range(3, 10):
+            found = has_cycle_in_rows(rows, (ln,))
+            assert found == (has_cycle_of_length(gbar, ln) is not None), \
+                (encode_graph6(g), ln)
+            answers.add(found)
+        assert has_cycle_in_rows(rows, (8, 9)) == any(
+            has_cycle_of_length(gbar, ln) for ln in (8, 9))
+    assert answers == {False, True}
 
 
 def _ramsey_by_post_filter(n: int, lengths: tuple[int, ...], max_order: int):
