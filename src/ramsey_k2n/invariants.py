@@ -13,7 +13,9 @@ end cannot reach enough unused vertices or a closing one, which is fast on
 the dense clique-union graphs this package cares about and exhaustive
 everywhere.  ``all_cycles_of_length`` answers a length that a bipartite
 graph cannot hold (odd, or above twice its smaller side) without a search,
-and every whole-graph cycle quantity reads it.
+and every whole-graph cycle quantity reads it.  It, ``bipartition`` and
+``two_connected`` read adjacency rows, so rows derived from a valid graph,
+such as its complement's, are searched without a ``Graph``.
 """
 
 from __future__ import annotations
@@ -78,16 +80,17 @@ def _reachable(adj: Sequence[int], v: int, allowed: int) -> int:
     return seen
 
 
-def two_connected(g: Graph) -> bool:
-    """Whether g is 2-connected: it has at least 3 vertices and no cut
-    vertex, so with any one vertex v deleted, every other vertex is
-    reachable from the lowest vertex other than v."""
-    if g.order < 3:
+def two_connected(adj: Sequence[int]) -> bool:
+    """Whether the graph with rows ``adj`` is 2-connected: it has at least
+    3 vertices and no cut vertex, so with any one vertex v deleted, every
+    other vertex is reachable from the lowest vertex other than v."""
+    n = len(adj)
+    if n < 3:
         return False
-    full = g.vertices_mask()
-    for v in range(g.order):
+    full = (1 << n) - 1
+    for v in range(n):
         rest = full & ~(1 << v)
-        if _reachable(g.adj, 0 if v else 1, rest) != rest:
+        if _reachable(adj, 0 if v else 1, rest) != rest:
             return False
     return True
 
@@ -150,18 +153,19 @@ def connectivity(g: Graph) -> int:
     return best
 
 
-def bipartition(g: Graph) -> tuple[int, int] | None:
-    """The colour classes of a proper 2-colouring of g, as vertex masks, or
-    None if g has an odd cycle: an edge inside one breadth-first layer."""
+def bipartition(adj: Sequence[int]) -> tuple[int, int] | None:
+    """The colour classes of a proper 2-colouring of the graph with rows
+    ``adj``, as vertex masks, or None if it has an odd cycle: an edge
+    inside one breadth-first layer."""
     side = other = 0  # the next layer joins side
-    todo = g.vertices_mask()
+    todo = (1 << len(adj)) - 1
     while todo:
         layer = todo & -todo
         while layer:
             todo &= ~layer
             nbrs = 0
             for v in bits(layer):
-                nbrs |= g.adj[v]
+                nbrs |= adj[v]
             if nbrs & layer:
                 return None
             side, other = other, side | layer
@@ -242,21 +246,11 @@ def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int]) -> bool:
                for ln in lengths if ln <= len(adj))
 
 
-def has_cycle_in_rows(adj: Sequence[int], lengths: Iterable[int]) -> bool:
-    """Whether the graph with rows ``adj`` has a cycle of one of the given
-    lengths: ``cycles_through`` from each vertex s over the vertices above
-    it, as ``all_cycles_of_length`` searches, without its bipartite rule.
-    It asks for no ``Graph``, so rows derived from a valid graph are not
-    validated again."""
-    full = (1 << len(adj)) - 1
-    return any(cycles_through(adj, s, full & ~((2 << s) - 1), ln, 1)
-               for ln in lengths for s in range(len(adj) - ln + 1))
-
-
 def all_cycles_of_length(
-    g: Graph, m: int, cap: int = CYCLE_CAP
+    adj: Sequence[int], m: int, cap: int = CYCLE_CAP
 ) -> tuple[list[CycleWitness], bool]:
-    """All cycles of length exactly m, each once; returns (cycles, cap_hit).
+    """All cycles of length exactly m in the graph with rows ``adj``, each
+    once; returns (cycles, cap_hit).
 
     A cycle starts at its lowest vertex and runs toward the smaller of that
     vertex's two cycle neighbors, and cycles come in lexicographic order.
@@ -268,15 +262,16 @@ def all_cycles_of_length(
     """
     if m < 3:
         raise GraphError(f"cycle length {m} below 3")
-    n = g.order
-    sides = bipartition(g) if g.edge_count() <= n * n // 4 else None
+    n = len(adj)
+    edges = sum(row.bit_count() for row in adj) // 2
+    sides = bipartition(adj) if edges <= n * n // 4 else None
     if sides is not None and (
             m % 2 == 1 or m > 2 * min(side.bit_count() for side in sides)):
         return [], False
     out: list[CycleWitness] = []
-    full = g.vertices_mask()
-    for s in range(g.order - m + 1):
-        out += cycles_through(g.adj, s, full & ~((2 << s) - 1), m,
+    full = (1 << n) - 1
+    for s in range(n - m + 1):
+        out += cycles_through(adj, s, full & ~((2 << s) - 1), m,
                               cap - len(out))
         if len(out) >= cap:
             return out, True
@@ -284,8 +279,8 @@ def all_cycles_of_length(
 
 
 def has_cycle_of_length(g: Graph, m: int) -> CycleWitness | None:
-    """The first cycle of all_cycles_of_length(g, m), or None."""
-    cycles, _ = all_cycles_of_length(g, m, cap=1)
+    """The first cycle of all_cycles_of_length(g.adj, m), or None."""
+    cycles, _ = all_cycles_of_length(g.adj, m, cap=1)
     return cycles[0] if cycles else None
 
 

@@ -37,7 +37,6 @@ from .enumeration import (
 from .graphs import (
     Graph,
     bits,
-    complement,
     complement_rows,
     encode_graph6,
     union_neighborhood_excl,
@@ -46,7 +45,6 @@ from .invariants import (
     CYCLE_CAP,
     all_cycles_of_length,
     circumference,
-    has_cycle_in_rows,
     has_cycle_through_last,
     independence_number,
     is_hamiltonian,
@@ -169,7 +167,8 @@ def verify_upper_bound(
     cex: dict | None = None
     for g in enumerate_parallel(m + 1, K2nFreeFilter(n), workers):
         count += 1
-        if not has_cycle_in_rows(complement_rows(g.adj), lengths):
+        rows = complement_rows(g.adj)
+        if not any(all_cycles_of_length(rows, ln, 1)[0] for ln in lengths):
             wanted = " or ".join(f"C_{ln}" for ln in lengths)
             cex = _pick(cex, g,
                         f"K_2,{n}-free graph whose complement has no {wanted}")
@@ -273,7 +272,7 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
         circ = circumference(g)
         if not 0 < circ <= g.order - 2:
             continue
-        cycles, capped = all_cycles_of_length(g, circ, CYCLE_CAP)
+        cycles, capped = all_cycles_of_length(g.adj, circ, CYCLE_CAP)
         if capped:
             cap_hits += 1
         for wit in cycles:
@@ -363,7 +362,7 @@ def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
     cex: dict | None = None
     flt = HamiltonianHypothesisFilter(m)
     for g in enumerate_parallel(m + 1, flt, workers):
-        if not two_connected(g):
+        if not two_connected(g.adj):
             continue
         relaxed += 1
         if not flt.pair_bound_holds(g.adj, adjacent=True):
@@ -395,7 +394,7 @@ def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> Verification
     cex: dict | None = None
     for g in enumerate_parallel(m + 1, RamseyFilter(n, (m,)), workers):
         count += 1
-        if not two_connected(complement(g)):
+        if not two_connected(complement_rows(g.adj)):
             cex = _pick(cex, g, "complement is C_m-free but not 2-connected")
     note = (f"stated range m >= 2n+2 = {2 * n + 2}: "
             f"{'inside' if in_range else 'outside (outcome reported, not asserted)'}")
@@ -426,7 +425,7 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
     for g in enumerate_orders(3, max_order, workers=workers):
         n_ = g.order
         delta = min_degree(g)
-        two_conn = two_connected(g)
+        two_conn = two_connected(g.adj)
         if not (two_conn or 2 * delta >= n_):
             continue  # no lemma below reads this graph's circumference
         circ = circumference(g)

@@ -7,6 +7,7 @@ import pytest
 
 from ramsey_k2n.canon import _refine, canonical_labeling
 from ramsey_k2n.graphs import Graph, GraphError, add_edge, bits, empty_graph
+from ramsey_k2n.invariants import cycles_through
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -90,6 +91,15 @@ def brute_force_k2n_present(g: Graph, n: int) -> bool:
         if len(leaves) >= n:
             return True
     return False
+
+
+def plain_cycle_search(adj: tuple[int, ...], lengths: Iterable[int]) -> bool:
+    """Reference: whether the graph with rows ``adj`` has a cycle of one of
+    the given lengths, by ``cycles_through`` from each vertex over the
+    vertices above it, with no bipartite rule."""
+    full = (1 << len(adj)) - 1
+    return any(cycles_through(adj, s, full & ~((2 << s) - 1), ln, 1)
+               for ln in lengths for s in range(len(adj) - ln + 1))
 
 
 def unit_refinement(g: Graph) -> list[list[int]]:

@@ -30,3 +30,16 @@ def test_summary_marks_differences_inside_either_iqr(change, verdict):
            "change": bench_gate.spread(change)}
     assert bench_gate.summary("thm1.5 m=8", row, ["parent", "change"]) == (
         f"thm1.5 m=8: parent 5.00 s (IQR 6%), {verdict}; same output: True")
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    # the .py files of ramsey_k2n count, a last line without a newline
+    # does not (as wc -l), and other files and subpackages are left out
+    pkg = tmp_path / "ramsey_k2n"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "b.py").write_text("z = 3\nw = 4")
+    (pkg / "notes.txt").write_text("one\ntwo\n")
+    (pkg / "sub" / "c.py").write_text("v = 5\n")
+    (tmp_path / "d.py").write_text("u = 6\n")
+    assert bench_gate.src_lines(str(tmp_path)) == 4

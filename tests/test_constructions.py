@@ -18,9 +18,14 @@ from ramsey_k2n.graphs import (
     decode_graph6,
     empty_graph,
 )
-from ramsey_k2n.invariants import has_cycle_in_rows, has_cycle_of_length, k2n_free
+from ramsey_k2n.invariants import has_cycle_of_length, k2n_free
 
-from conftest import canonical_form, complete_multipartite, induced_subgraph
+from conftest import (
+    canonical_form,
+    complete_multipartite,
+    induced_subgraph,
+    plain_cycle_search,
+)
 
 
 def test_star_witness_basic():
@@ -106,7 +111,7 @@ def test_burr_cycle_check_equals_search():
                 continue
             cases += 1
             assert r.checks["pattern_absent"] \
-                == (not has_cycle_in_rows(r.graph.adj, (size,))), (g_order, size)
+                == (not plain_cycle_search(r.graph.adj, (size,))), (g_order, size)
     assert cases == 72
 
 

@@ -5,6 +5,8 @@ import pickle
 import time
 from types import SimpleNamespace
 
+from networkx.generators.atlas import graph_atlas_g
+
 from ramsey_k2n import enumeration
 from ramsey_k2n.canon import canonical_labeling
 from ramsey_k2n.enumeration import (
@@ -29,8 +31,10 @@ from ramsey_k2n.verifier import HamiltonianHypothesisFilter, RamseyFilter
 
 from conftest import (
     PETERSEN,
+    brute_force_k2n_present,
     canonical_form,
     complete_multipartite,
+    from_nx,
     unit_refinement,
 )
 
@@ -186,6 +190,28 @@ def test_c4_free_counts():
     for g in enumerate_orders(1, 10, K2nFreeFilter(2)):
         counts[g.order - 1] += 1
     assert counts == [1, 2, 4, 8, 18, 44, 117, 351, 1230, 5069]
+
+
+# K_{2,n}-free classes of orders 1..7; the n = 2 row is OEIS A006786.
+K2N_FREE_COUNTS = {2: [1, 2, 4, 8, 18, 44, 117],
+                   3: [1, 2, 4, 11, 27, 95, 386],
+                   4: [1, 2, 4, 11, 34, 136, 758]}
+
+
+def test_k2n_free_counts_match_the_graph_atlas():
+    # networkx's atlas lists every graph on up to 7 vertices once up to
+    # isomorphism and shares no code with canon or the enumeration: its
+    # K_{2,n}-free graphs, found by literal embedding search, are counted
+    # order by order against the filtered tree's classes
+    atlas = [from_nx(h) for h in graph_atlas_g() if h.number_of_nodes()]
+    for n, want in K2N_FREE_COUNTS.items():
+        oracle = [0] * 7
+        for g in atlas:
+            oracle[g.order - 1] += not brute_force_k2n_present(g, n)
+        generated = [0] * 7
+        for g in enumerate_orders(1, 7, K2nFreeFilter(n)):
+            generated[g.order - 1] += 1
+        assert oracle == generated == want, n
 
 
 def test_parallel_equals_sequential():

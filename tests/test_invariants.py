@@ -30,7 +30,6 @@ from ramsey_k2n.invariants import (
     cycles_through,
     find_k2n,
     girth,
-    has_cycle_in_rows,
     has_cycle_of_length,
     has_cycle_through_last,
     independence_number,
@@ -47,6 +46,7 @@ from conftest import (
     from_edges,
     from_nx,
     path_graph,
+    plain_cycle_search,
     random_graph,
     relabel,
     to_nx,
@@ -104,7 +104,7 @@ def test_two_connected_matches_connectivity_and_networkx(rng):
                complete_multipartite([32, 32])]
     for g in graphs:
         expected = g.order >= 3 and nx.is_biconnected(to_nx(g))
-        assert two_connected(g) == expected == (connectivity(g) >= 2), g
+        assert two_connected(g.adj) == expected == (connectivity(g) >= 2), g
 
 
 # ------------------------------------------------------------------ cycles
@@ -160,7 +160,7 @@ def scan_down_circumference(g: Graph) -> int:
     searched without the bipartite rule."""
     top = sum(row.bit_count() >= 2 for row in g.adj)
     return next((ln for ln in range(top, 2, -1)
-                 if has_cycle_in_rows(g.adj, (ln,))), 0)
+                 if plain_cycle_search(g.adj, (ln,))), 0)
 
 
 def random_bipartite(a: int, b: int, p: float, rng) -> Graph:
@@ -193,7 +193,7 @@ def test_bipartition_matches_networkx(rng):
     graphs += [random_graph(rng.randint(1, 16), rng.random() / 2, rng)
                for _ in range(300)]
     for g in graphs:
-        sides = bipartition(g)
+        sides = bipartition(g.adj)
         assert (sides is not None) == nx.is_bipartite(to_nx(g)), g
         if sides is not None:
             a, b = sides
@@ -294,11 +294,11 @@ def test_clique_union_apex_circumference_is_fast():
 
 
 def test_all_longest_cycles_dedup_and_cap(rng):
-    cycles, capped = all_cycles_of_length(cycle_graph(6), 6)
+    cycles, capped = all_cycles_of_length(cycle_graph(6).adj, 6)
     assert len(cycles) == 1 and not capped
-    cycles, capped = all_cycles_of_length(complete_graph(5), 5)
+    cycles, capped = all_cycles_of_length(complete_graph(5).adj, 5)
     assert len(cycles) == 12 and not capped  # (5-1)!/2
-    cycles, capped = all_cycles_of_length(complete_graph(5), 5, cap=5)
+    cycles, capped = all_cycles_of_length(complete_graph(5).adj, 5, cap=5)
     assert len(cycles) == 5 and capped
     for _ in range(30):
         g = random_graph(rng.randint(3, 8), rng.random(), rng)
@@ -306,7 +306,7 @@ def test_all_longest_cycles_dedup_and_cap(rng):
         for m in range(3, g.order + 1):
             want = sum(1 for c in nx.simple_cycles(h, length_bound=m)
                        if len(c) == m)
-            assert len(all_cycles_of_length(g, m)[0]) == want
+            assert len(all_cycles_of_length(g.adj, m)[0]) == want
 
 
 def test_hamiltonicity_and_pancyclicity():

@@ -10,6 +10,7 @@ from ramsey_k2n import verifier
 from ramsey_k2n.constructions import star_witness
 from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_orders
 from ramsey_k2n.graphs import (
+    Graph,
     add_vertex,
     bits,
     complement,
@@ -23,7 +24,6 @@ from ramsey_k2n.invariants import (
     circumference,
     connectivity,
     find_k2n,
-    has_cycle_in_rows,
     has_cycle_of_length,
     has_cycle_through_last,
     is_hamiltonian,
@@ -42,7 +42,7 @@ from ramsey_k2n.verifier import (
     verify_upper_bound,
 )
 
-from conftest import from_edges, to_nx
+from conftest import from_edges, from_nx, plain_cycle_search, to_nx
 
 
 def test_upper_bound_pair_small():
@@ -133,7 +133,7 @@ def test_lemma_3_1_violations_are_exactly_the_literal_ones():
     first = set()
     for g in enumerate_orders(4, 7):
         for m in range(3, g.order - 1):
-            for wit in all_cycles_of_length(g, m, math.inf)[0]:
+            for wit in all_cycles_of_length(g.adj, m, math.inf)[0]:
                 cycles += 1
                 _, violation = _check_observations(g, wit.vertices)
                 assert (violation is not None) \
@@ -337,10 +337,10 @@ def test_harnesses_ask_two_connected_what_exact_connectivity_answers(monkeypatch
     asked = []
     sweep = verifier.two_connected
 
-    def checked(g):
-        answer = sweep(g)
-        assert answer == (connectivity(g) >= 2), g
-        asked.append(g)
+    def checked(adj):
+        answer = sweep(adj)
+        assert answer == (connectivity(Graph(len(adj), adj)) >= 2), adj
+        asked.append(adj)
         return answer
 
     monkeypatch.setattr(verifier, "two_connected", checked)
@@ -423,19 +423,22 @@ def test_hamiltonian_filter_rechecks_only_pairs_outside_the_new_neighbourhood(m)
 def test_complement_row_search_agrees_with_graph_search(n):
     # verify_upper_bound searches each complement's rows without building a
     # Graph; on the order-9 trees of thm1.3 at (2, 8) and (3, 8), the first
-    # also thm1.6's at (2, 8), it must give has_cycle_of_length's answer for
-    # every graph and every length
+    # also thm1.6's at (2, 8), the search it asks, all_cycles_of_length on
+    # the rows, must give the answer of a plain search without the
+    # bipartite rule and of has_cycle_of_length on the complement's Graph,
+    # for every graph and every length
     answers = set()
     for g in enumerate_orders(9, 9, K2nFreeFilter(n)):
         rows = complement_rows(g.adj)
         gbar = complement(g)
         assert rows == gbar.adj
         for ln in range(3, 10):
-            found = has_cycle_in_rows(rows, (ln,))
-            assert found == (has_cycle_of_length(gbar, ln) is not None), \
+            found = plain_cycle_search(rows, (ln,))
+            assert found == bool(all_cycles_of_length(rows, ln, 1)[0]) \
+                == (has_cycle_of_length(gbar, ln) is not None), \
                 (encode_graph6(g), ln)
             answers.add(found)
-        assert has_cycle_in_rows(rows, (8, 9)) == any(
+        assert plain_cycle_search(rows, (8, 9)) == any(
             has_cycle_of_length(gbar, ln) for ln in (8, 9))
     assert answers == {False, True}
 
@@ -475,18 +478,20 @@ def test_compute_ramsey_matches_post_filtered_enumeration(n, kind, m, max_order)
 
 # R(K_{2,2}, C_m) = R(C_4, C_m) for m = 3..11 as in Radziszowski, "Small
 # Ramsey Numbers", Electron. J. Combin. DS1; R(K_{2,2}, C_{m,m+1}) for
-# m = 3..6; R(K_{2,3}, C_m) and R(K_{2,3}, C_{m,m+1}) for m = 3..9; and
-# R(K_{2,4}, C_m) for m = 3..8.
+# m = 3..10; R(K_{2,3}, C_m) and R(K_{2,3}, C_{m,m+1}) for m = 3..9;
+# R(K_{2,4}, C_m) for m = 3..8; and R(K_{2,4}, C_{m,m+1}) for m = 5..8.
 GOODNESS_TABLE = {
     **{(2, "cycle", m): value
        for m, value in zip(range(3, 12), (7, 6, 7, 7, 8, 9, 10, 11, 12))},
-    **{(2, "cycle_pair", m): value for m, value in zip(range(3, 7), (6, 6, 6, 7))},
+    **{(2, "cycle_pair", m): value
+       for m, value in zip(range(3, 11), (6, 6, 6, 7, 8, 9, 10, 11))},
     **{(3, "cycle", m): value
        for m, value in zip(range(3, 10), (9, 8, 9, 7, 9, 9, 10))},
     **{(3, "cycle_pair", m): value
        for m, value in zip(range(3, 10), (7, 7, 7, 7, 8, 9, 10))},
     **{(4, "cycle", m): value
        for m, value in zip(range(3, 9), (11, 9, 11, 8, 11, 9))},
+    **{(4, "cycle_pair", m): value for m, value in zip(range(5, 9), (8, 8, 9, 9))},
 }
 
 
@@ -497,6 +502,22 @@ def test_goodness_table():
         witness = decode_graph6(r.extra["witness_graph6"])
         assert witness.order == value - 1
         assert _brute_ramsey_ok(witness, n, (m,) if kind == "cycle" else (m, m + 1))
+
+
+def test_goodness_upper_bounds_hold_on_the_graph_atlas():
+    # a frozen value R means every graph on R vertices has a K_{2,n} or a
+    # target cycle in its complement; for every cell with R <= 7 this is
+    # checked on each graph of networkx's atlas of that order, with no
+    # code shared with canon or the enumeration
+    cells = 0
+    for (n, kind, m), value in GOODNESS_TABLE.items():
+        if value > 7:
+            continue
+        cells += 1
+        lengths = (m,) if kind == "cycle" else (m, m + 1)
+        assert not any(_brute_ramsey_ok(from_nx(h), n, lengths)
+                       for h in _atlas(value)), (n, kind, m)
+    assert cells == 13
 
 
 # Cells of the goodness map not yet in GOODNESS_TABLE, which each take

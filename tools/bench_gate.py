@@ -16,10 +16,11 @@ the sha256 of its output without ``elapsed`` and the load averages when it
 started, then the median wall time, the quartiles of the wall times and
 their interquartile range as a share of the median.  ``same_output`` says
 whether every run of every tree printed the same bytes; the machine record
-gives the CPU count and the Python version.  The printed summary compares
-each tree with the first and marks a median difference smaller than
-either tree's interquartile range as ``unresolved``.  Only the standard
-library is used.
+gives the CPU count and the Python version, and ``src_lines`` each tree's
+line count of ``ramsey_k2n/*.py``, as ``wc -l`` counts them.  The printed
+summary compares each tree with the first, marks a median difference
+smaller than either tree's interquartile range as ``unresolved``, and ends
+with the line counts.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import hashlib
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -68,6 +70,12 @@ def run_once(src: str, argv: tuple[str, ...]) -> dict:
                        for key in ("outcome", "hypothesis_count", "extra")},
             "output_sha256": hashlib.sha256(stable.encode()).hexdigest(),
             "loadavg": [round(x, 2) for x in load]}
+
+
+def src_lines(src: str) -> int:
+    """The newline count of the ``ramsey_k2n/*.py`` files under src."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in pathlib.Path(src, "ramsey_k2n").glob("*.py"))
 
 
 def spread(walls: list[float]) -> dict:
@@ -121,7 +129,8 @@ def bench(trees: dict[str, str], runs: int) -> dict:
     return {"machine": {"cpu_count": os.cpu_count(),
                         "python": platform.python_version(),
                         "platform": platform.platform()},
-            "trees": trees, "runs_per_tree": runs, "gate_runs": table}
+            "trees": trees, "runs_per_tree": runs, "gate_runs": table,
+            "src_lines": {label: src_lines(path) for label, path in trees.items()}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,6 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for name, row in record["gate_runs"].items():
         print(summary(name, row, list(trees)))
+    print("ramsey_k2n/*.py lines: " + ", ".join(
+        f"{label} {lines}" for label, lines in record["src_lines"].items()))
     return 0 if all(row["same_output"] for row in record["gate_runs"].values()) else 1
 
 
