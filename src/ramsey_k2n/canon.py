@@ -12,7 +12,7 @@ isomorphism", Congr. Numer. 30, 1981).  This keeps highly symmetric graphs
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .graphs import Graph
 

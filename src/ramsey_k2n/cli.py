@@ -21,9 +21,14 @@ import json
 import os
 import sys
 
-from . import constructions, verifier
-from .constructions import ParameterError
-from .graphs import FormatError, GraphError, decode_graph6, encode_graph6
+from . import verifier
+from .graphs import (
+    FormatError,
+    GraphError,
+    ParameterError,
+    decode_graph6,
+    encode_graph6,
+)
 from .invariants import (
     circumference,
     connectivity,
@@ -39,8 +44,8 @@ EXIT_FOUND = 1
 EXIT_ERROR = 2
 
 
-def _print_construction(report: constructions.ConstructionReport,
-                        output: str) -> int:
+def _print_construction(report, output: str) -> int:
+    """Print a ``constructions.ConstructionReport``; exit 1 if it failed."""
     if output == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
@@ -65,6 +70,7 @@ def _print_construction(report: constructions.ConstructionReport,
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from . import constructions  # only construct and thm1.4 build witnesses
     if args.kind == "star":
         report = constructions.star_witness(args.m)
     elif args.kind == "burr":

@@ -15,13 +15,13 @@ assembles every report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
-from .graphs import (
+from .graphs import (  # ParameterError is re-exported for the builders' callers
     Graph,
-    GraphError,
     MAX_ORDER,
+    ParameterError,
     complement,
     complete_graph,
     disjoint_union,
@@ -40,13 +40,12 @@ from .invariants import (
 CIRCUMFERENCE_CUTOFF = 24
 
 
-class ParameterError(GraphError):
-    """A builder was called with parameters outside its valid range."""
-
-
-@dataclass(frozen=True)
-class ConstructionReport:
-    """A constructed witness with claimed vs. independently measured values.
+class ConstructionReport(namedtuple(
+        "ConstructionReport", "name params graph complement_graph claimed "
+        "measured checks skipped notes")):
+    """The witness G (``graph``, with complement ``complement_graph``) that
+    builder ``name`` made from ``params``, with claimed vs. independently
+    measured values.
 
     ``claimed`` and ``measured`` share the keys ``order``,
     ``max_common_neighborhood``, ``complement_circumference`` and
@@ -59,15 +58,7 @@ class ConstructionReport:
     must all be True.
     """
 
-    name: str
-    params: dict[str, int]
-    graph: Graph
-    complement_graph: Graph
-    claimed: dict[str, int | None]
-    measured: dict[str, int | None]
-    checks: dict[str, bool]
-    skipped: tuple[str, ...]
-    notes: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def failed(self) -> bool:

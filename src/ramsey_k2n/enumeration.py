@@ -45,7 +45,7 @@ leaves generation.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .canon import _refine, canonical_labeling, orbit_closure
 from .graphs import Graph, add_vertex, empty_graph

@@ -7,8 +7,7 @@ All mutators return new graphs, and ``Graph`` alone validates each one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 MAX_ORDER = 64
 
@@ -21,6 +20,10 @@ class FormatError(GraphError):
     """Malformed graph6 input."""
 
 
+class ParameterError(GraphError):
+    """A builder was called with parameters outside its valid range."""
+
+
 def bits(mask: int) -> Iterator[int]:
     """Iterate set bit positions of a vertex-set mask, ascending."""
     while mask:
@@ -29,25 +32,27 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
-    """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of v."""
+    """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of v.
 
-    order: int
-    adj: tuple[int, ...]
+    An immutable value: its fields cannot be set or deleted, two graphs are
+    equal when their class, order and rows are, and a pickled graph is
+    validated again when it is loaded.
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.order <= MAX_ORDER:
-            raise GraphError(f"order {self.order} outside 1..{MAX_ORDER}")
-        if len(self.adj) != self.order:
+    __slots__ = ("order", "adj")
+
+    def __init__(self, order: int, adj: tuple[int, ...]):
+        if not 1 <= order <= MAX_ORDER:
+            raise GraphError(f"order {order} outside 1..{MAX_ORDER}")
+        if len(adj) != order:
             raise GraphError("adjacency length does not match order")
-        full = (1 << self.order) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << order) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise GraphError(f"vertex {v} has neighbors beyond the order")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-        adj = self.adj
         for v, row in enumerate(adj):
             bit = 1 << v
             while row:
@@ -56,6 +61,28 @@ class Graph:
                 if not adj[u] & bit:
                     raise GraphError(f"asymmetric edge {v}-{u}")
                 row ^= low
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "adj", adj)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.adj) == (other.order, other.adj)
+
+    def __hash__(self):
+        return hash((self.order, self.adj))
+
+    def __repr__(self):
+        return f"Graph(order={self.order!r}, adj={self.adj!r})"
+
+    def __reduce__(self):
+        return Graph, (self.order, self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)

@@ -21,9 +21,9 @@ such as its complement's, are searched without a ``Graph``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .graphs import Graph, GraphError, bits
 
@@ -31,11 +31,10 @@ from .graphs import Graph, GraphError, bits
 CYCLE_CAP = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class CycleWitness:
-    """An explicit cycle, as the ordered vertex sequence."""
+class CycleWitness(namedtuple("CycleWitness", "vertices")):
+    """An explicit cycle, as the ordered vertex sequence ``vertices``."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
     def validate(self, g: Graph) -> bool:
         vs = self.vertices
@@ -44,12 +43,11 @@ class CycleWitness:
         return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
 
-@dataclass(frozen=True, slots=True)
-class K2nWitness:
-    """An explicit K_{2,n} embedding: a vertex pair plus n common neighbors."""
+class K2nWitness(namedtuple("K2nWitness", "pair common")):
+    """An explicit K_{2,n} embedding: a vertex ``pair`` plus n ``common``
+    neighbors."""
 
-    pair: tuple[int, int]
-    common: tuple[int, ...]
+    __slots__ = ()
 
     def validate(self, g: Graph) -> bool:
         u, v = self.pair

@@ -19,15 +19,9 @@ any reported value.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import permutations
 
-from .constructions import (
-    ParameterError,
-    badness_parameter_cover,
-    lemma41_witness,
-    lemma42_witness,
-)
 from .enumeration import (
     GenerationFilter,
     K2nFreeFilter,
@@ -36,6 +30,7 @@ from .enumeration import (
 )
 from .graphs import (
     Graph,
+    ParameterError,
     bits,
     complement_rows,
     encode_graph6,
@@ -58,16 +53,22 @@ HAMILTONIAN_LEMMA_MAX_ORDER = 10
 RAMSEY_MAX_ORDER = 12
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim: str
-    params: dict
-    outcome: str  # verified | verified-vacuous | counterexample | infeasible
-    hypothesis_count: int = 0
-    counterexample: dict | None = None
-    elapsed: float = 0.0
-    notes: tuple[str, ...] = ()
-    extra: dict = field(default_factory=dict)
+class VerificationReport(namedtuple(
+        "VerificationReport", "claim params outcome hypothesis_count "
+        "counterexample elapsed notes extra")):
+    """One harness run.  ``outcome`` is verified, verified-vacuous,
+    counterexample or infeasible; ``extra`` defaults to a new empty dict
+    for each report."""
+
+    __slots__ = ()
+
+    def __new__(cls, claim: str, params: dict, outcome: str,
+                hypothesis_count: int = 0, counterexample: dict | None = None,
+                elapsed: float = 0.0, notes: tuple[str, ...] = (),
+                extra: dict | None = None):
+        return super().__new__(cls, claim, params, outcome, hypothesis_count,
+                               counterexample, elapsed, notes,
+                               {} if extra is None else extra)
 
     @property
     def exit_code(self) -> int:
@@ -101,7 +102,7 @@ def _report(claim: str, params: dict, start: float, count: int = 0,
         outcome = ("counterexample" if cex
                    else "verified" if count else "verified-vacuous")
     return VerificationReport(claim, params, outcome, count, cex,
-                              time.monotonic() - start, notes, extra or {})
+                              time.monotonic() - start, notes, extra)
 
 
 def _pick(current: dict | None, g: Graph, detail: str) -> dict:
@@ -177,6 +178,9 @@ def verify_upper_bound(
 
 def verify_badness(n: int, m: int) -> VerificationReport:
     """A witness on n+m+1 vertices shows R(K_{2,n}, C_{2m}) > n+m+1."""
+    from .constructions import (  # only thm1.4 builds witnesses
+        badness_parameter_cover, lemma41_witness, lemma42_witness)
+
     params = {"n": n, "m": m, "order": n + m + 1}
     start = time.monotonic()
     cover = badness_parameter_cover(n, m)

@@ -4,6 +4,8 @@ import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -295,6 +297,28 @@ def test_workers_do_not_change_ramsey_output(capsys):
         outs.append(json.dumps(payload, sort_keys=True))
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["extra"]["value"] == 10
+
+
+def test_ramsey_run_imports_only_what_it_uses():
+    # a fresh interpreter without site (which may load typing itself):
+    # the command's start-up pays for every module it imports
+    src = Path(__file__).parents[1] / "src"
+    probe = (
+        "import sys\n"
+        "from ramsey_k2n.cli import main\n"
+        "code = main(['ramsey', '--n', '3', '--cycle', '4',"
+        " '--output', 'json', '--workers', '1'])\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect',"
+        " 'ramsey_k2n.constructions', 'multiprocessing', 'typing')"
+        " if m in sys.modules))\n"
+        "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    report, loaded = proc.stdout.splitlines()
+    assert json.loads(report)["extra"]["value"] == 8
+    assert loaded == "[]"
 
 
 def test_env_var_sets_default_workers(capsys, monkeypatch):

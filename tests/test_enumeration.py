@@ -282,7 +282,7 @@ def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
 
 def test_graph_survives_pickling():
     # workers send their Graphs back pickled, and Graph is a frozen,
-    # slotted dataclass: unpickling must not trip over the frozen fields
+    # slotted class: unpickling must not trip over the frozen fields
     for g in (empty_graph(1), PETERSEN, complete_multipartite([2, 3])):
         h = pickle.loads(pickle.dumps(g))
         assert h == g and h.adj == g.adj and type(h) is Graph

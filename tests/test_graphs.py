@@ -20,6 +20,7 @@ from ramsey_k2n.graphs import (
 )
 
 from conftest import (
+    PETERSEN,
     complete_multipartite,
     induced_subgraph,
     mask_of,
@@ -54,6 +55,26 @@ def test_validation_rejects_bad_adjacency():
         Graph(64, full[:63] + (full[63] | 1 << 64,))
     with pytest.raises(GraphError, match="vertex 5 has neighbors beyond"):
         Graph(6, (0,) * 5 + (1 << 6,))
+
+
+def test_graph_is_an_immutable_value():
+    g = Graph(3, (4, 0, 1))
+    with pytest.raises(AttributeError):
+        g.order = 4
+    with pytest.raises(AttributeError):
+        del g.order
+    with pytest.raises(AttributeError):
+        g.adj = (0, 0, 0)
+    assert (g.order, g.adj) == (3, (4, 0, 1))
+    h = add_edge(empty_graph(3), 0, 2)
+    assert h == g and hash(h) == hash(g) and h is not g
+    assert len({g, h, complement(complement(g))}) == 1
+    assert g != Graph(3, (0, 0, 0))
+    # equal only to a Graph, never to a tuple of the same fields
+    assert Graph(1, (0,)) != (1, (0,))
+    assert repr(PETERSEN).startswith("Graph(order=10, adj=(")
+    assert repr(Graph(2, (2, 1))) == "Graph(order=2, adj=(2, 1))"
+    assert Graph(order=2, adj=(2, 1)) == Graph(2, (2, 1))
 
 
 def test_order_bounds():

@@ -22,6 +22,8 @@ from ramsey_k2n.graphs import (
     union_neighborhood_excl,
 )
 from ramsey_k2n.invariants import (
+    CycleWitness,
+    K2nWitness,
     all_cycles_of_length,
     bipartition,
     circumference,
@@ -212,6 +214,20 @@ def test_cycle_witness_validates(rng):
                 assert w.validate(g)
         with pytest.raises(GraphError):
             has_cycle_of_length(g, 2)
+
+
+def test_witnesses_read_back_their_fields():
+    g = cycle_graph(5)
+    w = CycleWitness((0, 1, 2, 3, 4))
+    assert w.vertices == (0, 1, 2, 3, 4)
+    assert w.validate(g) and not CycleWitness((0, 2, 4)).validate(g)
+    k = K2nWitness((0, 1), (2, 3, 4))
+    assert k.pair == (0, 1) and k.common == (2, 3, 4)
+    assert k.validate(complete_multipartite([2, 3]))
+    assert not k.validate(g)
+    found = find_k2n(complete_multipartite([2, 3]), 3)
+    assert found.validate(complete_multipartite([2, 3]))
+    assert len(found.common) == 3
 
 
 def test_cycle_through_last_matches_cycle_membership():

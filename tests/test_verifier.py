@@ -32,6 +32,7 @@ from ramsey_k2n.invariants import (
 from ramsey_k2n.verifier import (
     HamiltonianHypothesisFilter,
     RamseyFilter,
+    VerificationReport,
     _check_observations,
     compute_ramsey,
     verify_badness,
@@ -43,6 +44,18 @@ from ramsey_k2n.verifier import (
 )
 
 from conftest import from_edges, from_nx, plain_cycle_search, to_nx
+
+
+def test_report_defaults_give_each_report_its_own_extra():
+    a = VerificationReport("c", {}, "verified")
+    b = VerificationReport("c", {}, "verified")
+    assert (a.hypothesis_count, a.counterexample, a.elapsed) == (0, None, 0.0)
+    assert a.notes == () and a.extra == {} and a.exit_code == 0
+    assert a.extra is not b.extra
+    a.extra["value"] = 1
+    assert b.extra == {}
+    assert VerificationReport("c", {}, "verified", extra={"x": 1}).extra == {"x": 1}
+    assert VerificationReport("c", {}, "counterexample").exit_code == 1
 
 
 def test_upper_bound_pair_small():
