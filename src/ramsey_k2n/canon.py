@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .graphs import Graph
-
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]],
             splitters: list[int], stay: int = -1) -> list[list[int]]:
@@ -106,9 +104,11 @@ def orbit_closure(points: Iterable[int],
 
 
 def canonical_labeling(
-    g: Graph, base: list[list[int]] | None = None
+    adj: tuple[int, ...], base: list[list[int]] | None = None
 ) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
-    """Return (perm, form, automorphism generators).
+    """Return (perm, form, automorphism generators) of the graph g on n
+    vertices whose neighbour bitmasks are ``adj``, as ``Graph.adj`` holds
+    them.
 
     ``perm[i]`` is the original vertex placed at canonical position i.
     ``form`` is equal across all graphs isomorphic to g and only those.
@@ -129,21 +129,20 @@ def canonical_labeling(
     which gives ``perm``, is never skipped.
 
     The search starts from ``base``, the refined unit partition
-    ``_refine(g.adj, [list(range(g.order))], [g.vertices_mask()])``, which
-    a caller that has it already passes: ``enumeration._children`` hands
-    each child it refines but does not label on with its ``base``, and
-    the child is labeled from it where it is expanded, so no graph's unit
-    partition is refined twice.  Individualization and refinement only
-    split its cells in place, so ``perm[-1]`` lies in its last cell, a
-    union of Aut(g)-orbits.  Refinement first splits the unit partition
-    into degree cells, ascending, so ``perm[-1]`` has maximum degree in g.
+    ``_refine(adj, [list(range(n))], [(1 << n) - 1])``, which a caller
+    that has it already passes: ``enumeration._children`` hands each child
+    it refines but does not label on with its ``base``, and the child is
+    labeled from it where it is expanded, so no graph's unit partition is
+    refined twice.  Individualization and refinement only split its cells
+    in place, so ``perm[-1]`` lies in its last cell, a union of
+    Aut(g)-orbits.  Refinement first splits the unit partition into degree
+    cells, ascending, so ``perm[-1]`` has maximum degree in g.
     ``enumeration._children`` relies on both to settle extensions before
     labeling them.
     """
-    n = g.order
-    adj = g.adj
+    n = len(adj)
     if base is None:
-        base = _refine(adj, [list(range(n))], [g.vertices_mask()])
+        base = _refine(adj, [list(range(n))], [(1 << n) - 1])
 
     best_form: bytes | None = None
     best_perm: tuple[int, ...] | None = None

@@ -36,10 +36,11 @@ the walk never is and no graph's unit partition is refined twice.  This
 changes neither which representative is emitted nor the order of the
 stream.
 
-A tried child is only a tuple of rows until that refinement keeps it:
-``add_vertex`` builds a ``Graph`` for a child that is then labeled or
-emitted, and nothing else, so ``Graph`` still validates every graph that
-leaves generation.
+Inside generation a graph is only its tuple of neighbour bitmasks, as
+``Graph.adj`` would hold them: the filters, the refinement and the
+labeling all read rows.  ``enumerate_orders`` builds one ``Graph`` per
+graph it yields, in the process that yields it, so ``Graph`` still
+validates every graph that leaves generation, and nothing else is built.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import math
 from collections.abc import Iterable, Iterator
 
 from .canon import _refine, canonical_labeling, orbit_closure
-from .graphs import Graph, add_vertex, empty_graph
+from .graphs import Graph
 
 _PARALLEL_SPLIT_ORDER = 5
 
@@ -58,18 +59,18 @@ class GenerationFilter:
     that prunes generation: a graph is reached only through ancestors in
     the class.  K_1 is in every class.
 
-    ``candidate_masks(g)`` lists the neighbourhoods tried for the new
-    vertex of a passing parent g, in the order tried.  The list is
-    Aut(g)-invariant and holds every mask whose child passes.
-    ``accepts(rows)`` is asked only about a child built from a listed
-    mask and checks only what its new vertex adds.  ``rows`` are the
-    child's neighbour bitmasks, new vertex last, as ``Graph.adj`` would
-    hold them; the child is not yet a ``Graph``.  By default every mask is
-    listed and every child passes.
+    Both hooks read a graph's neighbour bitmasks, as ``Graph.adj`` would
+    hold them; no ``Graph`` is built for either.  ``candidate_masks(adj)``
+    lists the neighbourhoods tried for the new vertex of a passing parent
+    g with rows ``adj``, in the order tried.  The list is Aut(g)-invariant
+    and holds every mask whose child passes.  ``accepts(rows)`` is asked
+    only about a child built from a listed mask, new vertex last, and
+    checks only what that vertex adds.  By default every mask is listed
+    and every child passes.
     """
 
-    def candidate_masks(self, g: Graph) -> Iterable[int]:
-        return range(1 << g.order)
+    def candidate_masks(self, adj: tuple[int, ...]) -> Iterable[int]:
+        return range(1 << len(adj))
 
     def accepts(self, rows: tuple[int, ...]) -> bool:
         return True
@@ -84,7 +85,7 @@ class K2nFreeFilter(GenerationFilter):
             raise ValueError("n must be >= 1")
         self.n = n
 
-    def candidate_masks(self, g: Graph) -> Iterable[int]:
+    def candidate_masks(self, adj: tuple[int, ...]) -> Iterable[int]:
         """Masks S keeping the extension K_{2,n}-free, in increasing
         lexicographic order of their vertex lists.
 
@@ -96,8 +97,7 @@ class K2nFreeFilter(GenerationFilter):
         still take.
         """
         n = self.n
-        adj = g.adj
-        k = g.order
+        k = len(adj)
         # pairs allowed to coexist in S
         ok = [0] * k
         for u in range(k):
@@ -158,19 +158,19 @@ def _orbit_min(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def _children(
-    g: Graph, auts: list[tuple[int, ...]] | None, base: list[list[int]],
-    flt: GenerationFilter,
-) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None, list[list[int]]]]:
-    """Accepted one-vertex extensions of g (exactly one per class), each
-    with the generators of its automorphism group, or with None if one
-    refinement accepted it unlabeled, and with its refined unit partition.
-    ``auts`` and ``base`` are g's; g is labeled here from ``base`` if
-    ``auts`` is None."""
+# A node of the walk: a graph's rows, the generators of its automorphism
+# group or None if it is not labeled yet, and its refined unit partition.
+_Node = tuple[tuple[int, ...], list[tuple[int, ...]] | None, list[list[int]]]
+
+
+def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
+              base: list[list[int]], flt: GenerationFilter) -> Iterator[_Node]:
+    """The accepted one-vertex extensions of the node (adj, auts, base),
+    exactly one per class; one that a refinement alone accepts is not
+    labeled.  The node is labeled here from ``base`` if ``auts`` is None."""
     if auts is None:
-        auts = canonical_labeling(g, base)[2]
-    k = g.order
-    adj = g.adj
+        auts = canonical_labeling(adj, base)[2]
+    k = len(adj)
     new_bit = 1 << k
     # The canonically-last vertex has the child's maximum degree, so only a
     # new vertex of maximum degree can lie in its orbit: |s| above every
@@ -182,7 +182,7 @@ def _children(
     top = max(degrees)
     top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
     seen_orbit: set[int] = set()
-    for s in flt.candidate_masks(g):
+    for s in flt.candidate_masks(adj):
         size = s.bit_count()
         if size < top or (size == top and s & top_mask):
             continue
@@ -194,8 +194,7 @@ def _children(
             if s in seen_orbit:
                 continue
             seen_orbit |= _orbit_min(s, auts)
-        # The child's rows, new vertex last, for the filter and the
-        # refinement; only a child that the refinement keeps becomes a Graph.
+        # the child's rows, new vertex last
         rows = list(adj)
         m = s
         while m:
@@ -215,36 +214,33 @@ def _children(
         last = base[-1]
         if k not in last:
             continue
-        child = add_vertex(g, s)
         if len(last) == 1:
-            yield child, None, base
+            yield rows, None, base
             continue
-        perm, _, cauts = canonical_labeling(child, base)
+        perm, _, cauts = canonical_labeling(rows, base)
         if k not in orbit_closure((perm[-1],), cauts):
             continue
-        yield child, cauts, base
+        yield rows, cauts, base
 
 
-def _walk(
-    g: Graph, auts: list[tuple[int, ...]] | None, base: list[list[int]],
-    order: int, flt: GenerationFilter,
-) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None, list[list[int]]]]:
-    """g, then its accepted descendants up to ``order``, depth first, each
-    with the generators of its automorphism group or None and its refined
-    unit partition, as ``_children`` gives them."""
-    yield g, auts, base
-    if g.order < order:
-        for child, cauts, cbase in _children(g, auts, base, flt):
+def _walk(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
+          base: list[list[int]], order: int,
+          flt: GenerationFilter) -> Iterator[_Node]:
+    """The node (adj, auts, base), then its accepted descendants up to
+    ``order``, depth first, as ``_children`` gives them."""
+    yield adj, auts, base
+    if len(adj) < order:
+        for child, cauts, cbase in _children(adj, auts, base, flt):
             yield from _walk(child, cauts, cbase, order, flt)
 
 
 def _parallel_task(
-    args: tuple[Graph, list[tuple[int, ...]] | None, list[list[int]],
-                int, int, GenerationFilter]
-) -> list[Graph]:
+    args: tuple[tuple[int, ...], list[tuple[int, ...]] | None,
+                list[list[int]], int, int, GenerationFilter]
+) -> list[tuple[int, ...]]:
     seed, auts, base, lowest, highest, flt = args
-    return [g for g, _, _ in _walk(seed, auts, base, highest, flt)
-            if g.order >= lowest]
+    return [adj for adj, _, _ in _walk(seed, auts, base, highest, flt)
+            if len(adj) >= lowest]
 
 
 def enumerate_orders(
@@ -268,27 +264,35 @@ def enumerate_orders(
     if highest < lowest:
         return
     # K_1: its automorphism group is trivial, so it has no generators
-    root = (empty_graph(1), [], [[0]])
+    root = ((0,), [], [[0]])
     if workers == 1 or highest <= _PARALLEL_SPLIT_ORDER + 1:
-        for g, _, _ in _walk(*root, highest, flt):
-            if g.order >= lowest:
-                yield g
-        return
+        stream = (adj for adj, _, _ in _walk(*root, highest, flt))
+    else:
+        stream = _split_walk(root, lowest, highest, flt, workers)
+    for adj in stream:
+        if len(adj) >= lowest:
+            yield Graph(len(adj), adj)
+
+
+def _split_walk(root: _Node, lowest: int, highest: int,
+                flt: GenerationFilter, workers: int) -> Iterator[tuple[int, ...]]:
+    """The rows ``_walk`` gives from ``root`` up to ``highest``, in its
+    order, with each seed's subtree walked in a worker process and only
+    its graphs of order ``lowest`` or more sent back."""
     # the seeds travel to the workers with their generators or None and
     # their refined unit partitions
     top = list(_walk(*root, _PARALLEL_SPLIT_ORDER, flt))
-    seeds = [(g, auts, base, lowest, highest, flt) for g, auts, base in top
-             if g.order == _PARALLEL_SPLIT_ORDER]
+    seeds = [(adj, auts, base, lowest, highest, flt)
+             for adj, auts, base in top if len(adj) == _PARALLEL_SPLIT_ORDER]
     if not seeds:  # the filter ends the tree below the seed order
-        yield from (g for g, _, _ in top if g.order >= lowest)
+        yield from (adj for adj, _, _ in top)
         return
     from multiprocessing import get_context  # only a parallel run needs it
     with get_context("fork").Pool(min(workers, len(seeds))) as pool:
         subtrees = pool.imap(_parallel_task, seeds)
-        for g, _, _ in top:
-            if g.order < _PARALLEL_SPLIT_ORDER:
-                if g.order >= lowest:
-                    yield g
+        for adj, _, _ in top:
+            if len(adj) < _PARALLEL_SPLIT_ORDER:
+                yield adj
             else:  # a seed: its subtree, itself first
                 yield from next(subtrees)
 

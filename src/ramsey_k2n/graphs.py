@@ -155,14 +155,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
-def add_vertex(g: Graph, neighbors_mask: int) -> Graph:
-    """New graph with one extra vertex adjacent to ``neighbors_mask``."""
-    v = g.order
-    rows = [row | (1 << v if neighbors_mask >> u & 1 else 0) for u, row in enumerate(g.adj)]
-    rows.append(neighbors_mask)
-    return Graph(g.order + 1, tuple(rows))
-
-
 def union_neighborhood_excl(g: Graph, u: int, v: int) -> int:
     """|(N(u) u N(v)) \\ {u, v}|."""
     _check_vertex(g, u)

@@ -26,7 +26,15 @@ def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def canonical_form(g: Graph) -> bytes:
-    return canonical_labeling(g)[1]
+    return canonical_labeling(g.adj)[1]
+
+
+def add_vertex(g: Graph, neighbors_mask: int) -> Graph:
+    """New graph with one extra vertex adjacent to ``neighbors_mask``."""
+    v = g.order
+    rows = [row | (1 << v if neighbors_mask >> u & 1 else 0) for u, row in enumerate(g.adj)]
+    rows.append(neighbors_mask)
+    return Graph(g.order + 1, tuple(rows))
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,30 @@ def test_src_lines_counts_the_package_modules_only(tmp_path):
     (pkg / "sub" / "c.py").write_text("v = 5\n")
     (tmp_path / "d.py").write_text("u = 6\n")
     assert bench_gate.src_lines(str(tmp_path)) == 4
+
+
+def test_a_run_without_a_report_is_recorded_not_fatal(tmp_path, monkeypatch):
+    # a tree whose CLI raises prints no JSON: its runs are kept with null
+    # counts and digest and the last stderr line, next to a working tree's
+    # runs, and the gate run's output counts as not the same
+    trees = {}
+    for label, body in (
+            ("ok", 'print(\'{"outcome": "verified", "elapsed": 0.1}\')\n'),
+            ("broken", 'raise RuntimeError("boom")\n')):
+        pkg = tmp_path / label / "ramsey_k2n"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "__main__.py").write_text(body)
+        trees[label] = str(tmp_path / label)
+    monkeypatch.setattr(bench_gate, "GATE_RUNS", {"one": ("verify",)})
+    out = tmp_path / "bench.json"
+    argv = [f"--src={label}={path}" for label, path in trees.items()]
+    assert bench_gate.main([*argv, "--runs", "3", "--out", str(out)]) == 1
+    row = json.loads(out.read_text())["gate_runs"]["one"]
+    assert row["same_output"] is False
+    assert [run["counts"]["outcome"] for run in row["ok"]["runs"]] == \
+        ["verified"] * 3
+    for run in row["broken"]["runs"]:
+        assert run["exit_code"] == 1
+        assert run["counts"] is None and run["output_sha256"] is None
+        assert run["stderr_tail"] == "RuntimeError: boom"

@@ -5,10 +5,11 @@ import pickle
 import time
 from types import SimpleNamespace
 
+import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from ramsey_k2n import enumeration
-from ramsey_k2n.canon import canonical_labeling
+from ramsey_k2n.canon import _refine, canonical_labeling
 from ramsey_k2n.enumeration import (
     ALL_GRAPHS,
     GenerationFilter,
@@ -20,7 +21,7 @@ from ramsey_k2n.enumeration import (
 )
 from ramsey_k2n.graphs import (
     Graph,
-    add_vertex,
+    GraphError,
     bits,
     cycle_graph,
     empty_graph,
@@ -31,6 +32,7 @@ from ramsey_k2n.verifier import HamiltonianHypothesisFilter, RamseyFilter
 
 from conftest import (
     PETERSEN,
+    add_vertex,
     brute_force_k2n_present,
     canonical_form,
     complete_multipartite,
@@ -86,7 +88,7 @@ def test_candidate_masks_are_exactly_the_k2n_free_extensions():
                 brute = [s for s in range(1 << order)
                          if k2n_free(add_vertex(g, s), n)]
                 brute.sort(key=lambda s: list(bits(s)))
-                assert flt.candidate_masks(g) == brute, (n, encode_graph6(g))
+                assert flt.candidate_masks(g.adj) == brute, (n, encode_graph6(g))
 
 
 def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
@@ -104,13 +106,13 @@ def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
                (cycle_graph(7), K2nFreeFilter(2)), (PETERSEN, K2nFreeFilter(2))]
     for g, flt in parents:
         orbits.clear()
-        _, _, auts = canonical_labeling(g)
+        _, _, auts = canonical_labeling(g.adj)
         assert auts
-        list(_children(g, auts, unit_refinement(g), flt))
+        list(_children(g.adj, auts, unit_refinement(g), flt))
         degrees = [row.bit_count() for row in g.adj]
         top = max(degrees)
         top_mask = sum(1 << v for v in range(g.order) if degrees[v] == top)
-        passing = {s for s in flt.candidate_masks(g)
+        passing = {s for s in flt.candidate_masks(g.adj)
                    if s.bit_count() > top
                    or (s.bit_count() == top and not s & top_mask)}
         covered = set().union(*orbits)
@@ -124,61 +126,84 @@ def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
 def test_children_of_a_highly_symmetric_parent():
     # S_12 acts on the 4,096 masks in 13 orbits, one per class of child
     g = empty_graph(12)
-    _, _, auts = canonical_labeling(g)
+    _, _, auts = canonical_labeling(g.adj)
     start = time.perf_counter()
-    children = list(_children(g, auts, unit_refinement(g), ALL_GRAPHS))
+    children = list(_children(g.adj, auts, unit_refinement(g), ALL_GRAPHS))
     assert len(children) == 13
     assert time.perf_counter() - start < 5
 
 
-def test_only_labeled_or_emitted_children_are_built(monkeypatch):
-    # a tried child stays a tuple of rows: _children builds a Graph only for
-    # a child it then labels from its refinement or yields unlabeled.  A
-    # child yielded unlabeled carries that refinement and is labeled from
-    # it where it is expanded, so every labeling is given the graph's
-    # refined unit partition and none refines it again.  The walk labels
-    # every node at most once, so the totals are the traced labeling
-    # counts of these trees.
-    calls = {"add_vertex": 0, "without_base": 0}
-    labeled = []
-    unlabeled = set()
-    add, label, children = (enumeration.add_vertex,
-                            enumeration.canonical_labeling, enumeration._children)
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """Replace the worker pool by one that runs imap in this process; the
+    list holds the size of each pool made."""
+    sizes = []
 
-    def counted_add(g, s):
-        calls["add_vertex"] += 1
-        return add(g, s)
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
 
-    def counted_label(g, base=None):
-        if base is None:
-            calls["without_base"] += 1
-        else:
-            assert base == unit_refinement(g)
-        labeled.append(g.adj)
-        return label(g, base)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    # enumerate_orders imports get_context from multiprocessing when a run
+    # needs a pool, so the module attribute is the one to replace
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    return sizes
+
+
+def test_one_graph_is_built_per_graph_yielded(monkeypatch, pool_sizes):
+    # generation runs on adjacency rows: the only Graph built for a graph
+    # is the one enumerate_orders yields, in the process that yields it.
+    # The in-process pool walks the seeds' subtrees here, so a Graph built
+    # there would be counted too.  Every labeling is given the graph's
+    # refined unit partition, and the walk labels every node at most once,
+    # where it is expanded, for any worker count: the totals are the traced
+    # labeling counts of these trees.
+    built, labeled, unlabeled = [], [], set()
+    init, label, children = (Graph.__init__, enumeration.canonical_labeling,
+                             enumeration._children)
+
+    def counted_init(self, order, adj):
+        built.append(adj)
+        init(self, order, adj)
+
+    def counted_label(adj, base=None):
+        n = len(adj)
+        assert base == _refine(adj, [list(range(n))], [(1 << n) - 1])
+        labeled.append(adj)
+        return label(adj, base)
 
     def counted_children(*args):
         for child, cauts, base in children(*args):
             if cauts is None:
-                unlabeled.add(child.adj)
+                unlabeled.add(child)
             yield child, cauts, base
 
-    monkeypatch.setattr(enumeration, "add_vertex", counted_add)
+    monkeypatch.setattr(Graph, "__init__", counted_init)
     monkeypatch.setattr(enumeration, "canonical_labeling", counted_label)
     monkeypatch.setattr(enumeration, "_children", counted_children)
-    for flt, order, total in ((HamiltonianHypothesisFilter(7), 8, 428),
-                              (K2nFreeFilter(2), 9, 759)):
-        calls.update(dict.fromkeys(calls, 0))
-        labeled.clear()
-        unlabeled.clear()
-        for _ in enumerate_orders(1, order, flt):
-            pass
-        assert calls["without_base"] == 0
-        # labeled in their parent: every built child not yielded unlabeled
-        in_parent = set(labeled) - unlabeled
-        assert in_parent and unlabeled & set(labeled)
-        assert calls["add_vertex"] == len(in_parent) + len(unlabeled)
+    cases = ((HamiltonianHypothesisFilter(7), 8, 428), (K2nFreeFilter(2), 9, 759))
+    for (flt, order, total), top_only, workers in itertools.product(
+            cases, (False, True), (1, 2)):
+        for seen in (built, labeled, unlabeled):
+            seen.clear()
+        # every order, or only the top one: a graph walked but not yielded
+        # is never built
+        lowest = order if top_only else 1
+        stream = [g.adj for g in enumerate_orders(lowest, order, flt, workers)]
+        assert built == stream and len(stream) == len(set(stream))
+        # labeled in their parent: every child not yielded unlabeled
+        assert set(labeled) - unlabeled and unlabeled & set(labeled)
         assert len(labeled) == len(set(labeled)) == total
+    assert pool_sizes == [2] * 4
 
 
 def test_c4_free_counts():
@@ -229,34 +254,15 @@ def test_parallel_equals_sequential():
         assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
-    # a pool that records its size and runs imap in this process
-    sizes = []
-
-    class Pool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items):
-            return map(fn, items)
-
+def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch, pool_sizes):
+    sizes = pool_sizes
     # every labeling, in the workers too, since they run in this process
     labelings = []
 
-    def counted(g, *rest):
-        labelings.append(g.order)
-        return canonical_labeling(g, *rest)
+    def counted(adj, *rest):
+        labelings.append(len(adj))
+        return canonical_labeling(adj, *rest)
 
-    # enumerate_orders imports get_context from multiprocessing when a run
-    # needs a pool, so the module attribute is the one to replace
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: SimpleNamespace(Pool=Pool))
     monkeypatch.setattr(enumeration, "canonical_labeling", counted)
     flt = K2nFreeFilter(2)
     walk = [encode_graph6(g) for g in enumerate_orders(1, 7, flt)]
@@ -281,11 +287,20 @@ def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch):
 
 
 def test_graph_survives_pickling():
-    # workers send their Graphs back pickled, and Graph is a frozen,
-    # slotted class: unpickling must not trip over the frozen fields
+    # workers send rows back, and the process that yields a graph builds
+    # its Graph; a Graph must still pickle, and Graph is a frozen, slotted
+    # class: unpickling must not trip over the frozen fields, and it
+    # validates the graph again
     for g in (empty_graph(1), PETERSEN, complete_multipartite([2, 3])):
         h = pickle.loads(pickle.dumps(g))
         assert h == g and h.adj == g.adj and type(h) is Graph
+
+    class Forged:  # pickles as a Graph whose edge 0-1 only 0 holds
+        def __reduce__(self):
+            return Graph, (2, (2, 0))
+
+    with pytest.raises(GraphError):
+        pickle.loads(pickle.dumps(Forged()))
 
 
 def test_one_walk_gives_every_order():

@@ -6,7 +6,6 @@ from ramsey_k2n.graphs import (
     Graph,
     GraphError,
     add_edge,
-    add_vertex,
     bits,
     complement,
     complete_graph,
@@ -21,6 +20,7 @@ from ramsey_k2n.graphs import (
 
 from conftest import (
     PETERSEN,
+    add_vertex,
     complete_multipartite,
     induced_subgraph,
     mask_of,

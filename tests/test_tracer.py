@@ -10,13 +10,15 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Call sites the package no longer has, so the tracer reports zero calls:
 # the canonical-deletion parent test, which acceptance by orbit only
-# removed from the enumeration; the complement built as a Graph and the
-# cycle search on it, which the verifier replaced by searches of the
-# complement's rows; and the exact connectivity, which the verifier does
-# not import: its harnesses ask only whether κ >= 2.
-RETIRED = ["enumeration.canonical_form", "enumeration.induced_subgraph",
-           "verifier.complement", "verifier.has_cycle_of_length",
-           "verifier.connectivity"]
+# removed from the enumeration; the Graph built for each kept child,
+# since generation builds no Graph per child, only one per graph it
+# yields; the complement built as a Graph and the cycle search on it,
+# which the verifier replaced by searches of the complement's rows; and
+# the exact connectivity, which the verifier does not import: its
+# harnesses ask only whether κ >= 2.
+RETIRED = ["enumeration.canonical_form", "enumeration.add_vertex",
+           "enumeration.induced_subgraph", "verifier.complement",
+           "verifier.has_cycle_of_length", "verifier.connectivity"]
 
 
 def test_tracer_finds_every_call_site():

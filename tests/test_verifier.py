@@ -8,10 +8,9 @@ from networkx.generators.atlas import graph_atlas_g
 
 from ramsey_k2n import verifier
 from ramsey_k2n.constructions import star_witness
-from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_orders
+from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_orders, unlabeled_graph_count
 from ramsey_k2n.graphs import (
     Graph,
-    add_vertex,
     bits,
     complement,
     complement_rows,
@@ -43,7 +42,14 @@ from ramsey_k2n.verifier import (
     verify_upper_bound,
 )
 
-from conftest import from_edges, from_nx, plain_cycle_search, to_nx
+from conftest import (
+    add_vertex,
+    brute_force_k2n_present,
+    from_edges,
+    from_nx,
+    plain_cycle_search,
+    to_nx,
+)
 
 
 def test_report_defaults_give_each_report_its_own_extra():
@@ -383,7 +389,7 @@ def _check_filter_contract(flt, passes, key=None) -> None:
     parent of order <= 6."""
     for order in range(1, 7):
         for g in enumerate_orders(order, order, flt):
-            kept = [s for s in flt.candidate_masks(g)
+            kept = [s for s in flt.candidate_masks(g.adj)
                     if flt.accepts(add_vertex(g, s).adj)]
             brute = sorted((s for s in range(1 << order) if passes(add_vertex(g, s))),
                            key=key)
@@ -424,7 +430,7 @@ def test_hamiltonian_filter_rechecks_only_pairs_outside_the_new_neighbourhood(m)
     flt = HamiltonianHypothesisFilter(m)
     for order in range(1, 8):
         for g in enumerate_orders(order, order, flt):
-            for s in flt.candidate_masks(g):
+            for s in flt.candidate_masks(g.adj):
                 rows = add_vertex(g, s).adj
                 assert flt.accepts(rows) == (
                     flt.pair_bound_holds(rows, adjacent=False)
@@ -531,6 +537,25 @@ def test_goodness_upper_bounds_hold_on_the_graph_atlas():
         assert not any(_brute_ramsey_ok(from_nx(h), n, lengths)
                        for h in _atlas(value)), (n, kind, m)
     assert cells == 13
+
+
+def test_goodness_upper_bounds_of_8_hold_on_every_graph_of_order_8():
+    # the cells with R = 8, past the atlas: each of the unfiltered tree's
+    # classes of order 8, whose number Burnside's lemma gives apart from
+    # the generator, has a K_{2,n} by literal embedding search or a target
+    # cycle in its complement by a search without the bipartite rule
+    cells = [(n, (m,) if kind == "cycle" else (m, m + 1))
+             for (n, kind, m), value in GOODNESS_TABLE.items() if value == 8]
+    assert len(cells) == 7
+    classes = 0
+    for g in enumerate_orders(8, 8):
+        classes += 1
+        rows = complement_rows(g.adj)
+        for n, lengths in cells:
+            assert (brute_force_k2n_present(g, n)
+                    or plain_cycle_search(rows, lengths)), \
+                (encode_graph6(g), n, lengths)
+    assert classes == unlabeled_graph_count(8) == 12346
 
 
 # Cells of the goodness map not yet in GOODNESS_TABLE, which each take

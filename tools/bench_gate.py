@@ -14,13 +14,16 @@ The JSON written to ``--out`` holds, per gate run and tree, every run's
 wall time, exit code, counts (outcome, hypothesis count and ``extra``),
 the sha256 of its output without ``elapsed`` and the load averages when it
 started, then the median wall time, the quartiles of the wall times and
-their interquartile range as a share of the median.  ``same_output`` says
-whether every run of every tree printed the same bytes; the machine record
-gives the CPU count and the Python version, and ``src_lines`` each tree's
-line count of ``ramsey_k2n/*.py``, as ``wc -l`` counts them.  The printed
-summary compares each tree with the first, marks a median difference
-smaller than either tree's interquartile range as ``unresolved``, and ends
-with the line counts.  Only the standard library is used.
+their interquartile range as a share of the median.  A run that prints no
+JSON report, a crash say, is kept with null counts and digest and the last
+line of its stderr.  ``same_output`` says whether every run of every tree
+printed the same report, and is false if any printed none; the exit code
+is 1 unless it holds for every gate run.  The machine record gives the CPU
+count and the Python version, and ``src_lines`` each tree's line count of
+``ramsey_k2n/*.py``, as ``wc -l`` counts them.  The printed summary
+compares each tree with the first, marks a median difference smaller than
+either tree's interquartile range as ``unresolved``, and ends with the
+line counts.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ GATE_RUNS = {
 
 
 def run_once(src: str, argv: tuple[str, ...]) -> dict:
-    """One CLI run: its wall time, exit code, counts and output digest."""
+    """One CLI run: its wall time, exit code, counts and output digest.
+    A run that prints no JSON report gets null counts and digest, and the
+    last line of its stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     load = os.getloadavg()
     start = time.perf_counter()
@@ -63,15 +68,23 @@ def run_once(src: str, argv: tuple[str, ...]) -> dict:
         [sys.executable, "-m", "ramsey_k2n", *argv,
          "--output", "json", "--workers", "1"],
         capture_output=True, text=True, env=env)
-    wall = time.perf_counter() - start
-    report = json.loads(proc.stdout)
+    run = {"wall_s": round(time.perf_counter() - start, 4),
+           "exit_code": proc.returncode,
+           "loadavg": [round(x, 2) for x in load]}
+    try:
+        report = json.loads(proc.stdout)
+    except ValueError:
+        report = None
+    if not isinstance(report, dict):
+        lines = proc.stderr.strip().splitlines()
+        return {**run, "counts": None, "output_sha256": None,
+                "stderr_tail": lines[-1] if lines else ""}
     report.pop("elapsed", None)
     stable = json.dumps(report, sort_keys=True)
-    return {"wall_s": round(wall, 4), "exit_code": proc.returncode,
+    return {**run,
             "counts": {key: report.get(key)
                        for key in ("outcome", "hypothesis_count", "extra")},
-            "output_sha256": hashlib.sha256(stable.encode()).hexdigest(),
-            "loadavg": [round(x, 2) for x in load]}
+            "output_sha256": hashlib.sha256(stable.encode()).hexdigest()}
 
 
 def src_lines(src: str) -> int:
@@ -123,7 +136,7 @@ def bench(trees: dict[str, str], runs: int) -> dict:
                    for tree_runs in per_tree.values() for run in tree_runs}
         table[name] = {
             "argv": list(GATE_RUNS[name]),
-            "same_output": len(digests) == 1,
+            "same_output": len(digests) == 1 and None not in digests,
             **{label: {**spread([run["wall_s"] for run in tree_runs]),
                        "runs": tree_runs}
                for label, tree_runs in per_tree.items()},
