@@ -5,7 +5,7 @@ Modules:
 
 - ``graphs``        — immutable bitmask graphs, constructors, graph6 I/O
 - ``canon``         — canonical labeling and forms, automorphism generators
-- ``invariants``    — cycles, connectivity, K_{2,n}-freeness, witnesses
+- ``invariants``    — cycles as vertex tuples, connectivity, K_{2,n} witnesses
 - ``enumeration``   — isomorph-free exhaustive generation with filters
 - ``constructions`` — lower-bound witness builders with self-verification
 - ``verifier``      — exhaustive theorem harnesses and exact Ramsey values

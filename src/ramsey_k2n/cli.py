@@ -22,13 +22,7 @@ import os
 import sys
 
 from . import verifier
-from .graphs import (
-    FormatError,
-    GraphError,
-    ParameterError,
-    decode_graph6,
-    encode_graph6,
-)
+from .graphs import FormatError, GraphError, decode_graph6, encode_graph6
 from .invariants import (
     circumference,
     connectivity,
@@ -111,7 +105,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:
             found = True
             results["cycle"] = {"length": args.cycle, "found": True,
-                                "vertices": list(witness.vertices)}
+                                "vertices": list(witness)}
     if args.circumference:
         results["circumference"] = circumference(g)
     if args.girth:
@@ -269,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be >= 1")
     try:
         return args.run(args)
-    except (ParameterError, FormatError, GraphError) as exc:
+    except GraphError as exc:  # ParameterError and FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -84,9 +84,6 @@ class Graph:
     def __reduce__(self):
         return Graph, (self.order, self.adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
@@ -113,21 +110,8 @@ def complete_graph(order: int) -> Graph:
 def cycle_graph(order: int) -> Graph:
     if order < 3:
         raise GraphError("cycle needs order >= 3")
-    g = empty_graph(order)
-    for v in range(order):
-        g = add_edge(g, v, (v + 1) % order)
-    return g
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        raise GraphError("loops are not allowed")
-    rows = list(g.adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph(g.order, tuple(rows))
+    return Graph(order, tuple((1 << (v - 1) % order) | (1 << (v + 1) % order)
+                              for v in range(order)))
 
 
 def complement_rows(adj: Sequence[int]) -> tuple[int, ...]:

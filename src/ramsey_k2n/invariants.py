@@ -30,33 +30,9 @@ from .graphs import Graph, GraphError, bits
 #: Most cycles of one length listed for one graph.
 CYCLE_CAP = 10_000
 
-
-class CycleWitness(namedtuple("CycleWitness", "vertices")):
-    """An explicit cycle, as the ordered vertex sequence ``vertices``."""
-
-    __slots__ = ()
-
-    def validate(self, g: Graph) -> bool:
-        vs = self.vertices
-        if len(set(vs)) != len(vs) or not 3 <= len(vs) <= g.order:
-            return False
-        return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
-
-
-class K2nWitness(namedtuple("K2nWitness", "pair common")):
-    """An explicit K_{2,n} embedding: a vertex ``pair`` plus n ``common``
-    neighbors."""
-
-    __slots__ = ()
-
-    def validate(self, g: Graph) -> bool:
-        u, v = self.pair
-        if u == v or not self.common:
-            return False
-        cset = set(self.common)
-        if len(cset) != len(self.common) or cset & {u, v}:
-            return False
-        return all(g.has_edge(u, w) and g.has_edge(v, w) for w in self.common)
+#: An explicit K_{2,n} embedding: a vertex ``pair`` plus n ``common``
+#: neighbors.
+K2nWitness = namedtuple("K2nWitness", "pair common")
 
 
 def min_degree(g: Graph) -> int:
@@ -173,13 +149,13 @@ def bipartition(adj: Sequence[int]) -> tuple[int, int] | None:
 
 def cycles_through(
     adj: Sequence[int], s: int, others: int, m: int, cap: int
-) -> list[CycleWitness]:
+) -> list[tuple[int, ...]]:
     """The cycles of length exactly m through s whose other vertices lie in
     the mask ``others``, at most cap of them.
 
-    ``adj`` is a graph's rows of neighbour bitmasks.  A cycle starts at s
-    and runs toward the smaller of s's two cycle neighbours, and cycles
-    come in lexicographic order.
+    ``adj`` is a graph's rows of neighbour bitmasks.  A cycle is the
+    tuple of its vertices: it starts at s and runs toward the smaller of
+    s's two cycle neighbours, and cycles come in lexicographic order.
 
     A depth-first search grows the path s, p1, p2, ... through unused
     vertices of ``others``, carrying ``close``: the neighbours of s that
@@ -191,7 +167,7 @@ def cycles_through(
     cycles are closed at once by the end's unused neighbours in
     ``close``, in ascending order.  There is no cycle of length below 3.
     """
-    out: list[CycleWitness] = []
+    out: list[tuple[int, ...]] = []
     path = [s]
 
     def dfs(v: int, depth: int, rem: int, close: int) -> bool:
@@ -202,7 +178,7 @@ def cycles_through(
             while ends:
                 low = ends & -ends
                 ends ^= low
-                out.append(CycleWitness((*path, low.bit_length() - 1)))
+                out.append((*path, low.bit_length() - 1))
                 if len(out) >= cap:
                     return True
             return False
@@ -246,7 +222,7 @@ def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int]) -> bool:
 
 def all_cycles_of_length(
     adj: Sequence[int], m: int, cap: int = CYCLE_CAP
-) -> tuple[list[CycleWitness], bool]:
+) -> tuple[list[tuple[int, ...]], bool]:
     """All cycles of length exactly m in the graph with rows ``adj``, each
     once; returns (cycles, cap_hit).
 
@@ -266,7 +242,7 @@ def all_cycles_of_length(
     if sides is not None and (
             m % 2 == 1 or m > 2 * min(side.bit_count() for side in sides)):
         return [], False
-    out: list[CycleWitness] = []
+    out: list[tuple[int, ...]] = []
     full = (1 << n) - 1
     for s in range(n - m + 1):
         out += cycles_through(adj, s, full & ~((2 << s) - 1), m,
@@ -276,7 +252,7 @@ def all_cycles_of_length(
     return out, False
 
 
-def has_cycle_of_length(g: Graph, m: int) -> CycleWitness | None:
+def has_cycle_of_length(g: Graph, m: int) -> tuple[int, ...] | None:
     """The first cycle of all_cycles_of_length(g.adj, m), or None."""
     cycles, _ = all_cycles_of_length(g.adj, m, cap=1)
     return cycles[0] if cycles else None
@@ -302,7 +278,7 @@ def cycle_spectrum(g: Graph) -> set[int]:
     return {ln for ln in range(3, g.order + 1) if has_cycle_of_length(g, ln)}
 
 
-def is_hamiltonian(g: Graph) -> CycleWitness | None:
+def is_hamiltonian(g: Graph) -> tuple[int, ...] | None:
     if g.order < 3:
         raise GraphError("Hamiltonicity needs order >= 3")
     return has_cycle_of_length(g, g.order)

@@ -10,7 +10,7 @@ claim's hypothesis, and checks the conclusion on each survivor.  Outcomes:
                           the conclusion; of those found, the one with the
                           least graph6 string is reported, with a note on
                           what it violates
-- ``infeasible``        — parameters outside desk-scale guidelines
+- ``infeasible``        — parameters invalid or outside desk-scale guidelines
 
 Reports are deterministic for fixed parameters; worker count never changes
 any reported value.
@@ -183,20 +183,21 @@ def verify_badness(n: int, m: int) -> VerificationReport:
 
     params = {"n": n, "m": m, "order": n + m + 1}
     start = time.monotonic()
-    cover = badness_parameter_cover(n, m)
-    kind = cover["construction"]
-    if kind in ("unknown", "uncovered"):
-        return _report("thm1.4", params, start, outcome="infeasible",
-                       notes=(cover.get("reason", kind),),
-                       extra={"cover": cover})
+    cover = None
     try:
+        cover = badness_parameter_cover(n, m)
+        kind = cover["construction"]
+        if kind in ("unknown", "uncovered"):
+            return _report("thm1.4", params, start, outcome="infeasible",
+                           notes=(cover.get("reason", kind),),
+                           extra={"cover": cover})
         if kind == "lemma41":
             report = lemma41_witness(m, cover["p"], cover["t"])
         else:
             report = lemma42_witness(m, cover["q"], cover["t"])
-    except ParameterError as exc:
+    except ParameterError as exc:  # no cover where n or m is out of range
         return _report("thm1.4", params, start, outcome="infeasible",
-                       notes=(str(exc),), extra={"cover": cover})
+                       notes=(str(exc),), extra=cover and {"cover": cover})
     g = report.graph
     problems = []
     if g.order != n + m + 1:
@@ -263,6 +264,10 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
     """
     params = {"max_order": max_order}
     start = time.monotonic()
+    lowest = 5
+    if max_order < lowest:
+        return _report("lemma3.1", params, start, outcome="infeasible",
+                       notes=(f"max_order >= {lowest} required",))
     if max_order > LEMMA_3_1_MAX_ORDER:
         return _report("lemma3.1", params, start, outcome="infeasible",
                        notes=(f"max_order beyond guideline "
@@ -271,7 +276,7 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
     graphs_seen = 0
     cap_hits = 0
     cex: dict | None = None
-    for g in enumerate_orders(5, max_order, workers=workers):
+    for g in enumerate_orders(lowest, max_order, workers=workers):
         graphs_seen += 1
         circ = circumference(g)
         if not 0 < circ <= g.order - 2:
@@ -279,11 +284,11 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
         cycles, capped = all_cycles_of_length(g.adj, circ, CYCLE_CAP)
         if capped:
             cap_hits += 1
-        for wit in cycles:
-            pairs, violation = _check_observations(g, wit.vertices)
+        for cycle in cycles:
+            pairs, violation = _check_observations(g, cycle)
             triples += pairs
             if violation is not None:
-                cex = _pick(cex, g, f"cycle {list(wit.vertices)}: {violation}")
+                cex = _pick(cex, g, f"cycle {list(cycle)}: {violation}")
     return _report("lemma3.1", params, start, triples, cex,
                    notes=(f"cycle cap hit on {cap_hits} graphs",),
                    extra={"graphs_examined": graphs_seen,
@@ -419,6 +424,10 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
     """
     params = {"max_order": max_order}
     start = time.monotonic()
+    lowest = 3
+    if max_order < lowest:
+        return _report("lemma-props", params, start, outcome="infeasible",
+                       notes=(f"max_order >= {lowest} required",))
     if max_order > LEMMA_3_1_MAX_ORDER:
         return _report("lemma-props", params, start, outcome="infeasible",
                        notes=(f"max_order beyond guideline "
@@ -426,7 +435,7 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
     counts = {"degree_sum_cycle": 0, "min_degree_hamiltonian": 0,
               "nash_williams": 0, "neighborhood_union_cycle": 0}
     cex: dict | None = None
-    for g in enumerate_orders(3, max_order, workers=workers):
+    for g in enumerate_orders(lowest, max_order, workers=workers):
         n_ = g.order
         delta = min_degree(g)
         two_conn = two_connected(g.adj)
@@ -478,11 +487,15 @@ def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
     if n < 1 or m < 3:
         return _report("ramsey-exact", params, start, outcome="infeasible",
                        notes=("n >= 1 and m >= 3 required",))
+    lowest = 1
+    if max_order < lowest:
+        return _report("ramsey-exact", params, start, outcome="infeasible",
+                       notes=(f"max_order >= {lowest} required",))
     flt = RamseyFilter(n, (m,) if kind == "cycle" else (m, m + 1))
     deepest = 0
     witness: str | None = None
     examined = 0
-    for g in enumerate_orders(1, max_order, flt, workers):
+    for g in enumerate_orders(lowest, max_order, flt, workers):
         examined += 1
         if g.order >= deepest:
             g6 = encode_graph6(g)

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from ramsey_k2n.canon import _refine, canonical_labeling
-from ramsey_k2n.graphs import Graph, GraphError, add_edge, bits, empty_graph
+from ramsey_k2n.graphs import Graph, GraphError, _check_vertex, bits, empty_graph
 from ramsey_k2n.invariants import cycles_through
 
 
@@ -49,6 +49,18 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
             if j is not None:
                 rows[i] |= 1 << j
     return Graph(len(vertices), tuple(rows))
+
+
+def add_edge(g: Graph, u: int, v: int) -> Graph:
+    """New graph with the edge uv added."""
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    if u == v:
+        raise GraphError("loops are not allowed")
+    rows = list(g.adj)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    return Graph(g.order, tuple(rows))
 
 
 def path_graph(order: int) -> Graph:
@@ -99,6 +111,28 @@ def brute_force_k2n_present(g: Graph, n: int) -> bool:
         if len(leaves) >= n:
             return True
     return False
+
+
+def is_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
+    """Whether ``vs``, in order, are the distinct vertices of a cycle of g
+    of length at least 3."""
+    if len(set(vs)) != len(vs) or not 3 <= len(vs) <= g.order:
+        return False
+    return all(g.adj[vs[i]] >> vs[(i + 1) % len(vs)] & 1 for i in range(len(vs)))
+
+
+def is_k2n_embedding(g: Graph, pair: tuple[int, int],
+                     common: tuple[int, ...]) -> bool:
+    """Whether the vertex ``pair`` and the nonempty ``common`` vertices,
+    distinct from it and from each other, span a K_{2,|common|} of g: every
+    common vertex is adjacent to both vertices of the pair."""
+    u, v = pair
+    if u == v or not common:
+        return False
+    cset = set(common)
+    if len(cset) != len(common) or cset & {u, v}:
+        return False
+    return all(g.adj[u] >> w & 1 and g.adj[v] >> w & 1 for w in common)
 
 
 def plain_cycle_search(adj: tuple[int, ...], lengths: Iterable[int]) -> bool:

@@ -451,12 +451,18 @@ def cli_invocations(draw):
     return argv, env
 
 
+# The lowest order each command that reads --max-order searches: a
+# --max-order below it is a bad parameter.
+LOWEST_ORDER = {"lemma3.1": 5, "lemma-props": 3, "ramsey": 1}
+
+
 @settings(max_examples=100, deadline=None)
 @given(cli_invocations())
 def test_every_invocation_exits_0_1_or_2_without_traceback(invocation):
     argv, env = invocation
     environ = {} if env is None else {"RAMSEY_WORKERS": env}
     out, err = io.StringIO(), io.StringIO()
+    returned = True
     with mock.patch.dict(os.environ, environ), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch("sys.stdin", io.StringIO("")):
@@ -464,5 +470,14 @@ def test_every_invocation_exits_0_1_or_2_without_traceback(invocation):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
+            returned = False
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    name = argv[0] if argv[0] == "ramsey" else argv[1]
+    if "--max-order" in argv and name in LOWEST_ORDER:
+        if int(argv[argv.index("--max-order") + 1]) < LOWEST_ORDER[name]:
+            assert code == 2, argv
+    if returned and argv[0] != "check" and "json" in argv:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), \
+            (argv, out.getvalue(), err.getvalue())

@@ -5,7 +5,6 @@ from ramsey_k2n.graphs import (
     FormatError,
     Graph,
     GraphError,
-    add_edge,
     bits,
     complement,
     complete_graph,
@@ -20,6 +19,7 @@ from ramsey_k2n.graphs import (
 
 from conftest import (
     PETERSEN,
+    add_edge,
     add_vertex,
     complete_multipartite,
     induced_subgraph,

@@ -11,7 +11,6 @@ from ramsey_k2n.enumeration import enumerate_orders
 from ramsey_k2n.graphs import (
     Graph,
     GraphError,
-    add_edge,
     bits,
     complement,
     complete_graph,
@@ -22,7 +21,6 @@ from ramsey_k2n.graphs import (
     union_neighborhood_excl,
 )
 from ramsey_k2n.invariants import (
-    CycleWitness,
     K2nWitness,
     all_cycles_of_length,
     bipartition,
@@ -43,10 +41,13 @@ from ramsey_k2n.invariants import (
 )
 
 from conftest import (
+    add_edge,
     brute_force_k2n_present,
     complete_multipartite,
     from_edges,
     from_nx,
+    is_cycle,
+    is_k2n_embedding,
     path_graph,
     plain_cycle_search,
     random_graph,
@@ -210,23 +211,30 @@ def test_cycle_witness_validates(rng):
             w = has_cycle_of_length(g, m)
             assert (w is not None) == (m in cycle_spectrum(g))
             if w is not None:
-                assert len(w.vertices) == m
-                assert w.validate(g)
+                assert len(w) == m
+                assert is_cycle(g, w)
         with pytest.raises(GraphError):
             has_cycle_of_length(g, 2)
 
 
 def test_witnesses_read_back_their_fields():
+    # a cycle is the plain tuple of its vertices
     g = cycle_graph(5)
-    w = CycleWitness((0, 1, 2, 3, 4))
-    assert w.vertices == (0, 1, 2, 3, 4)
-    assert w.validate(g) and not CycleWitness((0, 2, 4)).validate(g)
+    w = has_cycle_of_length(g, 5)
+    assert w == (0, 1, 2, 3, 4) and type(w) is tuple
+    assert is_cycle(g, w) and not is_cycle(g, (0, 2, 4))
+    assert not is_cycle(g, (0, 1, 2, 3, 3)) and not is_cycle(g, (0, 1))
     k = K2nWitness((0, 1), (2, 3, 4))
     assert k.pair == (0, 1) and k.common == (2, 3, 4)
-    assert k.validate(complete_multipartite([2, 3]))
-    assert not k.validate(g)
-    found = find_k2n(complete_multipartite([2, 3]), 3)
-    assert found.validate(complete_multipartite([2, 3]))
+    k23 = complete_multipartite([2, 3])
+    assert is_k2n_embedding(k23, *k)
+    assert not is_k2n_embedding(g, *k)
+    assert not is_k2n_embedding(k23, (0, 0), (2,))
+    assert not is_k2n_embedding(k23, (0, 1), ())
+    assert not is_k2n_embedding(k23, (0, 1), (2, 2))
+    assert not is_k2n_embedding(k23, (2, 3), (0, 2))
+    found = find_k2n(k23, 3)
+    assert is_k2n_embedding(k23, found.pair, found.common)
     assert len(found.common) == 3
 
 
@@ -253,8 +261,8 @@ def _brute_cycles_through(g, s: int, others: int, m: int) -> list[tuple]:
     vertices in others that closes a cycle with v1 < v_{m-1}."""
     inside = [v for v in bits(others) if v != s]
     return [(s, *p) for p in itertools.permutations(inside, m - 1)
-            if p[0] < p[-1] and g.has_edge(s, p[0]) and g.has_edge(p[-1], s)
-            and all(g.has_edge(a, b) for a, b in zip(p, p[1:]))]
+            if p[0] < p[-1] and g.adj[s] >> p[0] & 1 and g.adj[p[-1]] >> s & 1
+            and all(g.adj[a] >> b & 1 for a, b in zip(p, p[1:]))]
 
 
 def test_cycles_through_lists_the_cycles_inside_others(rng):
@@ -267,8 +275,7 @@ def test_cycles_through_lists_the_cycles_inside_others(rng):
             for others in masks:
                 for m in range(3, k + 1):
                     got = cycles_through(g.adj, s, others, m, math.inf)
-                    assert [c.vertices for c in got] \
-                        == _brute_cycles_through(g, s, others, m), \
+                    assert got == _brute_cycles_through(g, s, others, m), \
                         (g.adj, s, others, m)
 
 
@@ -290,7 +297,7 @@ def test_cycles_through_stops_at_the_cap(rng):
                     brute = _brute_cycles_through(g, s, others, m)
                     for cap in (1, 2, 5):
                         got = cycles_through(g.adj, s, others, m, cap)
-                        assert [c.vertices for c in got] == brute[:cap], \
+                        assert got == brute[:cap], \
                             (g.adj, s, others, m, cap)
 
 
@@ -298,7 +305,7 @@ def test_fixed_length_search_is_deterministic():
     g = complete_graph(7)
     w1 = has_cycle_of_length(g, 6)
     w2 = has_cycle_of_length(g, 6)
-    assert w1.vertices == w2.vertices == (0, 1, 2, 3, 4, 5)
+    assert w1 == w2 == (0, 1, 2, 3, 4, 5)
 
 
 def test_clique_union_apex_circumference_is_fast():
@@ -349,7 +356,7 @@ def test_k2n_witness_validates(rng):
             assert (wit is None) == k2n_free(g, n)
             if wit is not None:
                 assert len(wit.common) >= n
-                assert wit.validate(g)
+                assert is_k2n_embedding(g, wit.pair, wit.common)
 
 
 def test_max_common_neighborhood():

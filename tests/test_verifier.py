@@ -152,13 +152,13 @@ def test_lemma_3_1_violations_are_exactly_the_literal_ones():
     first = set()
     for g in enumerate_orders(4, 7):
         for m in range(3, g.order - 1):
-            for wit in all_cycles_of_length(g.adj, m, math.inf)[0]:
+            for cycle in all_cycles_of_length(g.adj, m, math.inf)[0]:
                 cycles += 1
-                _, violation = _check_observations(g, wit.vertices)
+                _, violation = _check_observations(g, cycle)
                 assert (violation is not None) \
-                    == lemma_3_1_violated(g, wit.vertices), (g, wit)
+                    == lemma_3_1_violated(g, cycle), (g, cycle)
                 if violation is not None:
-                    assert circumference(g) > m, (g, wit)
+                    assert circumference(g) > m, (g, cycle)
                     first.add(violation.split(":")[0])
     assert cycles == 25_743
     # obs3 is never the first violation here: the hand-built cases cover it
