@@ -91,11 +91,6 @@ class Graph:
         return (1 << self.order) - 1
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if not 0 <= v < g.order:
-        raise GraphError(f"vertex {v} outside 0..{g.order - 1}")
-
-
 def empty_graph(order: int) -> Graph:
     return Graph(order, (0,) * order)
 
@@ -137,15 +132,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     m2 = ((1 << g.order) - 1) ^ m1
     rows = [row | (m2 if v < g1.order else m1) for v, row in enumerate(g.adj)]
     return Graph(g.order, tuple(rows))
-
-
-def union_neighborhood_excl(g: Graph, u: int, v: int) -> int:
-    """|(N(u) u N(v)) \\ {u, v}|."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        raise GraphError("u and v must differ")
-    return ((g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)).bit_count()
 
 
 # graph6 text format (bit-exact per the public format description)

@@ -35,10 +35,6 @@ CYCLE_CAP = 10_000
 K2nWitness = namedtuple("K2nWitness", "pair common")
 
 
-def min_degree(g: Graph) -> int:
-    return min(row.bit_count() for row in g.adj)
-
-
 def _reachable(adj: Sequence[int], v: int, allowed: int) -> int:
     """Mask of allowed vertices reachable from v via allowed vertices."""
     seen = adj[v] & allowed

@@ -34,7 +34,6 @@ from .graphs import (
     bits,
     complement_rows,
     encode_graph6,
-    union_neighborhood_excl,
 )
 from .invariants import (
     CYCLE_CAP,
@@ -43,7 +42,6 @@ from .invariants import (
     has_cycle_through_last,
     independence_number,
     is_hamiltonian,
-    min_degree,
     two_connected,
 )
 
@@ -56,19 +54,10 @@ RAMSEY_MAX_ORDER = 12
 class VerificationReport(namedtuple(
         "VerificationReport", "claim params outcome hypothesis_count "
         "counterexample elapsed notes extra")):
-    """One harness run.  ``outcome`` is verified, verified-vacuous,
-    counterexample or infeasible; ``extra`` defaults to a new empty dict
-    for each report."""
+    """One harness run, as ``_report`` builds it.  ``outcome`` is verified,
+    verified-vacuous, counterexample or infeasible."""
 
     __slots__ = ()
-
-    def __new__(cls, claim: str, params: dict, outcome: str,
-                hypothesis_count: int = 0, counterexample: dict | None = None,
-                elapsed: float = 0.0, notes: tuple[str, ...] = (),
-                extra: dict | None = None):
-        return super().__new__(cls, claim, params, outcome, hypothesis_count,
-                               counterexample, elapsed, notes,
-                               {} if extra is None else extra)
 
     @property
     def exit_code(self) -> int:
@@ -79,16 +68,8 @@ class VerificationReport(namedtuple(
         return 2
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": dict(self.params),
-            "outcome": self.outcome,
-            "hypothesis_count": self.hypothesis_count,
-            "counterexample": self.counterexample,
-            "elapsed": round(self.elapsed, 3),
-            "notes": list(self.notes),
-            "extra": dict(self.extra),
-        }
+        return {**self._asdict(), "elapsed": round(self.elapsed, 3),
+                "notes": list(self.notes)}
 
 
 def _report(claim: str, params: dict, start: float, count: int = 0,
@@ -102,7 +83,8 @@ def _report(claim: str, params: dict, start: float, count: int = 0,
         outcome = ("counterexample" if cex
                    else "verified" if count else "verified-vacuous")
     return VerificationReport(claim, params, outcome, count, cex,
-                              time.monotonic() - start, notes, extra)
+                              time.monotonic() - start, notes,
+                              {} if extra is None else extra)
 
 
 def _pick(current: dict | None, g: Graph, detail: str) -> dict:
@@ -215,7 +197,8 @@ def verify_badness(n: int, m: int) -> VerificationReport:
 
 
 def _check_observations(g: Graph, cycle: tuple[int, ...]) -> tuple[int, str | None]:
-    """Check the three longest-cycle adjacency restrictions on one cycle.
+    """Check the three longest-cycle adjacency restrictions on one cycle,
+    which leaves at least two vertices of g off it.
 
     Returns (pairs examined, violation description or None).  A pattern
     whose two target vertices coincide implies no longer cycle and is
@@ -226,8 +209,6 @@ def _check_observations(g: Graph, cycle: tuple[int, ...]) -> tuple[int, str | No
     for v in cycle:
         on |= 1 << v
     xset = [v for v in bits(((1 << g.order) - 1) & ~on)]
-    if len(xset) < 2:
-        return 0, None
     nbr_idx = {x: [i for i in range(l) if g.adj[x] >> cycle[i] & 1] for x in xset}
     pairs = 0
     for x in xset:
@@ -334,7 +315,7 @@ class HamiltonianHypothesisFilter(GenerationFilter):
             while later:
                 bit_v = later & -later
                 later ^= bit_v
-                # |N(u) | N(v) - {u, v}|, as union_neighborhood_excl, inlined
+                # |N(u) | N(v) - {u, v}|
                 union = ((row | adj[bit_v.bit_length() - 1])
                          & ~(bit_u | bit_v)).bit_count()
                 if 2 * (union + slack) < m:
@@ -436,9 +417,10 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
               "nash_williams": 0, "neighborhood_union_cycle": 0}
     cex: dict | None = None
     for g in enumerate_orders(lowest, max_order, workers=workers):
-        n_ = g.order
-        delta = min_degree(g)
-        two_conn = two_connected(g.adj)
+        adj, n_ = g.adj, g.order
+        degrees = [row.bit_count() for row in adj]
+        delta = min(degrees)
+        two_conn = two_connected(adj)
         if not (two_conn or 2 * delta >= n_):
             continue  # no lemma below reads this graph's circumference
         circ = circumference(g)
@@ -447,10 +429,15 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
             if circ != n_:
                 cex = _pick(cex, g, "min_degree_hamiltonian")
         if two_conn:
-            ks = [g.adj[u].bit_count() + g.adj[v].bit_count()
-                  for u in range(n_) for v in range(u + 1, n_)
-                  if not g.adj[u] >> v & 1]
-            k = min(ks) if ks else n_
+            # one pass over the pairs: the least nonadjacent degree sum k
+            # and the least union ku = |N(u) | N(v) - {u, v}| over all pairs
+            k = ku = n_
+            for u in range(n_):
+                for v in range(u + 1, n_):
+                    ku = min(ku, ((adj[u] | adj[v])
+                                  & ~(1 << u | 1 << v)).bit_count())
+                    if not adj[u] >> v & 1:
+                        k = min(k, degrees[u] + degrees[v])
             counts["degree_sum_cycle"] += 1
             if circ < min(k, n_):
                 cex = _pick(cex, g, "degree_sum_cycle")
@@ -458,8 +445,6 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
                 counts["nash_williams"] += 1
                 if circ != n_:
                     cex = _pick(cex, g, "nash_williams")
-            ku = min(union_neighborhood_excl(g, u, v)
-                     for u in range(n_) for v in range(u + 1, n_))
             if circ >= n_ - ku:
                 counts["neighborhood_union_cycle"] += 1
                 if circ < min(2 * ku - 2, n_ - 1):

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from ramsey_k2n.canon import _refine, canonical_labeling
-from ramsey_k2n.graphs import Graph, GraphError, _check_vertex, bits, empty_graph
+from ramsey_k2n.graphs import Graph, GraphError, bits, empty_graph
 from ramsey_k2n.invariants import cycles_through
 
 
@@ -49,6 +49,11 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
             if j is not None:
                 rows[i] |= 1 << j
     return Graph(len(vertices), tuple(rows))
+
+
+def _check_vertex(g: Graph, v: int) -> None:
+    if not 0 <= v < g.order:
+        raise GraphError(f"vertex {v} outside 0..{g.order - 1}")
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:

@@ -327,7 +327,7 @@ def test_env_var_sets_default_workers(capsys, monkeypatch):
 
     def harness(max_order, workers):
         seen.append(workers)
-        return verifier.VerificationReport("lemma3.1", {}, "verified")
+        return verifier._report("lemma3.1", {}, time.monotonic(), outcome="verified")
 
     monkeypatch.setattr(verifier, "verify_lemma_3_1", harness)
     run(capsys, "verify", "lemma3.1", "--max-order", "5")

@@ -14,7 +14,6 @@ from ramsey_k2n.graphs import (
     empty_graph,
     encode_graph6,
     join,
-    union_neighborhood_excl,
 )
 
 from conftest import (
@@ -139,9 +138,9 @@ def test_induced_subgraph_and_relabel():
 
 
 def test_neighborhood_helpers():
+    # each row, read by bits, is the other part of K_{2,3}
     g = complete_multipartite([2, 3])
-    assert union_neighborhood_excl(g, 0, 1) == 3
-    assert union_neighborhood_excl(g, 0, 2) == 3  # {1,3,4}
+    assert [list(bits(row)) for row in g.adj] == [[2, 3, 4]] * 2 + [[0, 1]] * 3
 
 
 def test_graph6_roundtrip_random(rng):

@@ -18,7 +18,6 @@ from ramsey_k2n.graphs import (
     disjoint_union,
     empty_graph,
     join,
-    union_neighborhood_excl,
 )
 from ramsey_k2n.invariants import (
     K2nWitness,
@@ -36,7 +35,6 @@ from ramsey_k2n.invariants import (
     is_hamiltonian,
     k2n_free,
     max_common_neighborhood,
-    min_degree,
     two_connected,
 )
 
@@ -367,16 +365,9 @@ def test_max_common_neighborhood():
     assert max_common_neighborhood(star) == 1
 
 
-def test_union_neighborhood_excl_small():
-    g = cycle_graph(5)
-    # N(0) = {1,4}, N(1) = {0,2}; union minus {0,1} = {2,4}
-    assert union_neighborhood_excl(g, 0, 1) == 2
-
-
 # ---------------------------------------------------------------- various
 
 def test_degrees_bipartite_independence(rng):
-    assert min_degree(path_graph(4)) == 1
     for _ in range(50):
         g = random_graph(rng.randint(1, 9), rng.random(), rng)
         cliques = list(nx.find_cliques(to_nx(complement(g))))

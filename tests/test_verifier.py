@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import networkx as nx
 import pytest
@@ -16,7 +17,6 @@ from ramsey_k2n.graphs import (
     complement_rows,
     decode_graph6,
     encode_graph6,
-    union_neighborhood_excl,
 )
 from ramsey_k2n.invariants import (
     all_cycles_of_length,
@@ -31,8 +31,8 @@ from ramsey_k2n.invariants import (
 from ramsey_k2n.verifier import (
     HamiltonianHypothesisFilter,
     RamseyFilter,
-    VerificationReport,
     _check_observations,
+    _report,
     compute_ramsey,
     verify_badness,
     verify_cited_lemmas,
@@ -53,15 +53,17 @@ from conftest import (
 
 
 def test_report_defaults_give_each_report_its_own_extra():
-    a = VerificationReport("c", {}, "verified")
-    b = VerificationReport("c", {}, "verified")
-    assert (a.hypothesis_count, a.counterexample, a.elapsed) == (0, None, 0.0)
+    start = time.monotonic()
+    a = _report("c", {}, start, outcome="verified")
+    b = _report("c", {}, start, outcome="verified")
+    assert (a.hypothesis_count, a.counterexample) == (0, None)
+    assert a.elapsed >= 0.0
     assert a.notes == () and a.extra == {} and a.exit_code == 0
     assert a.extra is not b.extra
     a.extra["value"] = 1
     assert b.extra == {}
-    assert VerificationReport("c", {}, "verified", extra={"x": 1}).extra == {"x": 1}
-    assert VerificationReport("c", {}, "counterexample").exit_code == 1
+    assert _report("c", {}, start, extra={"x": 1}).extra == {"x": 1}
+    assert _report("c", {}, start, outcome="counterexample").exit_code == 1
 
 
 def test_upper_bound_pair_small():
@@ -211,9 +213,9 @@ def test_hamiltonian_lemma_relaxed_reading_is_sound():
     for g in enumerate_orders(7, 7):
         if connectivity(g) < 2 or has_cycle_of_length(g, 6) is not None:
             continue
-        if all(2 * union_neighborhood_excl(g, u, v) >= 6
-               for u in range(7) for v in range(u + 1, 7)
-               if not g.adj[u] >> v & 1):
+        h = to_nx(g)
+        if all(2 * len((set(h[u]) | set(h[v])) - {u, v}) >= 6
+               for u, v in nx.non_edges(h)):
             count += 1
             assert is_hamiltonian(g) is not None
     assert count == 5
@@ -273,7 +275,8 @@ def test_reports_serialize():
 
 
 # ------------------------------------------- independent networkx oracle
-# The hypothesis sets of thm1.5 and lemma2.6 recomputed by post-filtering
+# The hypothesis sets of thm1.5, lemma2.6 and lemma-props recomputed by
+# post-filtering
 # every isomorphism class: networkx's atlas up to 7 vertices, the
 # (Burnside-checked) unfiltered enumeration at 8.  Cycles and connectivity
 # come from networkx; no hereditary pruning is involved.
@@ -350,6 +353,33 @@ def test_two_connected_lemma_matches_networkx_oracle():
                              else "verified" if count else "verified-vacuous")
 
 
+def test_cited_lemma_counts_match_networkx_oracle():
+    # lemma-props' four hypothesis counts over the atlas at orders 3..7,
+    # from networkx degrees, neighbourhoods, biconnectivity, cliques of
+    # the complement and the longest of its simple cycles
+    counts = dict.fromkeys(("degree_sum_cycle", "min_degree_hamiltonian",
+                            "nash_williams", "neighborhood_union_cycle"), 0)
+    for order in range(3, 8):
+        for h in _atlas(order):
+            delta = min(d for _, d in h.degree())
+            counts["min_degree_hamiltonian"] += 2 * delta >= order
+            if not nx.is_biconnected(h):
+                continue
+            counts["degree_sum_cycle"] += 1
+            alpha = max(len(c) for c in nx.find_cliques(nx.complement(h)))
+            counts["nash_williams"] += 3 * delta >= order + 2 and delta >= alpha
+            ku = min(len((set(h[u]) | set(h[v])) - {u, v})
+                     for u, v in itertools.combinations(h.nodes, 2))
+            circ = max(len(c) for c in nx.simple_cycles(h))
+            counts["neighborhood_union_cycle"] += circ >= order - ku
+    assert counts == {"degree_sum_cycle": 538, "min_degree_hamiltonian": 55,
+                      "nash_williams": 171, "neighborhood_union_cycle": 536}
+    r = verify_cited_lemmas(7)
+    assert (r.outcome, r.counterexample) == ("verified", None)
+    assert r.extra["per_lemma_hypothesis_counts"] == counts
+    assert r.hypothesis_count == sum(counts.values())
+
+
 def test_harnesses_ask_two_connected_what_exact_connectivity_answers(monkeypatch):
     # every graph whose 2-connectivity lemma-props (order 7), thm1.5 (m=7)
     # and lemma2.6 (2,5) ask about gets the answer connectivity >= 2 gives
@@ -394,6 +424,41 @@ def _check_filter_contract(flt, passes, key=None) -> None:
             brute = sorted((s for s in range(1 << order) if passes(add_vertex(g, s))),
                            key=key)
             assert kept == brute, encode_graph6(g)
+
+
+def _hamiltonian_by_subset_dp(rows: tuple[int, ...]) -> bool:
+    """Whether the graph with rows ``rows`` (at least 3 vertices) has a
+    Hamiltonian cycle: ends[mask] holds the last vertices of the paths
+    from vertex 0 through exactly the vertices of mask."""
+    order = len(rows)
+    full = (1 << order) - 1
+    ends = [0] * (1 << order)
+    ends[1] = 1
+    for mask in range(1, full + 1, 2):  # masks holding vertex 0
+        if ends[mask]:
+            for w in range(1, order):
+                if not mask >> w & 1 and rows[w] & ends[mask]:
+                    ends[mask | 1 << w] |= 1 << w
+    return bool(ends[full] & rows[0])
+
+
+def test_degree_floor_lemma():
+    # a K_{2,n}-free graph on N >= 3n-1 vertices whose complement is not
+    # Hamiltonian has a vertex of degree >= N-n-1 (Chvatal-Erdos on the
+    # complement, whose independence number is at most n+1); so every
+    # class below that floor has a Hamiltonian complement, by a subset DP
+    # that shares no code with invariants
+    below = {}
+    for n in (1, 2, 3):
+        for order in range(max(3, 3 * n - 1), 10):
+            floor = order - n - 1
+            below[n, order] = 0
+            for g in enumerate_orders(order, order, K2nFreeFilter(n)):
+                if max(row.bit_count() for row in g.adj) < floor:
+                    below[n, order] += 1
+                    assert _hamiltonian_by_subset_dp(complement_rows(g.adj)), \
+                        (n, encode_graph6(g))
+    assert (below[2, 9], below[3, 8], below[3, 9]) == (1165, 384, 8137)
 
 
 @pytest.mark.parametrize("lengths", [(3,), (4,), (5,), (4, 5)])
@@ -498,7 +563,8 @@ def test_compute_ramsey_matches_post_filtered_enumeration(n, kind, m, max_order)
 # R(K_{2,2}, C_m) = R(C_4, C_m) for m = 3..11 as in Radziszowski, "Small
 # Ramsey Numbers", Electron. J. Combin. DS1; R(K_{2,2}, C_{m,m+1}) for
 # m = 3..10; R(K_{2,3}, C_m) and R(K_{2,3}, C_{m,m+1}) for m = 3..9;
-# R(K_{2,4}, C_m) for m = 3..8; and R(K_{2,4}, C_{m,m+1}) for m = 5..8.
+# R(K_{2,4}, C_m) for m = 3..9; R(K_{2,4}, C_{m,m+1}) for m = 5..9; and
+# R(K_{2,5}, C_{8,9}).
 GOODNESS_TABLE = {
     **{(2, "cycle", m): value
        for m, value in zip(range(3, 12), (7, 6, 7, 7, 8, 9, 10, 11, 12))},
@@ -509,8 +575,10 @@ GOODNESS_TABLE = {
     **{(3, "cycle_pair", m): value
        for m, value in zip(range(3, 10), (7, 7, 7, 7, 8, 9, 10))},
     **{(4, "cycle", m): value
-       for m, value in zip(range(3, 9), (11, 9, 11, 8, 11, 9))},
-    **{(4, "cycle_pair", m): value for m, value in zip(range(5, 9), (8, 8, 9, 9))},
+       for m, value in zip(range(3, 10), (11, 9, 11, 8, 11, 9, 11))},
+    **{(4, "cycle_pair", m): value
+       for m, value in zip(range(5, 10), (8, 8, 9, 9, 10))},
+    (5, "cycle_pair", 8): 10,
 }
 
 
@@ -559,18 +627,20 @@ def test_goodness_upper_bounds_of_8_hold_on_every_graph_of_order_8():
 
 
 # Cells of the goodness map not yet in GOODNESS_TABLE, which each take
-# over 10 s: opt in with ``pytest -m slow``.
+# about 10 s or more: opt in with ``pytest -m slow``.
 @pytest.mark.slow
-@pytest.mark.parametrize("n, m, max_order, value", [
-    (2, 12, 13, 13),
-    (3, 10, 12, 11),
+@pytest.mark.parametrize("n, kind, m, max_order, value", [
+    (2, "cycle", 12, 13, 13),
+    (3, "cycle", 10, 12, 11),
+    (3, "cycle_pair", 10, 12, 11),
+    (5, "cycle_pair", 9, 12, 11),
 ])
-def test_goodness_cells_outside_tier_1(n, m, max_order, value):
-    r = compute_ramsey(n, "cycle", m, max_order)
+def test_goodness_cells_outside_tier_1(n, kind, m, max_order, value):
+    r = compute_ramsey(n, kind, m, max_order)
     assert (r.outcome, r.extra["value"]) == ("verified", value)
     witness = decode_graph6(r.extra["witness_graph6"])
     assert witness.order == value - 1
-    assert _brute_ramsey_ok(witness, n, (m,))
+    assert _brute_ramsey_ok(witness, n, (m,) if kind == "cycle" else (m, m + 1))
 
 
 # thm1.5 at m=9, the largest m under HAMILTONIAN_LEMMA_MAX_ORDER (the gate
