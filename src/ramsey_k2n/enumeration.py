@@ -20,7 +20,9 @@ are read off it.
 Every filter meets one contract (``GenerationFilter``): its candidate
 masks are the only neighbourhoods tried for the new vertex, and ``accepts``
 then checks only what that vertex adds to a passing parent, reading the
-child's adjacency rows.
+child's adjacency rows.  A filter may also name, for each order, a least
+degree that every passing graph of that order has at some vertex, and then
+need not list the smaller masks.
 
 The canonically-last vertex always has maximum degree, so a mask whose new
 vertex would not have the child's maximum degree is rejected before orbit
@@ -31,9 +33,10 @@ accepts one whose new vertex is alone in it; only the rest are labeled.
 Cells only split in place, so the refinement of a child stops at the first
 round that leaves the new vertex outside the last cell; a kept child's
 refinement is always the full one.  A child accepted unlabeled carries
-that refinement and is labeled from it where it is expanded, so a leaf of
-the walk never is and no graph's unit partition is refined twice.  This
-changes neither which representative is emitted nor the order of the
+that refinement and is labeled from it where its first mask passes the
+degree pretest, so a node none of whose masks passes, a leaf of the walk
+among them, never is, and no graph's unit partition is refined twice.
+This changes neither which representative is emitted nor the order of the
 stream.
 
 Inside generation a graph is only its tuple of neighbour bitmasks, as
@@ -60,16 +63,24 @@ class GenerationFilter:
     the class.  K_1 is in every class.
 
     Both hooks read a graph's neighbour bitmasks, as ``Graph.adj`` would
-    hold them; no ``Graph`` is built for either.  ``candidate_masks(adj)``
+    hold them; no ``Graph`` is built for either.  ``least_degree(order)``
+    is at most the maximum degree of every passing graph of that order;
+    only a new vertex of the child's maximum degree can be accepted, so
+    a smaller mask need not be tried.  ``candidate_masks(adj, least)``
     lists the neighbourhoods tried for the new vertex of a passing parent
     g with rows ``adj``, in the order tried.  The list is Aut(g)-invariant
-    and holds every mask whose child passes.  ``accepts(rows)`` is asked
-    only about a child built from a listed mask, new vertex last, and
-    checks only what that vertex adds.  By default every mask is listed
-    and every child passes.
+    and holds every mask of at least ``least`` vertices whose child
+    passes.  ``accepts(rows)`` is asked only about a child built from a
+    listed mask, new vertex last, and checks only what that vertex adds.
+    By default the least degree is 0, every mask is listed and every child
+    passes.
     """
 
-    def candidate_masks(self, adj: tuple[int, ...]) -> Iterable[int]:
+    def least_degree(self, order: int) -> int:
+        return 0
+
+    def candidate_masks(self, adj: tuple[int, ...],
+                        least: int = 0) -> Iterable[int]:
         return range(1 << len(adj))
 
     def accepts(self, rows: tuple[int, ...]) -> bool:
@@ -85,16 +96,19 @@ class K2nFreeFilter(GenerationFilter):
             raise ValueError("n must be >= 1")
         self.n = n
 
-    def candidate_masks(self, adj: tuple[int, ...]) -> Iterable[int]:
-        """Masks S keeping the extension K_{2,n}-free, in increasing
-        lexicographic order of their vertex lists.
+    def candidate_masks(self, adj: tuple[int, ...],
+                        least: int = 0) -> Iterable[int]:
+        """Masks S of at least ``least`` vertices keeping the extension
+        K_{2,n}-free, in increasing lexicographic order of their vertex
+        lists.
 
         The new vertex w creates a K_{2,n} only through pairs inside S
         (their common count grows by one) or pairs (w, u) with
         |S & N(u)| >= n.  So a vertex v joins S only if it may coexist
         with every vertex already there, and then every neighbour u of v
         with |S & N(u)| >= n - 1 takes N(u) out of the vertices S may
-        still take.
+        still take.  A branch stops once S and the vertices it may still
+        take from ``start`` upward fall short of ``least``.
         """
         n = self.n
         k = len(adj)
@@ -107,9 +121,12 @@ class K2nFreeFilter(GenerationFilter):
 
         out: list[int] = []
 
-        def rec(mask: int, allowed: int, start: int) -> None:
-            out.append(mask)
+        def rec(mask: int, size: int, allowed: int, start: int) -> None:
             todo = allowed & ~((1 << start) - 1)
+            if size >= least:
+                out.append(mask)
+            elif size + todo.bit_count() < least:
+                return
             while todo:
                 low = todo & -todo
                 todo ^= low
@@ -123,13 +140,13 @@ class K2nFreeFilter(GenerationFilter):
                     row = adj[ulow.bit_length() - 1]
                     if (grown & row).bit_count() >= n - 1:
                         rest &= ~row
-                rec(grown, rest, v + 1)
+                rec(grown, size + 1, rest, v + 1)
 
         allowed = (1 << k) - 1
         if n == 1:  # every vertex already has its n-1 = 0 neighbours in S
             for row in adj:
                 allowed &= ~row
-        rec(0, allowed, 0)
+        rec(0, 0, allowed, 0)
         return out
 
 
@@ -167,9 +184,8 @@ def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
               base: list[list[int]], flt: GenerationFilter) -> Iterator[_Node]:
     """The accepted one-vertex extensions of the node (adj, auts, base),
     exactly one per class; one that a refinement alone accepts is not
-    labeled.  The node is labeled here from ``base`` if ``auts`` is None."""
-    if auts is None:
-        auts = canonical_labeling(adj, base)[2]
+    labeled.  If ``auts`` is None, the node is labeled here from ``base``
+    once its first mask passes the degree pretest."""
     k = len(adj)
     new_bit = 1 << k
     # The canonically-last vertex has the child's maximum degree, so only a
@@ -177,15 +193,18 @@ def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
     # degree of g, or equal to the top degree D with no degree-D vertex of g
     # in s.  The test is invariant under Aut(g) and only drops masks whose
     # child fails the orbit rule, so the accepted children and their order
-    # are unchanged.
+    # are unchanged.  A mask below the filter's least degree is not listed:
+    # its child either fails the filter or fails this test.
     degrees = [row.bit_count() for row in adj]
     top = max(degrees)
     top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
     seen_orbit: set[int] = set()
-    for s in flt.candidate_masks(adj):
+    for s in flt.candidate_masks(adj, flt.least_degree(k + 1)):
         size = s.bit_count()
         if size < top or (size == top and s & top_mask):
             continue
+        if auts is None:
+            auts = canonical_labeling(adj, base)[2]
         # Masks in one Aut(g)-orbit give isomorphic children: expand the
         # orbit at its first mask and skip the rest.  The pretest and the
         # candidate masks are Aut(g)-invariant, so the orbit stays inside
@@ -210,17 +229,17 @@ def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
         # vertex lies in the last refined cell, a union of orbits, so k
         # outside the cell fails the rule and k alone in it passes; the
         # refinement stops once k leaves the last cell.
-        base = _refine(rows, [list(range(k + 1))], [(new_bit << 1) - 1], k)
-        last = base[-1]
+        cbase = _refine(rows, [list(range(k + 1))], [(new_bit << 1) - 1], k)
+        last = cbase[-1]
         if k not in last:
             continue
         if len(last) == 1:
-            yield rows, None, base
+            yield rows, None, cbase
             continue
-        perm, _, cauts = canonical_labeling(rows, base)
+        perm, _, cauts = canonical_labeling(rows, cbase)
         if k not in orbit_closure((perm[-1],), cauts):
             continue
-        yield rows, cauts, base
+        yield rows, cauts, cbase
 
 
 def _walk(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,

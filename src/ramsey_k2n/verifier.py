@@ -103,11 +103,31 @@ class RamseyFilter(K2nFreeFilter):
     Both conditions survive vertex deletion.  The candidate masks are
     K2nFreeFilter's, so a child of a passing parent fails only through a
     target cycle of its complement through the new vertex.
+
+    The least degree rests on a lemma.  Let G be K_{2,n}-free on
+    N >= 3n-1 vertices with a non-Hamiltonian complement.  Then G has a
+    vertex of degree at least N-n-1.  Proof: the complement's independence
+    number is at most n+1, since K_{n+2} contains K_{2,n}.  By Chvátal and
+    Erdős ("A note on Hamiltonian circuits", Discrete Math. 2, 1972), a
+    graph on at least 3 vertices whose connectivity is at least its
+    independence number is Hamiltonian, so the complement's connectivity
+    is at most n.  Removing at most n vertices therefore leaves a
+    component A and a rest B, with |A| + |B| >= 2n-1, that G joins
+    completely, and K_{2,n}-freeness makes one side a single vertex.  At
+    an order N >= max(3, 3n-1) that is a target length, a C_N is
+    Hamiltonian, so every passing graph of order N has a vertex of degree
+    at least N-n-1.
     """
 
     def __init__(self, n: int, lengths: tuple[int, ...]):
         super().__init__(n)
         self.lengths = lengths
+
+    def least_degree(self, order: int) -> int:
+        n = self.n
+        if order in self.lengths and order >= max(3, 3 * n - 1):
+            return order - n - 1
+        return 0
 
     def accepts(self, rows: tuple[int, ...]) -> bool:
         return not has_cycle_through_last(complement_rows(rows), self.lengths)

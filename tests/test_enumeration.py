@@ -80,15 +80,21 @@ def test_hereditary_pruning_soundness():
 
 def test_candidate_masks_are_exactly_the_k2n_free_extensions():
     # K2nFreeFilter accepts every child of these masks, so they must be
-    # exactly the K_{2,n}-free extensions, in increasing order of vertex lists
+    # exactly the K_{2,n}-free extensions, in increasing order of vertex
+    # lists; with a least degree, exactly those of at least that many
+    # vertices, in the same order
     for n in range(1, 5):
         flt = K2nFreeFilter(n)
-        for order in range(1, 8 if n in (2, 3) else 7):
+        for order in range(1, 8 if n < 4 else 7):
             for g in enumerate_orders(order, order, flt):
                 brute = [s for s in range(1 << order)
                          if k2n_free(add_vertex(g, s), n)]
                 brute.sort(key=lambda s: list(bits(s)))
                 assert flt.candidate_masks(g.adj) == brute, (n, encode_graph6(g))
+                for least in range(1, order + 2):
+                    assert flt.candidate_masks(g.adj, least) == \
+                        [s for s in brute if s.bit_count() >= least], \
+                        (n, encode_graph6(g), least)
 
 
 def test_mask_orbits_partition_the_masks_past_the_pretest(monkeypatch):
@@ -165,8 +171,8 @@ def test_one_graph_is_built_per_graph_yielded(monkeypatch, pool_sizes):
     # The in-process pool walks the seeds' subtrees here, so a Graph built
     # there would be counted too.  Every labeling is given the graph's
     # refined unit partition, and the walk labels every node at most once,
-    # where it is expanded, for any worker count: the totals are the traced
-    # labeling counts of these trees.
+    # where its first mask passes the degree pretest, for any worker count:
+    # the totals are the traced labeling counts of these trees.
     built, labeled, unlabeled = [], [], set()
     init, label, children = (Graph.__init__, enumeration.canonical_labeling,
                              enumeration._children)
@@ -190,7 +196,7 @@ def test_one_graph_is_built_per_graph_yielded(monkeypatch, pool_sizes):
     monkeypatch.setattr(Graph, "__init__", counted_init)
     monkeypatch.setattr(enumeration, "canonical_labeling", counted_label)
     monkeypatch.setattr(enumeration, "_children", counted_children)
-    cases = ((HamiltonianHypothesisFilter(7), 8, 428), (K2nFreeFilter(2), 9, 759))
+    cases = ((HamiltonianHypothesisFilter(7), 8, 428), (K2nFreeFilter(2), 9, 560))
     for (flt, order, total), top_only, workers in itertools.product(
             cases, (False, True), (1, 2)):
         for seen in (built, labeled, unlabeled):

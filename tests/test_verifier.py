@@ -461,6 +461,21 @@ def test_degree_floor_lemma():
     assert (below[2, 9], below[3, 8], below[3, 9]) == (1165, 384, 8137)
 
 
+@pytest.mark.parametrize("n, lengths, order, least", [
+    (1, (3,), 3, 1), (1, (3,), 2, 0), (1, (4,), 3, 0),
+    (2, (4,), 4, 0),  # below 3n-1 = 5
+    (2, (5,), 5, 2), (2, (5, 6), 5, 2), (2, (5, 6), 6, 3), (2, (5, 6), 7, 0),
+    (3, (7,), 7, 0), (3, (8,), 8, 4), (3, (8,), 9, 0),
+    (3, (7, 8), 7, 0), (3, (7, 8), 8, 4), (3, (10, 11), 11, 7),
+    (4, (10,), 10, 0), (4, (11,), 11, 6), (5, (13, 14), 14, 8),
+])
+def test_ramsey_filter_least_degree(n, lengths, order, least):
+    # N-n-1 at a target length N >= max(3, 3n-1), where the degree-floor
+    # lemma applies, and 0 elsewhere
+    assert RamseyFilter(n, lengths).least_degree(order) == least
+    assert K2nFreeFilter(n).least_degree(order) == 0
+
+
 @pytest.mark.parametrize("lengths", [(3,), (4,), (5,), (4, 5)])
 def test_ramsey_filter_keeps_exactly_the_passing_extensions(lengths):
     # K2nFreeFilter's masks come in increasing order of vertex lists
@@ -548,6 +563,7 @@ def _ramsey_by_post_filter(n: int, lengths: tuple[int, ...], max_order: int):
     *((1, "cycle", m, 12) for m in (3, 4, 5)),
     *((2, "cycle", m, 12) for m in range(3, 9)),
     (2, "cycle_pair", 6, 12), (3, "cycle", 4, 12), (3, "cycle", 6, 12),
+    (3, "cycle", 8, 9),  # R = 9: the degree floor applies at order 8
     (2, "cycle", 4, 5),  # R = 6, so order 5 brackets nothing
 ])
 def test_compute_ramsey_matches_post_filtered_enumeration(n, kind, m, max_order):
@@ -562,7 +578,7 @@ def test_compute_ramsey_matches_post_filtered_enumeration(n, kind, m, max_order)
 
 # R(K_{2,2}, C_m) = R(C_4, C_m) for m = 3..11 as in Radziszowski, "Small
 # Ramsey Numbers", Electron. J. Combin. DS1; R(K_{2,2}, C_{m,m+1}) for
-# m = 3..10; R(K_{2,3}, C_m) and R(K_{2,3}, C_{m,m+1}) for m = 3..9;
+# m = 3..10; R(K_{2,3}, C_m) and R(K_{2,3}, C_{m,m+1}) for m = 3..10;
 # R(K_{2,4}, C_m) for m = 3..9; R(K_{2,4}, C_{m,m+1}) for m = 5..9; and
 # R(K_{2,5}, C_{8,9}).
 GOODNESS_TABLE = {
@@ -571,9 +587,9 @@ GOODNESS_TABLE = {
     **{(2, "cycle_pair", m): value
        for m, value in zip(range(3, 11), (6, 6, 6, 7, 8, 9, 10, 11))},
     **{(3, "cycle", m): value
-       for m, value in zip(range(3, 10), (9, 8, 9, 7, 9, 9, 10))},
+       for m, value in zip(range(3, 11), (9, 8, 9, 7, 9, 9, 10, 11))},
     **{(3, "cycle_pair", m): value
-       for m, value in zip(range(3, 10), (7, 7, 7, 7, 8, 9, 10))},
+       for m, value in zip(range(3, 11), (7, 7, 7, 7, 8, 9, 10, 11))},
     **{(4, "cycle", m): value
        for m, value in zip(range(3, 10), (11, 9, 11, 8, 11, 9, 11))},
     **{(4, "cycle_pair", m): value
@@ -627,12 +643,12 @@ def test_goodness_upper_bounds_of_8_hold_on_every_graph_of_order_8():
 
 
 # Cells of the goodness map not yet in GOODNESS_TABLE, which each take
-# about 10 s or more: opt in with ``pytest -m slow``.
+# about 10 s or more: opt in with ``pytest -m slow``.  R(K_{2,2}, C_12)
+# takes 4 s, but networkx's check of its witness's complement about 25 s.
 @pytest.mark.slow
 @pytest.mark.parametrize("n, kind, m, max_order, value", [
     (2, "cycle", 12, 13, 13),
-    (3, "cycle", 10, 12, 11),
-    (3, "cycle_pair", 10, 12, 11),
+    (3, "cycle", 11, 12, 12),
     (5, "cycle_pair", 9, 12, 11),
 ])
 def test_goodness_cells_outside_tier_1(n, kind, m, max_order, value):

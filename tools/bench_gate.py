@@ -52,6 +52,7 @@ GATE_RUNS = {
     "lemma3.1 order 7": ("verify", "lemma3.1", "--max-order", "7"),
     "R(K_{2,2}, C_10)": ("ramsey", "--n", "2", "--cycle", "10"),
     "R(K_{2,3}, C_9)": ("ramsey", "--n", "3", "--cycle", "9"),
+    "R(K_{2,3}, C_10)": ("ramsey", "--n", "3", "--cycle", "10"),
     # start-up is nearly all of this run's wall time
     "R(K_{2,3}, C_4)": ("ramsey", "--n", "3", "--cycle", "4"),
 }
