@@ -16,7 +16,8 @@ from collections.abc import Iterable
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]],
-            splitters: list[int], stay: int = -1) -> list[list[int]]:
+            splitters: list[int], stay: int = -1,
+            settle: bool = False) -> list[list[int]]:
     """Stable equitable refinement of an ordered partition.
 
     Each round splits every cell by its vertices' neighbour counts in the
@@ -43,10 +44,14 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]],
     A caller that asks only whether the vertex ``stay`` ends in the last
     cell names it, and the refinement returns as soon as a round leaves
     ``stay`` outside the last cell: cells only split in place, so it never
-    comes back.  Only then is the partition returned not the full
-    refinement.
+    comes back.  A caller that asks only whether ``stay`` is outside the
+    last cell, alone in it or sharing it also passes ``settle``, and the
+    refinement then returns as soon as ``stay`` is alone in the last cell:
+    a singleton cell never splits, so ``stay`` stays alone and last.  Only
+    in these two cases is the partition returned not the full refinement.
     """
-    while splitters and (stay < 0 or stay in cells[-1]):
+    while splitters and (stay < 0 or stay in cells[-1]
+                         and not (settle and len(cells[-1]) == 1)):
         split: list[int] = []
         new_cells: list[list[int]] = []
         for cell in cells:

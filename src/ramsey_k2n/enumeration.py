@@ -36,8 +36,14 @@ refinement is always the full one.  A child accepted unlabeled carries
 that refinement and is labeled from it where its first mask passes the
 degree pretest, so a node none of whose masks passes, a leaf of the walk
 among them, never is, and no graph's unit partition is refined twice.
-This changes neither which representative is emitted nor the order of the
-stream.
+The walk's leaves, the children of its highest order, are only settled:
+their refinement also stops once the new vertex is alone in the last
+cell, since a singleton cell stays alone and last.  A leaf that shares its
+last cell was never alone in it, so it is labeled from the full
+refinement as before, and no leaf's refinement is used again.  The walk
+that picks a parallel run's seeds does not settle them, since each seed
+is expanded in its worker.  None of this changes which representative is
+emitted or the order of the stream.
 
 Inside generation a graph is only its tuple of neighbour bitmasks, as
 ``Graph.adj`` would hold them: the filters, the refinement and the
@@ -181,11 +187,18 @@ _Node = tuple[tuple[int, ...], list[tuple[int, ...]] | None, list[list[int]]]
 
 
 def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
-              base: list[list[int]], flt: GenerationFilter) -> Iterator[_Node]:
+              base: list[list[int]], flt: GenerationFilter,
+              settle: bool = False) -> Iterator[_Node]:
     """The accepted one-vertex extensions of the node (adj, auts, base),
     exactly one per class; one that a refinement alone accepts is not
     labeled.  If ``auts`` is None, the node is labeled here from ``base``
-    once its first mask passes the degree pretest."""
+    once its first mask passes the degree pretest.
+
+    With ``settle`` the children are only settled, as leaves of the walk
+    that are never expanded: a child's refinement also stops once the new
+    vertex is alone in the last cell.  The children accepted are the same,
+    but one accepted unlabeled may carry a partial refinement, which must
+    never be labeled from or expanded."""
     k = len(adj)
     new_bit = 1 << k
     # The canonically-last vertex has the child's maximum degree, so only a
@@ -228,8 +241,10 @@ def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
         # canonically-last vertex under the whole of Aut(child).  That
         # vertex lies in the last refined cell, a union of orbits, so k
         # outside the cell fails the rule and k alone in it passes; the
-        # refinement stops once k leaves the last cell.
-        cbase = _refine(rows, [list(range(k + 1))], [(new_bit << 1) - 1], k)
+        # refinement stops once k leaves the last cell, or for a leaf once
+        # k is alone in it; a shared child's refinement is the full one.
+        cbase = _refine(rows, [list(range(k + 1))], [(new_bit << 1) - 1], k,
+                        settle)
         last = cbase[-1]
         if k not in last:
             continue
@@ -243,14 +258,21 @@ def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
 
 
 def _walk(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
-          base: list[list[int]], order: int,
-          flt: GenerationFilter) -> Iterator[_Node]:
+          base: list[list[int]], order: int, flt: GenerationFilter,
+          settle: bool = True) -> Iterator[_Node]:
     """The node (adj, auts, base), then its accepted descendants up to
-    ``order``, depth first, as ``_children`` gives them."""
+    ``order``, depth first, as ``_children`` gives them.
+
+    With ``settle`` the descendants of order ``order`` are settled as
+    leaves, so one yielded unlabeled may carry a partial refinement; a
+    walk whose last nodes are expanded later walks without it."""
     yield adj, auts, base
-    if len(adj) < order:
+    k = len(adj)
+    if k < order - 1:
         for child, cauts, cbase in _children(adj, auts, base, flt):
-            yield from _walk(child, cauts, cbase, order, flt)
+            yield from _walk(child, cauts, cbase, order, flt, settle)
+    elif k < order:
+        yield from _children(adj, auts, base, flt, settle)
 
 
 def _parallel_task(
@@ -299,8 +321,8 @@ def _split_walk(root: _Node, lowest: int, highest: int,
     order, with each seed's subtree walked in a worker process and only
     its graphs of order ``lowest`` or more sent back."""
     # the seeds travel to the workers with their generators or None and
-    # their refined unit partitions
-    top = list(_walk(*root, _PARALLEL_SPLIT_ORDER, flt))
+    # their refined unit partitions, so they are not settled as leaves
+    top = list(_walk(*root, _PARALLEL_SPLIT_ORDER, flt, False))
     seeds = [(adj, auts, base, lowest, highest, flt)
              for adj, auts, base in top if len(adj) == _PARALLEL_SPLIT_ORDER]
     if not seeds:  # the filter ends the tree below the seed order

@@ -142,6 +142,13 @@ def verify_upper_bound(
     variant="pair" checks C_m-or-C_{m+1} (claimed for m >= 2n+2, proof
     opens at m >= 2n+1; both thresholds are reported, neither asserted);
     variant="single" checks C_m only (claimed for m >= 3n+4).
+
+    The walk runs over orders m and m+1, so each order-(m+1) graph comes
+    right after its parent, the latest order-m graph, on any worker
+    count.  The child's complement holds the parent's as an induced
+    subgraph, so a C_m in the parent's complement settles every child
+    that follows it; only the other children are searched.  Only graphs
+    of order m+1 are counted.
     """
     if variant not in ("single", "pair"):
         raise ParameterError(f"variant must be single or pair, got {variant!r}")
@@ -168,9 +175,15 @@ def verify_upper_bound(
     lengths = (m,) if variant == "single" else (m, m + 1)
     count = 0
     cex: dict | None = None
-    for g in enumerate_parallel(m + 1, K2nFreeFilter(n), workers):
-        count += 1
+    inherited = False  # the latest parent's complement has a C_m
+    for g in enumerate_orders(m, m + 1, K2nFreeFilter(n), workers):
         rows = complement_rows(g.adj)
+        if g.order == m:
+            inherited = bool(all_cycles_of_length(rows, m, 1)[0])
+            continue
+        count += 1
+        if inherited:
+            continue
         if not any(all_cycles_of_length(rows, ln, 1)[0] for ln in lengths):
             wanted = " or ".join(f"C_{ln}" for ln in lengths)
             cex = _pick(cex, g,

@@ -467,26 +467,33 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
     # each carries its refinement, which an unlabeled one is labeled from.
     # _children names the new vertex, so its refinement stops once that
     # vertex leaves the last cell; a kept child's must be the full one.
+    # Children of the tree's top order are only settled, as the walk
+    # settles its leaves: their refinement also stops once the new vertex
+    # is alone in the last cell, so only a shared one's must be full.
     refine = enumeration._refine
     tried = []
 
-    def recorded(adj, cells, splitters, stay):
-        base = refine(adj, cells, splitters, stay)
+    def recorded(adj, cells, splitters, stay, settle):
+        base = refine(adj, cells, splitters, stay, settle)
         tried.append((adj, base, refine(adj, cells, splitters)))
         return base
 
     cases = [(7, ALL_GRAPHS), (9, K2nFreeFilter(2)), (8, K2nFreeFilter(3))]
-    settled = {"outside": 0, "stopped": 0, "alone": 0, "shared": 0}
+    settled = {"outside": 0, "stopped": 0, "alone": 0, "shared": 0,
+               "leaf outside": 0, "leaf alone": 0, "leaf alone early": 0,
+               "leaf shared": 0}
     for top, flt in cases:
         parents = list(enumerate_orders(1, top - 1, flt))
         with monkeypatch.context() as m:
             m.setattr(enumeration, "_refine", recorded)
             for g in parents:
                 k = g.order
+                leaves = k == top - 1
                 _, _, auts = canonical_labeling(g.adj)
                 tried.clear()
                 accepted = {child: (cauts, cbase) for child, cauts, cbase
-                            in _children(g.adj, auts, unit_refinement(g), flt)}
+                            in _children(g.adj, auts, unit_refinement(g), flt,
+                                         leaves)}
                 for adj, base, full in tried:
                     perm, _, cauts = canonical_labeling(adj)
                     if adj in accepted:
@@ -494,19 +501,26 @@ def test_one_refinement_settles_children_as_full_labeling_would(monkeypatch):
                     rule = k in orbit_closure((perm[-1],), cauts)
                     assert (adj in accepted) == rule, (encode_graph6(g), adj)
                     last = base[-1]
+                    prefix = "leaf " if leaves else ""
                     if k not in last:
                         assert not rule and k not in full[-1]
-                        settled["outside"] += 1
-                        settled["stopped"] += base != full
+                        settled[prefix + "outside"] += 1
+                        if not leaves:
+                            settled["stopped"] += base != full
                         continue
-                    assert base == full, (encode_graph6(g), adj)
                     if last == [k]:
+                        assert full[-1] == [k], (encode_graph6(g), adj)
                         assert perm[-1] == k and accepted[adj][0] is None
+                        settled[prefix + "alone"] += 1
+                        if leaves:  # a leaf's refinement is never used
+                            settled["leaf alone early"] += base != full
+                            continue
+                        assert base == full, (encode_graph6(g), adj)
                         assert canonical_labeling(adj, base) == \
                             canonical_labeling(adj)
-                        settled["alone"] += 1
                     else:
-                        settled["shared"] += 1
+                        assert base == full, (encode_graph6(g), adj)
+                        settled[prefix + "shared"] += 1
                         if rule:
                             assert accepted[adj][0] == cauts
     assert all(settled.values()), settled

@@ -97,6 +97,63 @@ def test_upper_bound_workers_do_not_change_values():
     assert d1 == d4
 
 
+def test_upper_bound_matches_a_search_of_every_graph():
+    # verify_upper_bound searches an order-m parent's complement and lets
+    # each child of a parent with a C_m there pass unsearched; the oracle
+    # walks order m+1 alone and searches every complement, with no
+    # bipartite rule.  The grid has counterexample cells, verified cells,
+    # and parents whose complements have no C_m, whose children are
+    # searched; workers=2 splits the walk at m = 6.
+    counterexamples = uncovered = 0
+    for n, m in itertools.product((2, 3), range(3, 7)):
+        uncovered += sum(
+            not plain_cycle_search(complement_rows(g.adj), (m,))
+            for g in enumerate_orders(m, m, K2nFreeFilter(n)))
+        for variant in ("single", "pair"):
+            lengths = (m,) if variant == "single" else (m, m + 1)
+            count, least = 0, None
+            for g in enumerate_orders(m + 1, m + 1, K2nFreeFilter(n)):
+                count += 1
+                if not plain_cycle_search(complement_rows(g.adj), lengths):
+                    g6 = encode_graph6(g)
+                    least = g6 if least is None else min(least, g6)
+            if variant == "pair":
+                notes = (f"stated range m >= 2n+2 = {2 * n + 2}: "
+                         f"{'inside' if m >= 2 * n + 2 else 'outside'}",
+                         f"proof range m >= 2n+1 = {2 * n + 1}: "
+                         f"{'inside' if m >= 2 * n + 1 else 'outside'}")
+            else:
+                notes = (f"stated range m >= 3n+4 = {3 * n + 4}: "
+                         f"{'inside' if m >= 3 * n + 4 else 'outside'}",)
+            wanted = " or ".join(f"C_{ln}" for ln in lengths)
+            cex = None if least is None else {
+                "graph6": least,
+                "detail": f"K_2,{n}-free graph whose complement has no {wanted}"}
+            counterexamples += cex is not None
+            for workers in (1, 2):
+                r = verify_upper_bound(n, m, variant, workers)
+                assert (r.outcome, r.hypothesis_count, r.counterexample,
+                        r.notes) == ("counterexample" if cex else "verified",
+                                     count, cex, notes), (n, m, variant, workers)
+    assert counterexamples == 11 and uncovered == 105
+
+
+def test_upper_bound_searches_children_only_below_uncovered_parents(monkeypatch):
+    # every one of the 351 K_{2,2}-free classes of order 8 has a C_8 in its
+    # complement, so no class of order 9 is searched: one search per parent
+    searched = []
+    search = verifier.all_cycles_of_length
+
+    def counted(rows, length, cap):
+        searched.append(len(rows))
+        return search(rows, length, cap)
+
+    monkeypatch.setattr(verifier, "all_cycles_of_length", counted)
+    r = verify_upper_bound(2, 8, "single")
+    assert (r.outcome, r.hypothesis_count) == ("verified", 1230)
+    assert searched == [8] * 351
+
+
 def test_badness():
     r = verify_badness(7, 5)
     assert r.outcome == "verified"
@@ -407,10 +464,14 @@ def test_harnesses_ask_two_connected_what_exact_connectivity_answers(monkeypatch
 
 def _brute_ramsey_ok(g, n: int, lengths: tuple[int, ...]) -> bool:
     """K_{2,n}-free, by embedding search, with no target cycle in the
-    complement, by networkx."""
+    complement: a Hamiltonian one by ``_hamiltonian_by_subset_dp``, a
+    shorter one by networkx, whose listing of every cycle up to the
+    order of a nearly complete complement takes tens of seconds."""
     hbar = nx.complement(to_nx(g))
-    return find_k2n(g, n) is None and not any(_nx_has_cycle(hbar, ln)
-                                              for ln in lengths)
+    rows = complement_rows(g.adj)
+    return find_k2n(g, n) is None and not any(
+        _hamiltonian_by_subset_dp(rows) if ln == g.order
+        else _nx_has_cycle(hbar, ln) for ln in lengths)
 
 
 def _check_filter_contract(flt, passes, key=None) -> None:
@@ -576,14 +637,14 @@ def test_compute_ramsey_matches_post_filtered_enumeration(n, kind, m, max_order)
     assert r.hypothesis_count == count
 
 
-# R(K_{2,2}, C_m) = R(C_4, C_m) for m = 3..11 as in Radziszowski, "Small
+# R(K_{2,2}, C_m) = R(C_4, C_m) for m = 3..12 as in Radziszowski, "Small
 # Ramsey Numbers", Electron. J. Combin. DS1; R(K_{2,2}, C_{m,m+1}) for
 # m = 3..10; R(K_{2,3}, C_m) and R(K_{2,3}, C_{m,m+1}) for m = 3..10;
 # R(K_{2,4}, C_m) for m = 3..9; R(K_{2,4}, C_{m,m+1}) for m = 5..9; and
 # R(K_{2,5}, C_{8,9}).
 GOODNESS_TABLE = {
     **{(2, "cycle", m): value
-       for m, value in zip(range(3, 12), (7, 6, 7, 7, 8, 9, 10, 11, 12))},
+       for m, value in zip(range(3, 13), (7, 6, 7, 7, 8, 9, 10, 11, 12, 13))},
     **{(2, "cycle_pair", m): value
        for m, value in zip(range(3, 11), (6, 6, 6, 7, 8, 9, 10, 11))},
     **{(3, "cycle", m): value
@@ -600,7 +661,8 @@ GOODNESS_TABLE = {
 
 def test_goodness_table():
     for (n, kind, m), value in GOODNESS_TABLE.items():
-        r = compute_ramsey(n, kind, m)
+        # R(K_{2,2}, C_12) = 13 needs a walk past the default order
+        r = compute_ramsey(n, kind, m, max(value, verifier.RAMSEY_MAX_ORDER))
         assert (r.outcome, r.extra["value"]) == ("verified", value), (n, kind, m)
         witness = decode_graph6(r.extra["witness_graph6"])
         assert witness.order == value - 1
@@ -643,11 +705,9 @@ def test_goodness_upper_bounds_of_8_hold_on_every_graph_of_order_8():
 
 
 # Cells of the goodness map not yet in GOODNESS_TABLE, which each take
-# about 10 s or more: opt in with ``pytest -m slow``.  R(K_{2,2}, C_12)
-# takes 4 s, but networkx's check of its witness's complement about 25 s.
+# about 10 s or more: opt in with ``pytest -m slow``.
 @pytest.mark.slow
 @pytest.mark.parametrize("n, kind, m, max_order, value", [
-    (2, "cycle", 12, 13, 13),
     (3, "cycle", 11, 12, 12),
     (5, "cycle_pair", 9, 12, 11),
 ])

@@ -40,6 +40,9 @@ import sys
 import time
 
 GATE_RUNS = {
+    # a counterexample report: the children of parents whose complements
+    # have no C_4 are searched
+    "thm1.3 n=2 m=4": ("verify", "thm1.3", "--n", "2", "--m", "4"),
     "thm1.3 n=2 m=6": ("verify", "thm1.3", "--n", "2", "--m", "6"),
     "thm1.3 n=2 m=8": ("verify", "thm1.3", "--n", "2", "--m", "8"),
     "thm1.3 n=3 m=8": ("verify", "thm1.3", "--n", "3", "--m", "8"),
