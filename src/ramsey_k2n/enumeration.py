@@ -20,9 +20,14 @@ are read off it.
 Every filter meets one contract (``GenerationFilter``): its candidate
 masks are the only neighbourhoods tried for the new vertex, and ``accepts``
 then checks only what that vertex adds to a passing parent, reading the
-child's adjacency rows.  A filter may also name, for each order, a least
-degree that every passing graph of that order has at some vertex, and then
-need not list the smaller masks.
+child's adjacency rows.  The children of one parent differ only in the
+new vertex's row, so each is asked with the same dict, ``ends``, in which
+a filter may record what it learns about the parent, for the siblings: the
+cycle filters record the two ends of the path that closes a cycle through
+the new vertex, and a later sibling adjacent to both has that cycle too.
+A filter may also name, for each order, a least degree that every passing
+graph of that order has at some vertex, and then need not list the
+smaller masks.
 
 The canonically-last vertex always has maximum degree, so a mask whose new
 vertex would not have the child's maximum degree is rejected before orbit
@@ -76,10 +81,13 @@ class GenerationFilter:
     lists the neighbourhoods tried for the new vertex of a passing parent
     g with rows ``adj``, in the order tried.  The list is Aut(g)-invariant
     and holds every mask of at least ``least`` vertices whose child
-    passes.  ``accepts(rows)`` is asked only about a child built from a
-    listed mask, new vertex last, and checks only what that vertex adds.
-    By default the least degree is 0, every mask is listed and every child
-    passes.
+    passes.  ``accepts(rows, ends)`` is asked only about a child built
+    from a listed mask, new vertex last, and checks only what that vertex
+    adds.  ``ends`` is one dict per parent, passed to each child asked; a
+    filter may record in ``ends`` what it learns about the parent, for the
+    siblings, but its answer must not depend on which siblings were asked
+    before.  By default the least degree is 0, every mask is listed and
+    every child passes.
     """
 
     def least_degree(self, order: int) -> int:
@@ -89,7 +97,7 @@ class GenerationFilter:
                         least: int = 0) -> Iterable[int]:
         return range(1 << len(adj))
 
-    def accepts(self, rows: tuple[int, ...]) -> bool:
+    def accepts(self, rows: tuple[int, ...], ends: dict) -> bool:
         return True
 
 
@@ -212,6 +220,7 @@ def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
     top = max(degrees)
     top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
     seen_orbit: set[int] = set()
+    ends: dict = {}  # what the filter learns about the parent, for siblings
     for s in flt.candidate_masks(adj, flt.least_degree(k + 1)):
         size = s.bit_count()
         if size < top or (size == top and s & top_mask):
@@ -235,7 +244,7 @@ def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
             m ^= low
         rows.append(s)
         rows = tuple(rows)
-        if not flt.accepts(rows):
+        if not flt.accepts(rows, ends):
             continue
         # McKay's rule: the new vertex k must lie in the orbit of the
         # canonically-last vertex under the whole of Aut(child).  That

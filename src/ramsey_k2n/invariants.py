@@ -208,12 +208,40 @@ def cycles_through(
     return out
 
 
-def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int]) -> bool:
+def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int],
+                           ends: dict[int, list[int]]) -> bool:
     """Whether a cycle of one of the given lengths passes through the last
-    vertex of the graph with rows ``adj``."""
+    vertex w of the graph with rows ``adj``.
+
+    A C_L through w is w and a path on L-1 other vertices whose two ends
+    are neighbours of w.  ``ends[L][a]`` is the mask of the vertices that
+    earlier searches found joined to a by such a path.  The paths avoid w,
+    so ``ends`` holds for every graph whose rows off w are those of
+    ``adj``: the siblings of one parent.  A neighbourhood of w that holds
+    both ends of a recorded path answers yes without a search; otherwise
+    each length is searched, and the ends of the path of the cycle found
+    are recorded."""
     last = len(adj) - 1
-    return any(cycles_through(adj, last, (1 << last) - 1, ln, 1)
-               for ln in lengths if ln <= len(adj))
+    lengths = [ln for ln in lengths if ln <= len(adj)]
+    nbrs = adj[last]
+    for ln in lengths:
+        partners = ends.get(ln)
+        if partners:
+            rest = nbrs
+            while rest:
+                low = rest & -rest
+                if partners[low.bit_length() - 1] & nbrs:
+                    return True
+                rest ^= low
+    for ln in lengths:
+        cycle = cycles_through(adj, last, (1 << last) - 1, ln, 1)
+        if cycle:
+            a, b = cycle[0][1], cycle[0][-1]
+            partners = ends.setdefault(ln, [0] * last)
+            partners[a] |= 1 << b
+            partners[b] |= 1 << a
+            return True
+    return False
 
 
 def all_cycles_of_length(

@@ -102,7 +102,11 @@ class RamseyFilter(K2nFreeFilter):
 
     Both conditions survive vertex deletion.  The candidate masks are
     K2nFreeFilter's, so a child of a passing parent fails only through a
-    target cycle of its complement through the new vertex.
+    target cycle of its complement through the new vertex.  Off the new
+    vertex, every sibling's complement has the parent's complement's rows,
+    so a cycle found in one sibling's complement settles each later one
+    whose complement joins the new vertex to both ends of its path
+    (``has_cycle_through_last``, with the ``ends`` of the parent).
 
     The least degree rests on a lemma.  Let G be K_{2,n}-free on
     N >= 3n-1 vertices with a non-Hamiltonian complement.  Then G has a
@@ -129,8 +133,10 @@ class RamseyFilter(K2nFreeFilter):
             return order - n - 1
         return 0
 
-    def accepts(self, rows: tuple[int, ...]) -> bool:
-        return not has_cycle_through_last(complement_rows(rows), self.lengths)
+    def accepts(self, rows: tuple[int, ...],
+                ends: dict[int, list[int]]) -> bool:
+        return not has_cycle_through_last(complement_rows(rows), self.lengths,
+                                          ends)
 
 
 def verify_upper_bound(
@@ -147,8 +153,9 @@ def verify_upper_bound(
     right after its parent, the latest order-m graph, on any worker
     count.  The child's complement holds the parent's as an induced
     subgraph, so a C_m in the parent's complement settles every child
-    that follows it; only the other children are searched.  Only graphs
-    of order m+1 are counted.
+    that follows it; only the other children are searched, and only the
+    complements searched are built.  Only graphs of order m+1 are
+    counted.
     """
     if variant not in ("single", "pair"):
         raise ParameterError(f"variant must be single or pair, got {variant!r}")
@@ -177,13 +184,14 @@ def verify_upper_bound(
     cex: dict | None = None
     inherited = False  # the latest parent's complement has a C_m
     for g in enumerate_orders(m, m + 1, K2nFreeFilter(n), workers):
-        rows = complement_rows(g.adj)
         if g.order == m:
-            inherited = bool(all_cycles_of_length(rows, m, 1)[0])
+            inherited = bool(
+                all_cycles_of_length(complement_rows(g.adj), m, 1)[0])
             continue
         count += 1
         if inherited:
             continue
+        rows = complement_rows(g.adj)
         if not any(all_cycles_of_length(rows, ln, 1)[0] for ln in lengths):
             wanted = " or ".join(f"C_{ln}" for ln in lengths)
             cex = _pick(cex, g,
@@ -321,7 +329,10 @@ class HamiltonianHypothesisFilter(GenerationFilter):
     vertex's neighbourhood.  A parent pair with an end in S gains the new
     vertex in its union while the slack drops by one, so it still passes;
     ``accepts`` checks again only the nonadjacent pairs with no end in S,
-    the new vertex paired with each of its non-neighbours included.  The
+    the new vertex paired with each of its non-neighbours included.  Its
+    search for a C_m through the new vertex records the ends of each path
+    found in the parent's ``ends``, so a later sibling adjacent to both
+    ends is settled without a search (``has_cycle_through_last``).  The
     bound on adjacent pairs would prune too, but the harness counts the
     graphs without it as well, so it and 2-connectivity (not hereditary)
     are checked only at the top, by ``pair_bound_holds`` over all pairs.
@@ -355,9 +366,10 @@ class HamiltonianHypothesisFilter(GenerationFilter):
                     return False
         return True
 
-    def accepts(self, rows: tuple[int, ...]) -> bool:
+    def accepts(self, rows: tuple[int, ...],
+                ends: dict[int, list[int]]) -> bool:
         return (self.pair_bound_holds(rows, adjacent=False, among=~rows[-1])
-                and not has_cycle_through_last(rows, (self.m,)))
+                and not has_cycle_through_last(rows, (self.m,), ends))
 
 
 def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:

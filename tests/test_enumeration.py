@@ -323,7 +323,7 @@ def test_one_walk_gives_every_order():
 
 
 class TriangleFree(GenerationFilter):
-    def accepts(self, rows: tuple[int, ...]) -> bool:
+    def accepts(self, rows: tuple[int, ...], ends: dict) -> bool:
         return all(not (rows[u] & rows[v])
                    for u in range(len(rows)) for v in range(u + 1, len(rows))
                    if rows[u] >> v & 1)

@@ -40,6 +40,7 @@ from ramsey_k2n.invariants import (
 
 from conftest import (
     add_edge,
+    add_vertex,
     brute_force_k2n_present,
     complete_multipartite,
     from_edges,
@@ -248,10 +249,50 @@ def test_cycle_through_last_matches_cycle_membership():
             perm = list(range(g.order))
             perm[x], perm[-1] = perm[-1], perm[x]
             rows = relabel(g, perm).adj
+            ends = {}  # the last call reads what the others recorded
             for ln, on in through.items():
-                assert has_cycle_through_last(rows, (ln,)) == (x in on)
-            assert has_cycle_through_last(rows, tuple(through)) \
+                assert has_cycle_through_last(rows, (ln,), ends) == (x in on)
+            assert has_cycle_through_last(rows, tuple(through), ends) \
                 == any(x in on for on in through.values())
+            _check_recorded_ends(rows, ends)
+
+
+def _joined_by_path(rows, a: int, b: int, count: int) -> bool:
+    """Whether a path on ``count`` vertices, none of them the last one,
+    joins a to b, by trying every sequence of inner vertices."""
+    inner = [v for v in range(len(rows) - 1) if v not in (a, b)]
+    return any(all(rows[u] >> v & 1
+                   for u, v in itertools.pairwise((a, *mid, b)))
+               for mid in itertools.permutations(inner, count - 2))
+
+
+def _check_recorded_ends(rows, ends) -> None:
+    """Every end pair recorded for a length L is joined by a path on L-1
+    vertices that avoids the last vertex."""
+    for ln, partners in ends.items():
+        assert len(partners) == len(rows) - 1
+        for a, mask in enumerate(partners):
+            for b in bits(mask):
+                assert a != b and partners[b] >> a & 1
+                assert _joined_by_path(rows, a, b, ln - 1), (rows, ln, a, b)
+
+
+def test_cycle_through_last_shares_ends_among_siblings():
+    # every child of every class of order <= 6, its masks asked in
+    # ascending and in descending order with one ends dict per parent,
+    # gets the answer of a search with nothing recorded
+    for g in enumerate_orders(2, 6):
+        lengths = range(3, g.order + 2)
+        children = [add_vertex(g, s).adj for s in range(1 << g.order)]
+        for asked in (children, children[::-1]):
+            ends = {}
+            for rows in asked:
+                for ln in lengths:
+                    assert has_cycle_through_last(rows, (ln,), ends) \
+                        == has_cycle_through_last(rows, (ln,), {}), (rows, ln)
+                assert has_cycle_through_last(rows, lengths, ends) \
+                    == has_cycle_through_last(rows, lengths, {})
+            _check_recorded_ends(children[0], ends)
 
 
 def _brute_cycles_through(g, s: int, others: int, m: int) -> list[tuple]:

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from ramsey_k2n import verifier
+from ramsey_k2n import invariants, verifier
 from ramsey_k2n.constructions import star_witness
 from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_orders, unlabeled_graph_count
 from ramsey_k2n.graphs import (
@@ -140,18 +140,26 @@ def test_upper_bound_matches_a_search_of_every_graph():
 
 def test_upper_bound_searches_children_only_below_uncovered_parents(monkeypatch):
     # every one of the 351 K_{2,2}-free classes of order 8 has a C_8 in its
-    # complement, so no class of order 9 is searched: one search per parent
+    # complement, so no class of order 9 is searched: one search per
+    # parent, and only the parents' complements are built
     searched = []
+    built = []
     search = verifier.all_cycles_of_length
+    rows_of = verifier.complement_rows
 
     def counted(rows, length, cap):
         searched.append(len(rows))
         return search(rows, length, cap)
 
+    def counted_rows(adj):
+        built.append(len(adj))
+        return rows_of(adj)
+
     monkeypatch.setattr(verifier, "all_cycles_of_length", counted)
+    monkeypatch.setattr(verifier, "complement_rows", counted_rows)
     r = verify_upper_bound(2, 8, "single")
     assert (r.outcome, r.hypothesis_count) == ("verified", 1230)
-    assert searched == [8] * 351
+    assert searched == built == [8] * 351
 
 
 def test_badness():
@@ -276,6 +284,25 @@ def test_hamiltonian_lemma_relaxed_reading_is_sound():
             count += 1
             assert is_hamiltonian(g) is not None
     assert count == 5
+
+
+def test_hamiltonian_lemma_search_count(monkeypatch):
+    # at m=7 a C_7 found through one child's new vertex settles each later
+    # sibling adjacent to both ends of its path, so the filter's searches,
+    # with is_hamiltonian's on the 5 hypothesis graphs, are 1,157 where
+    # searching every child takes 3,853
+    calls = 0
+    search = invariants.cycles_through
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(invariants, "cycles_through", counted)
+    r = verify_hamiltonian_lemma(7)
+    assert (r.outcome, r.hypothesis_count) == ("verified", 5)
+    assert calls == 1157
 
 
 def test_two_connected_lemma_vacuous_at_2_6():
@@ -477,14 +504,19 @@ def _brute_ramsey_ok(g, n: int, lengths: tuple[int, ...]) -> bool:
 def _check_filter_contract(flt, passes, key=None) -> None:
     """The listed masks whose child ``accepts`` takes are exactly the
     masks whose child ``passes``, in the listed order, for every passing
-    parent of order <= 6."""
+    parent of order <= 6.  The children of one parent share one ``ends``
+    dict, as in generation, asked in the listed order and again in
+    reverse."""
     for order in range(1, 7):
         for g in enumerate_orders(order, order, flt):
-            kept = [s for s in flt.candidate_masks(g.adj)
-                    if flt.accepts(add_vertex(g, s).adj)]
+            listed = list(flt.candidate_masks(g.adj))
             brute = sorted((s for s in range(1 << order) if passes(add_vertex(g, s))),
                            key=key)
-            assert kept == brute, encode_graph6(g)
+            for masks, want in ((listed, brute), (listed[::-1], brute[::-1])):
+                ends = {}
+                kept = [s for s in masks
+                        if flt.accepts(add_vertex(g, s).adj, ends)]
+                assert kept == want, encode_graph6(g)
 
 
 def _hamiltonian_by_subset_dp(rows: tuple[int, ...]) -> bool:
@@ -571,11 +603,12 @@ def test_hamiltonian_filter_rechecks_only_pairs_outside_the_new_neighbourhood(m)
     flt = HamiltonianHypothesisFilter(m)
     for order in range(1, 8):
         for g in enumerate_orders(order, order, flt):
+            ends = {}  # shared by the children of g, as in generation
             for s in flt.candidate_masks(g.adj):
                 rows = add_vertex(g, s).adj
-                assert flt.accepts(rows) == (
+                assert flt.accepts(rows, ends) == (
                     flt.pair_bound_holds(rows, adjacent=False)
-                    and not has_cycle_through_last(rows, (m,))), \
+                    and not has_cycle_through_last(rows, (m,), {})), \
                     (encode_graph6(g), s)
 
 
@@ -720,7 +753,7 @@ def test_goodness_cells_outside_tier_1(n, kind, m, max_order, value):
 
 
 # thm1.5 at m=9, the largest m under HAMILTONIAN_LEMMA_MAX_ORDER (the gate
-# checks m = 6..8); about 30 s with 2 workers.
+# checks m = 6..8); about 10 s with 2 workers.
 @pytest.mark.slow
 def test_hamiltonian_lemma_at_m9():
     r = verify_hamiltonian_lemma(9, workers=2)
