@@ -17,17 +17,17 @@ canonical parent also passes the filter.  One depth-first walk of the tree
 yields every order up to the highest asked for; the single-order streams
 are read off it.
 
-Every filter meets one contract (``GenerationFilter``): its candidate
-masks are the only neighbourhoods tried for the new vertex, and ``accepts``
-then checks only what that vertex adds to a passing parent, reading the
-child's adjacency rows.  The children of one parent differ only in the
-new vertex's row, so each is asked with the same dict, ``ends``, in which
-a filter may record what it learns about the parent, for the siblings: the
-cycle filters record the two ends of the path that closes a cycle through
-the new vertex, and a later sibling adjacent to both has that cycle too.
-A filter may also name, for each order, a least degree that every passing
-graph of that order has at some vertex, and then need not list the
-smaller masks.
+Every filter meets one contract (``GenerationFilter``), with two hooks:
+its candidate masks are the only neighbourhoods tried for the new vertex,
+and ``accepts`` then checks only what that vertex adds to a passing
+parent, reading the child's adjacency rows.  Only a new vertex of the
+child's maximum degree can be accepted (below), so the masks need hold
+only those whose child passes with the new vertex at that degree.  The
+children of one parent differ only in the new vertex's row, so each is
+asked with the same dict, ``ends``, in which a filter may record what it
+learns about the parent, for the siblings: the cycle filters record the
+two ends of the path that closes a cycle through the new vertex, and a
+later sibling adjacent to both has that cycle too.
 
 The canonically-last vertex always has maximum degree, so a mask whose new
 vertex would not have the child's maximum degree is rejected before orbit
@@ -74,27 +74,20 @@ class GenerationFilter:
     the class.  K_1 is in every class.
 
     Both hooks read a graph's neighbour bitmasks, as ``Graph.adj`` would
-    hold them; no ``Graph`` is built for either.  ``least_degree(order)``
-    is at most the maximum degree of every passing graph of that order;
-    only a new vertex of the child's maximum degree can be accepted, so
-    a smaller mask need not be tried.  ``candidate_masks(adj, least)``
+    hold them; no ``Graph`` is built for either.  ``candidate_masks(adj)``
     lists the neighbourhoods tried for the new vertex of a passing parent
     g with rows ``adj``, in the order tried.  The list is Aut(g)-invariant
-    and holds every mask of at least ``least`` vertices whose child
-    passes.  ``accepts(rows, ends)`` is asked only about a child built
-    from a listed mask, new vertex last, and checks only what that vertex
-    adds.  ``ends`` is one dict per parent, passed to each child asked; a
-    filter may record in ``ends`` what it learns about the parent, for the
+    and holds every mask whose child passes with the new vertex at the
+    child's maximum degree, the only children generation can accept.
+    ``accepts(rows, ends)`` is asked only about a child built from a
+    listed mask, new vertex last, and checks only what that vertex adds.
+    ``ends`` is one dict per parent, passed to each child asked; a filter
+    may record in ``ends`` what it learns about the parent, for the
     siblings, but its answer must not depend on which siblings were asked
-    before.  By default the least degree is 0, every mask is listed and
-    every child passes.
+    before.  By default every mask is listed and every child passes.
     """
 
-    def least_degree(self, order: int) -> int:
-        return 0
-
-    def candidate_masks(self, adj: tuple[int, ...],
-                        least: int = 0) -> Iterable[int]:
+    def candidate_masks(self, adj: tuple[int, ...]) -> Iterable[int]:
         return range(1 << len(adj))
 
     def accepts(self, rows: tuple[int, ...], ends: dict) -> bool:
@@ -214,14 +207,13 @@ def _children(adj: tuple[int, ...], auts: list[tuple[int, ...]] | None,
     # degree of g, or equal to the top degree D with no degree-D vertex of g
     # in s.  The test is invariant under Aut(g) and only drops masks whose
     # child fails the orbit rule, so the accepted children and their order
-    # are unchanged.  A mask below the filter's least degree is not listed:
-    # its child either fails the filter or fails this test.
+    # are unchanged.
     degrees = [row.bit_count() for row in adj]
     top = max(degrees)
     top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
     seen_orbit: set[int] = set()
     ends: dict = {}  # what the filter learns about the parent, for siblings
-    for s in flt.candidate_masks(adj, flt.least_degree(k + 1)):
+    for s in flt.candidate_masks(adj):
         size = s.bit_count()
         if size < top or (size == top and s & top_mask):
             continue

@@ -101,37 +101,40 @@ class RamseyFilter(K2nFreeFilter):
     lengths: the graphs a Ramsey value's lower bound rests on.
 
     Both conditions survive vertex deletion.  The candidate masks are
-    K2nFreeFilter's, so a child of a passing parent fails only through a
-    target cycle of its complement through the new vertex.  Off the new
-    vertex, every sibling's complement has the parent's complement's rows,
-    so a cycle found in one sibling's complement settles each later one
-    whose complement joins the new vertex to both ends of its path
-    (``has_cycle_through_last``, with the ``ends`` of the parent).
+    K2nFreeFilter's of at least a degree floor, so a child of a passing
+    parent fails only through a target cycle of its complement through the
+    new vertex.  Off the new vertex, every sibling's complement has the
+    parent's complement's rows, so a cycle found in one sibling's
+    complement settles each later one whose complement joins the new
+    vertex to both ends of its path (``has_cycle_through_last``, with the
+    ``ends`` of the parent).
 
-    The least degree rests on a lemma.  Let G be K_{2,n}-free on
-    N >= 3n-1 vertices with a non-Hamiltonian complement.  Then G has a
-    vertex of degree at least N-n-1.  Proof: the complement's independence
-    number is at most n+1, since K_{n+2} contains K_{2,n}.  By Chvátal and
-    Erdős ("A note on Hamiltonian circuits", Discrete Math. 2, 1972), a
-    graph on at least 3 vertices whose connectivity is at least its
-    independence number is Hamiltonian, so the complement's connectivity
-    is at most n.  Removing at most n vertices therefore leaves a
-    component A and a rest B, with |A| + |B| >= 2n-1, that G joins
-    completely, and K_{2,n}-freeness makes one side a single vertex.  At
-    an order N >= max(3, 3n-1) that is a target length, a C_N is
-    Hamiltonian, so every passing graph of order N has a vertex of degree
-    at least N-n-1.
+    The floor rests on a lemma.  Let G be K_{2,n}-free on N >= 3n-1
+    vertices with a non-Hamiltonian complement.  Then G has a vertex of
+    degree at least N-n-1.  Proof: the complement's independence number
+    is at most n+1, since K_{n+2} contains K_{2,n}.  By Chvátal and Erdős
+    ("A note on Hamiltonian circuits", Discrete Math. 2, 1972), a graph on
+    at least 3 vertices whose connectivity is at least its independence
+    number is Hamiltonian, so the complement's connectivity is at most n.
+    Removing at most n vertices therefore leaves a component A and a rest
+    B, with |A| + |B| >= 2n-1, that G joins completely, and
+    K_{2,n}-freeness makes one side a single vertex.  At an order
+    N >= max(3, 3n-1) that is a target length, a C_N is Hamiltonian, so
+    every passing graph of order N has a vertex of degree at least N-n-1,
+    and a mask of fewer vertices is not listed: its child either fails
+    the filter or has a vertex of higher degree than the new one.
     """
 
     def __init__(self, n: int, lengths: tuple[int, ...]):
         super().__init__(n)
         self.lengths = lengths
 
-    def least_degree(self, order: int) -> int:
-        n = self.n
+    def candidate_masks(self, adj: tuple[int, ...]) -> list[int]:
+        n, order = self.n, len(adj) + 1
+        least = 0
         if order in self.lengths and order >= max(3, 3 * n - 1):
-            return order - n - 1
-        return 0
+            least = order - n - 1
+        return super().candidate_masks(adj, least)
 
     def accepts(self, rows: tuple[int, ...],
                 ends: dict[int, list[int]]) -> bool:
@@ -151,11 +154,14 @@ def verify_upper_bound(
 
     The walk runs over orders m and m+1, so each order-(m+1) graph comes
     right after its parent, the latest order-m graph, on any worker
-    count.  The child's complement holds the parent's as an induced
-    subgraph, so a C_m in the parent's complement settles every child
-    that follows it; only the other children are searched, and only the
-    complements searched are built.  Only graphs of order m+1 are
-    counted.
+    count.  Only the parents' complements are searched whole.  The
+    child's complement holds the parent's as an induced subgraph, so a
+    C_m in the parent's complement settles every child that follows it.
+    A parent without one passes ``RamseyFilter``, since its complement is
+    too small for a C_{m+1}, so each of its children, new vertex last, is
+    a counterexample exactly when the filter ``accepts`` it; the children
+    share one ``ends`` dict, as siblings do in generation.  Only graphs
+    of order m+1 are counted.
     """
     if variant not in ("single", "pair"):
         raise ParameterError(f"variant must be single or pair, got {variant!r}")
@@ -180,19 +186,17 @@ def verify_upper_bound(
         notes.append(f"stated range m >= 3n+4 = {3 * n + 4}: "
                      f"{'inside' if m >= 3 * n + 4 else 'outside'}")
     lengths = (m,) if variant == "single" else (m, m + 1)
+    flt = RamseyFilter(n, lengths)
     count = 0
     cex: dict | None = None
-    inherited = False  # the latest parent's complement has a C_m
+    ends: dict | None = None  # the latest parent's, None if it has a C_m
     for g in enumerate_orders(m, m + 1, K2nFreeFilter(n), workers):
         if g.order == m:
-            inherited = bool(
-                all_cycles_of_length(complement_rows(g.adj), m, 1)[0])
+            covered = all_cycles_of_length(complement_rows(g.adj), m, 1)[0]
+            ends = None if covered else {}
             continue
         count += 1
-        if inherited:
-            continue
-        rows = complement_rows(g.adj)
-        if not any(all_cycles_of_length(rows, ln, 1)[0] for ln in lengths):
+        if ends is not None and flt.accepts(g.adj, ends):
             wanted = " or ".join(f"C_{ln}" for ln in lengths)
             cex = _pick(cex, g,
                         f"K_2,{n}-free graph whose complement has no {wanted}")

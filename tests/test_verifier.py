@@ -102,10 +102,11 @@ def test_upper_bound_matches_a_search_of_every_graph():
     # each child of a parent with a C_m there pass unsearched; the oracle
     # walks order m+1 alone and searches every complement, with no
     # bipartite rule.  The grid has counterexample cells, verified cells,
-    # and parents whose complements have no C_m, whose children are
-    # searched; workers=2 splits the walk at m = 6.
+    # and parents whose complements have no C_m, whose children
+    # RamseyFilter.accepts decides with one ends dict per parent, as at
+    # thm1.6 (3, 7); workers=2 splits the walk at m = 6 and 7.
     counterexamples = uncovered = 0
-    for n, m in itertools.product((2, 3), range(3, 7)):
+    for n, m in itertools.product((2, 3), range(3, 8)):
         uncovered += sum(
             not plain_cycle_search(complement_rows(g.adj), (m,))
             for g in enumerate_orders(m, m, K2nFreeFilter(n)))
@@ -135,17 +136,23 @@ def test_upper_bound_matches_a_search_of_every_graph():
                 assert (r.outcome, r.hypothesis_count, r.counterexample,
                         r.notes) == ("counterexample" if cex else "verified",
                                      count, cex, notes), (n, m, variant, workers)
-    assert counterexamples == 11 and uncovered == 105
+    assert counterexamples == 12 and uncovered == 219
 
 
 def test_upper_bound_searches_children_only_below_uncovered_parents(monkeypatch):
     # every one of the 351 K_{2,2}-free classes of order 8 has a C_8 in its
     # complement, so no class of order 9 is searched: one search per
-    # parent, and only the parents' complements are built
+    # parent, and only the parents' complements are built.  At thm1.6
+    # (3, 7), the 26 children of parents without a C_7 in the complement
+    # go through RamseyFilter.accepts with one ends dict per parent, and
+    # 3 of them are settled by a sibling's cycle; searching each would
+    # make 406 cycles_through calls
     searched = []
     built = []
+    paths = 0
     search = verifier.all_cycles_of_length
     rows_of = verifier.complement_rows
+    through = invariants.cycles_through
 
     def counted(rows, length, cap):
         searched.append(len(rows))
@@ -155,11 +162,27 @@ def test_upper_bound_searches_children_only_below_uncovered_parents(monkeypatch)
         built.append(len(adj))
         return rows_of(adj)
 
+    def counted_paths(*args):
+        nonlocal paths
+        paths += 1
+        return through(*args)
+
     monkeypatch.setattr(verifier, "all_cycles_of_length", counted)
     monkeypatch.setattr(verifier, "complement_rows", counted_rows)
+    monkeypatch.setattr(invariants, "cycles_through", counted_paths)
     r = verify_upper_bound(2, 8, "single")
     assert (r.outcome, r.hypothesis_count) == ("verified", 1230)
     assert searched == built == [8] * 351
+    assert paths == 351
+    searched.clear()
+    built.clear()
+    paths = 0
+    r = verify_upper_bound(3, 7, "single")
+    assert (r.outcome, r.hypothesis_count) == ("counterexample", 2197)
+    assert r.counterexample["graph6"] == "GQhTQg"
+    assert searched == [7] * 386
+    assert sorted(built) == [7] * 386 + [8] * 26
+    assert paths == 403
 
 
 def test_badness():
@@ -501,17 +524,30 @@ def _brute_ramsey_ok(g, n: int, lengths: tuple[int, ...]) -> bool:
         else _nx_has_cycle(hbar, ln) for ln in lengths)
 
 
-def _check_filter_contract(flt, passes, key=None) -> None:
+def _check_filter_contract(flt, passes, key=None, floor=lambda order: 0) -> None:
     """The listed masks whose child ``accepts`` takes are exactly the
-    masks whose child ``passes``, in the listed order, for every passing
-    parent of order <= 6.  The children of one parent share one ``ends``
+    masks of at least ``floor(k)`` vertices whose child, of order k,
+    ``passes``, in the listed order, for every passing parent of order
+    <= 6.  A smaller mask whose child passes gives it a vertex of degree
+    at least the floor, above the new vertex's, so generation never
+    accepts that child.  The children of one parent share one ``ends``
     dict, as in generation, asked in the listed order and again in
     reverse."""
     for order in range(1, 7):
+        least = floor(order + 1)
         for g in enumerate_orders(order, order, flt):
             listed = list(flt.candidate_masks(g.adj))
-            brute = sorted((s for s in range(1 << order) if passes(add_vertex(g, s))),
-                           key=key)
+            brute = []
+            for s in range(1 << order):
+                child = add_vertex(g, s)
+                if not passes(child):
+                    continue
+                if s.bit_count() >= least:
+                    brute.append(s)
+                else:
+                    assert max(row.bit_count() for row in child.adj) >= least, \
+                        (encode_graph6(g), s)
+            brute.sort(key=key)
             for masks, want in ((listed, brute), (listed[::-1], brute[::-1])):
                 ends = {}
                 kept = [s for s in masks
@@ -563,19 +599,26 @@ def test_degree_floor_lemma():
     (4, (10,), 10, 0), (4, (11,), 11, 6), (5, (13, 14), 14, 8),
 ])
 def test_ramsey_filter_least_degree(n, lengths, order, least):
-    # N-n-1 at a target length N >= max(3, 3n-1), where the degree-floor
-    # lemma applies, and 0 elsewhere
-    assert RamseyFilter(n, lengths).least_degree(order) == least
-    assert K2nFreeFilter(n).least_degree(order) == 0
+    # a child of order N gets K2nFreeFilter's masks of at least N-n-1
+    # vertices at a target length N >= max(3, 3n-1), where the
+    # degree-floor lemma applies, and all of them elsewhere; the empty
+    # parent has masks of every size up to the floor, so a wrong floor
+    # changes the list
+    adj = (0,) * (order - 1)
+    assert RamseyFilter(n, lengths).candidate_masks(adj) == \
+        K2nFreeFilter(n).candidate_masks(adj, least)
 
 
 @pytest.mark.parametrize("lengths", [(3,), (4,), (5,), (4, 5)])
 def test_ramsey_filter_keeps_exactly_the_passing_extensions(lengths):
-    # K2nFreeFilter's masks come in increasing order of vertex lists
+    # K2nFreeFilter's masks come in increasing order of vertex lists, cut
+    # at the floor of test_ramsey_filter_least_degree
     for n in (1, 2, 3):
-        _check_filter_contract(RamseyFilter(n, lengths),
-                               lambda h: _brute_ramsey_ok(h, n, lengths),
-                               key=lambda s: list(bits(s)))
+        _check_filter_contract(
+            RamseyFilter(n, lengths), lambda h: _brute_ramsey_ok(h, n, lengths),
+            key=lambda s: list(bits(s)),
+            floor=lambda order: (order - n - 1 if order in lengths
+                                 and order >= max(3, 3 * n - 1) else 0))
 
 
 def _brute_hamiltonian_ok(g, m: int) -> bool:

@@ -48,6 +48,9 @@ GATE_RUNS = {
     "thm1.3 n=3 m=8": ("verify", "thm1.3", "--n", "3", "--m", "8"),
     "thm1.6 n=2 m=8": ("verify", "thm1.6", "--n", "2", "--m", "8"),
     "thm1.6 n=2 m=10": ("verify", "thm1.6", "--n", "2", "--m", "10"),
+    # the children of parents whose complements have no C_7 go through
+    # RamseyFilter.accepts
+    "thm1.6 n=3 m=7": ("verify", "thm1.6", "--n", "3", "--m", "7"),
     "thm1.5 m=6": ("verify", "thm1.5", "--m", "6"),
     "thm1.5 m=7": ("verify", "thm1.5", "--m", "7"),
     "thm1.5 m=8": ("verify", "thm1.5", "--m", "8"),
