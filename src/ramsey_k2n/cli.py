@@ -90,7 +90,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     results: dict = {"order": g.order, "edges": g.edge_count()}
     found = False
     if args.k2n is not None:
-        witness = find_k2n(g, args.k2n)
+        witness = find_k2n(g.adj, args.k2n)
         if witness is None:
             results["k2n"] = {"n": args.k2n, "found": False}
         else:
@@ -99,7 +99,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                               "pair": list(witness.pair),
                               "common": sorted(witness.common)}
     if args.cycle is not None:
-        witness = has_cycle_of_length(g, args.cycle)
+        witness = has_cycle_of_length(g.adj, args.cycle)
         if witness is None:
             results["cycle"] = {"length": args.cycle, "found": False}
         else:
@@ -107,16 +107,16 @@ def cmd_check(args: argparse.Namespace) -> int:
             results["cycle"] = {"length": args.cycle, "found": True,
                                 "vertices": list(witness)}
     if args.circumference:
-        results["circumference"] = circumference(g)
+        results["circumference"] = circumference(g.adj)
     if args.girth:
-        value = girth(g)
+        value = girth(g.adj)
         results["girth"] = None if value == float("inf") else int(value)
     if args.spectrum:
-        results["spectrum"] = sorted(cycle_spectrum(g))
+        results["spectrum"] = sorted(cycle_spectrum(g.adj))
     if args.connectivity:
-        results["connectivity"] = connectivity(g)
+        results["connectivity"] = connectivity(g.adj)
     if args.alpha:
-        results["alpha"] = independence_number(g)
+        results["alpha"] = independence_number(g.adj)
     if args.output == "json":
         print(json.dumps(results, sort_keys=True))
     else:

@@ -113,15 +113,15 @@ def _report(
     them in key order."""
     g = complement(gbar)
     small = g.order <= CIRCUMFERENCE_CUTOFF
-    mc = max_common_neighborhood(g)
+    mc = max_common_neighborhood(g.adj)
     length = claimed["forbidden_cycle_length"]
     measured: dict[str, int | None] = {
         "order": g.order,
         "max_common_neighborhood": mc,
-        "complement_circumference": circumference(gbar) if small else None,
+        "complement_circumference": circumference(gbar.adj) if small else None,
         "forbidden_cycle_length": (
             length if length is not None
-            and has_cycle_of_length(gbar, length) is None else None),
+            and has_cycle_of_length(gbar.adj, length) is None else None),
     }
     skipped = tuple(key for key in sorted(claimed) if claimed[key] is None
                     or key == "complement_circumference" and not small)
@@ -147,8 +147,8 @@ def star_witness(m: int) -> ConstructionReport:
         "forbidden_cycle_length": m,
     }
     return _report("star", {"m": m}, gbar, claimed, lambda g, mc: {
-        "k2n_free_n2": k2n_free(g, 2),
-        "no_forbidden_cycle_plus_one": has_cycle_of_length(gbar, m + 1) is None,
+        "k2n_free_n2": k2n_free(g.adj, 2),
+        "no_forbidden_cycle_plus_one": has_cycle_of_length(gbar.adj, m + 1) is None,
     }, (f"complement also avoids C_{m + 1}",))
 
 
@@ -202,9 +202,9 @@ def burr_witness(g_order: int, kind: str, size: int) -> ConstructionReport:
 
     def checks(blue: Graph, mc: int) -> dict[str, bool]:
         if kind == "k2n":
-            absent = k2n_free(blue, size)
+            absent = k2n_free(blue.adj, size)
         else:
-            absent = has_cycle_of_length(blue, size) is None
+            absent = has_cycle_of_length(blue.adj, size) is None
         return {"red_components_below_g_order":
                 max(clique_sizes, default=0) <= g_order - 1,
                 "pattern_absent": absent}
@@ -242,7 +242,7 @@ def lemma41_witness(m: int, p: int, t: int) -> ConstructionReport:
     return _report("lemma41", {"m": m, "p": p, "t": t, "n": n},
                    _apex_over_cliques([m + t - p] + [m + 1] * p), claimed,
                    lambda g, mc: {
-                       "k2n_free": k2n_free(g, n),
+                       "k2n_free": k2n_free(g.adj, n),
                        "max_common_equals_claim": mc == n - 1,
                        "max_common_at_most_n_minus_1": mc <= n - 1,
                        "circumference_below_2m": m + t - p + 1 < 2 * m,
@@ -279,7 +279,7 @@ def lemma42_witness(m: int, q: int, t: int) -> ConstructionReport:
     }
     return _report("lemma42", {"m": m, "q": q, "t": t, "n": n},
                    _apex_over_cliques(sizes), claimed, lambda g, mc: {
-                       "k2n_free": k2n_free(g, n),
+                       "k2n_free": k2n_free(g.adj, n),
                        "max_common_at_most_n_minus_1": mc <= n - 1,
                        "circumference_below_2m":
                            max(2 * m - t - 1, m + 5) < 2 * m,

@@ -50,11 +50,9 @@ that picks a parallel run's seeds does not settle them, since each seed
 is expanded in its worker.  None of this changes which representative is
 emitted or the order of the stream.
 
-Inside generation a graph is only its tuple of neighbour bitmasks, as
-``Graph.adj`` would hold them: the filters, the refinement and the
-labeling all read rows.  ``enumerate_orders`` builds one ``Graph`` per
-graph it yields, in the process that yields it, so ``Graph`` still
-validates every graph that leaves generation, and nothing else is built.
+A graph is only its tuple of neighbour bitmasks, as ``Graph.adj`` holds
+them: the filters, the refinement and the labeling read rows, and
+``enumerate_orders`` yields them.  No ``Graph`` is built here.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ import math
 from collections.abc import Iterable, Iterator
 
 from .canon import _refine, canonical_labeling, orbit_closure
-from .graphs import Graph
 
 _PARALLEL_SPLIT_ORDER = 5
 
@@ -73,8 +70,7 @@ class GenerationFilter:
     that prunes generation: a graph is reached only through ancestors in
     the class.  K_1 is in every class.
 
-    Both hooks read a graph's neighbour bitmasks, as ``Graph.adj`` would
-    hold them; no ``Graph`` is built for either.  ``candidate_masks(adj)``
+    Both hooks read a graph's rows.  ``candidate_masks(adj)``
     lists the neighbourhoods tried for the new vertex of a passing parent
     g with rows ``adj``, in the order tried.  The list is Aut(g)-invariant
     and holds every mask whose child passes with the new vertex at the
@@ -288,10 +284,10 @@ def _parallel_task(
 def enumerate_orders(
     lowest: int, highest: int, flt: GenerationFilter = ALL_GRAPHS,
     workers: int = 1,
-) -> Iterator[Graph]:
-    """One representative per isomorphism class passing the filter, of
-    every order from ``lowest`` to ``highest`` (none if ``highest`` is
-    below ``lowest``), in one walk of the tree.
+) -> Iterator[tuple[int, ...]]:
+    """The rows of one representative per isomorphism class passing the
+    filter, of every order from ``lowest`` to ``highest`` (none if
+    ``highest`` is below ``lowest``), in one walk of the tree.
 
     Graphs come in depth-first order, a parent before its children, and
     are streamed, never materialized.  With more than one worker the tree
@@ -311,9 +307,7 @@ def enumerate_orders(
         stream = (adj for adj, _, _ in _walk(*root, highest, flt))
     else:
         stream = _split_walk(root, lowest, highest, flt, workers)
-    for adj in stream:
-        if len(adj) >= lowest:
-            yield Graph(len(adj), adj)
+    yield from (adj for adj in stream if len(adj) >= lowest)
 
 
 def _split_walk(root: _Node, lowest: int, highest: int,
@@ -341,7 +335,7 @@ def _split_walk(root: _Node, lowest: int, highest: int,
 
 def enumerate_parallel(
     order: int, flt: GenerationFilter = ALL_GRAPHS, workers: int = 1
-) -> Iterator[Graph]:
+) -> Iterator[tuple[int, ...]]:
     """``enumerate_orders(order, order, flt, workers)``."""
     return enumerate_orders(order, order, flt, workers)
 

@@ -87,9 +87,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def vertices_mask(self) -> int:
-        return (1 << self.order) - 1
-
 
 def empty_graph(order: int) -> Graph:
     return Graph(order, (0,) * order)

@@ -13,19 +13,18 @@ end cannot reach enough unused vertices or a closing one, which is fast on
 the dense clique-union graphs this package cares about and exhaustive
 everywhere.  ``all_cycles_of_length`` answers a length that a bipartite
 graph cannot hold (odd, or above twice its smaller side) without a search,
-and every whole-graph cycle quantity reads it.  It, ``bipartition`` and
-``two_connected`` read adjacency rows, so rows derived from a valid graph,
-such as its complement's, are searched without a ``Graph``.
+and every whole-graph cycle quantity reads it.  Every function here reads
+a graph's rows of neighbour bitmasks, as ``Graph.adj`` holds them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import combinations
 
-from .graphs import Graph, GraphError, bits
+from .graphs import GraphError, bits
 
 #: Most cycles of one length listed for one graph.
 CYCLE_CAP = 10_000
@@ -65,7 +64,7 @@ def two_connected(adj: Sequence[int]) -> bool:
     return True
 
 
-def connectivity(g: Graph) -> int:
+def connectivity(adj: Sequence[int]) -> int:
     """Exact vertex connectivity: 0 for order 1 and disconnected graphs,
     n - 1 for K_n.
 
@@ -79,9 +78,9 @@ def connectivity(g: Graph) -> int:
     (in) and 2v + 1 (out), and ``res[x]`` is the bitmask of nodes x still
     has residual capacity to.
     """
-    n = g.order
+    n = len(adj)
     base = [0] * (2 * n)
-    for v, row in enumerate(g.adj):
+    for v, row in enumerate(adj):
         base[2 * v] = 1 << (2 * v + 1)
         for w in bits(row):
             base[2 * v + 1] |= 1 << (2 * w)
@@ -89,7 +88,7 @@ def connectivity(g: Graph) -> int:
     i = 0
     while i <= best:
         src = 2 * i + 1
-        for j in bits(g.vertices_mask() & ~g.adj[i] & ~((2 << i) - 1)):
+        for j in bits(((1 << n) - 1) & ~adj[i] & ~((2 << i) - 1)):
             res = base.copy()
             sink = 2 * j
             flow = 0
@@ -208,22 +207,18 @@ def cycles_through(
     return out
 
 
-def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int],
-                           ends: dict[int, list[int]]) -> bool:
-    """Whether a cycle of one of the given lengths passes through the last
-    vertex w of the graph with rows ``adj``.
+def certified(adj: Sequence[int], lengths: Sequence[int],
+              ends: dict[int, list[int]]) -> bool:
+    """Whether ``ends`` certifies a cycle of one of the given lengths
+    through the last vertex w of the graph with rows ``adj``.
 
     A C_L through w is w and a path on L-1 other vertices whose two ends
     are neighbours of w.  ``ends[L][a]`` is the mask of the vertices that
     earlier searches found joined to a by such a path.  The paths avoid w,
     so ``ends`` holds for every graph whose rows off w are those of
     ``adj``: the siblings of one parent.  A neighbourhood of w that holds
-    both ends of a recorded path answers yes without a search; otherwise
-    each length is searched, and the ends of the path of the cycle found
-    are recorded."""
-    last = len(adj) - 1
-    lengths = [ln for ln in lengths if ln <= len(adj)]
-    nbrs = adj[last]
+    both ends of a recorded path certifies the cycle."""
+    nbrs = adj[-1]
     for ln in lengths:
         partners = ends.get(ln)
         if partners:
@@ -233,7 +228,21 @@ def has_cycle_through_last(adj: Sequence[int], lengths: Iterable[int],
                 if partners[low.bit_length() - 1] & nbrs:
                     return True
                 rest ^= low
+    return False
+
+
+def has_cycle_through_last(adj: Sequence[int], lengths: Sequence[int],
+                           ends: dict[int, list[int]]) -> bool:
+    """Whether a cycle of one of the given lengths passes through the last
+    vertex of the graph with rows ``adj``: yes without a search if
+    ``ends`` certifies one; otherwise each length is searched, and the
+    ends of the path of the cycle found are recorded in ``ends``."""
+    if certified(adj, lengths, ends):
+        return True
+    last = len(adj) - 1
     for ln in lengths:
+        if ln > len(adj):
+            continue
         cycle = cycles_through(adj, last, (1 << last) - 1, ln, 1)
         if cycle:
             a, b = cycle[0][1], cycle[0][-1]
@@ -276,40 +285,39 @@ def all_cycles_of_length(
     return out, False
 
 
-def has_cycle_of_length(g: Graph, m: int) -> tuple[int, ...] | None:
-    """The first cycle of all_cycles_of_length(g.adj, m), or None."""
-    cycles, _ = all_cycles_of_length(g.adj, m, cap=1)
+def has_cycle_of_length(adj: Sequence[int], m: int) -> tuple[int, ...] | None:
+    """The first cycle of all_cycles_of_length(adj, m), or None."""
+    cycles, _ = all_cycles_of_length(adj, m, cap=1)
     return cycles[0] if cycles else None
 
 
-def circumference(g: Graph) -> int:
+def circumference(adj: Sequence[int]) -> int:
     """Longest cycle length, 0 for forests.
 
     A vertex of degree below 2 lies on no cycle, so the downward scan
     starts at the number of vertices of degree at least 2.
     """
-    top = sum(row.bit_count() >= 2 for row in g.adj)
-    return next((ln for ln in range(top, 2, -1) if has_cycle_of_length(g, ln)), 0)
+    top = sum(row.bit_count() >= 2 for row in adj)
+    return next((ln for ln in range(top, 2, -1) if has_cycle_of_length(adj, ln)), 0)
 
 
-def girth(g: Graph) -> float:
+def girth(adj: Sequence[int]) -> float:
     """Length of a shortest cycle; math.inf for forests."""
-    return next((ln for ln in range(3, g.order + 1) if has_cycle_of_length(g, ln)),
-                math.inf)
+    return next((ln for ln in range(3, len(adj) + 1)
+                 if has_cycle_of_length(adj, ln)), math.inf)
 
 
-def cycle_spectrum(g: Graph) -> set[int]:
-    return {ln for ln in range(3, g.order + 1) if has_cycle_of_length(g, ln)}
+def cycle_spectrum(adj: Sequence[int]) -> set[int]:
+    return {ln for ln in range(3, len(adj) + 1) if has_cycle_of_length(adj, ln)}
 
 
-def is_hamiltonian(g: Graph) -> tuple[int, ...] | None:
-    if g.order < 3:
+def is_hamiltonian(adj: Sequence[int]) -> tuple[int, ...] | None:
+    if len(adj) < 3:
         raise GraphError("Hamiltonicity needs order >= 3")
-    return has_cycle_of_length(g, g.order)
+    return has_cycle_of_length(adj, len(adj))
 
 
-def independence_number(g: Graph) -> int:
-    adj = g.adj
+def independence_number(adj: Sequence[int]) -> int:
     best = 0
 
     def rec(avail: int, size: int) -> None:
@@ -323,35 +331,29 @@ def independence_number(g: Graph) -> int:
         rec(avail & ~adj[v] & ~(1 << v), size + 1)
         rec(avail & ~(1 << v), size)
 
-    rec(g.vertices_mask(), 0)
+    rec((1 << len(adj)) - 1, 0)
     return best
 
 
-def max_common_neighborhood(g: Graph) -> int:
+def max_common_neighborhood(adj: Sequence[int]) -> int:
     """max over vertex pairs of |N(u) & N(v)|; 0 for order 1."""
-    if g.order < 2:
+    if len(adj) < 2:
         return 0
-    return max(
-        (g.adj[u] & g.adj[v]).bit_count() for u, v in combinations(range(g.order), 2)
-    )
+    return max((adj[u] & adj[v]).bit_count()
+               for u, v in combinations(range(len(adj)), 2))
 
 
-def k2n_free(g: Graph, n: int) -> bool:
+def k2n_free(adj: Sequence[int], n: int) -> bool:
     """True iff no vertex pair has n or more common neighbors."""
-    return find_k2n(g, n) is None
+    return find_k2n(adj, n) is None
 
 
-def find_k2n(g: Graph, n: int) -> K2nWitness | None:
+def find_k2n(adj: Sequence[int], n: int) -> K2nWitness | None:
     """An explicit K_{2,n} embedding if present (lowest pair first)."""
     if n < 1:
         raise GraphError("n must be >= 1")
-    for u, v in combinations(range(g.order), 2):
-        cn = g.adj[u] & g.adj[v]
+    for u, v in combinations(range(len(adj)), 2):
+        cn = adj[u] & adj[v]
         if cn.bit_count() >= n:
-            chosen = []
-            for w in bits(cn):
-                chosen.append(w)
-                if len(chosen) == n:
-                    break
-            return K2nWitness((u, v), tuple(chosen))
+            return K2nWitness((u, v), tuple(bits(cn))[:n])
     return None

@@ -13,7 +13,8 @@ claim's hypothesis, and checks the conclusion on each survivor.  Outcomes:
 - ``infeasible``        — parameters invalid or outside desk-scale guidelines
 
 Reports are deterministic for fixed parameters; worker count never changes
-any reported value.
+any reported value.  Harnesses read the enumeration's rows and build a
+``Graph``, which validates it, only for a counterexample or witness.
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ from .enumeration import (
     enumerate_parallel,
 )
 from .graphs import (
+    MAX_ORDER,
     Graph,
     ParameterError,
-    bits,
     complement_rows,
     encode_graph6,
 )
 from .invariants import (
     CYCLE_CAP,
     all_cycles_of_length,
+    certified,
     circumference,
     has_cycle_through_last,
     independence_number,
@@ -87,10 +89,11 @@ def _report(claim: str, params: dict, start: float, count: int = 0,
                               {} if extra is None else extra)
 
 
-def _pick(current: dict | None, g: Graph, detail: str) -> dict:
+def _pick(current: dict | None, adj: tuple[int, ...], detail: str) -> dict:
     """The counterexample of least graph6 (worker-order invariant) among
-    ``current`` and g, which violates ``detail``; ``current`` on ties."""
-    g6 = encode_graph6(g)
+    ``current`` and the graph with rows ``adj``, which violates
+    ``detail``; ``current`` on ties."""
+    g6 = encode_graph6(Graph(len(adj), adj))
     if current is None or g6 < current["graph6"]:
         return {"graph6": g6, "detail": detail}
     return current
@@ -190,15 +193,15 @@ def verify_upper_bound(
     count = 0
     cex: dict | None = None
     ends: dict | None = None  # the latest parent's, None if it has a C_m
-    for g in enumerate_orders(m, m + 1, K2nFreeFilter(n), workers):
-        if g.order == m:
-            covered = all_cycles_of_length(complement_rows(g.adj), m, 1)[0]
+    for adj in enumerate_orders(m, m + 1, K2nFreeFilter(n), workers):
+        if len(adj) == m:
+            covered = all_cycles_of_length(complement_rows(adj), m, 1)[0]
             ends = None if covered else {}
             continue
         count += 1
-        if ends is not None and flt.accepts(g.adj, ends):
+        if ends is not None and flt.accepts(adj, ends):
             wanted = " or ".join(f"C_{ln}" for ln in lengths)
-            cex = _pick(cex, g,
+            cex = _pick(cex, adj,
                         f"K_2,{n}-free graph whose complement has no {wanted}")
     return _report(claim, params, start, count, cex, notes=tuple(notes))
 
@@ -235,26 +238,24 @@ def verify_badness(n: int, m: int) -> VerificationReport:
         problems.append("construction report flagged FAILED")
     if problems:
         return _report("thm1.4", params, start, 1,
-                       _pick(None, g, "; ".join(problems)),
+                       _pick(None, g.adj, "; ".join(problems)),
                        extra={"cover": cover})
     return _report("thm1.4", params, start, 1,
                    extra={"cover": cover, "witness_graph6": encode_graph6(g)})
 
 
-def _check_observations(g: Graph, cycle: tuple[int, ...]) -> tuple[int, str | None]:
-    """Check the three longest-cycle adjacency restrictions on one cycle,
-    which leaves at least two vertices of g off it.
+def _check_observations(adj: tuple[int, ...],
+                        cycle: tuple[int, ...]) -> tuple[int, str | None]:
+    """Check the three longest-cycle adjacency restrictions on one cycle
+    of the graph with rows ``adj`` that leaves two or more vertices off it.
 
     Returns (pairs examined, violation description or None).  A pattern
     whose two target vertices coincide implies no longer cycle and is
     skipped.
     """
     l = len(cycle)
-    on = 0
-    for v in cycle:
-        on |= 1 << v
-    xset = [v for v in bits(((1 << g.order) - 1) & ~on)]
-    nbr_idx = {x: [i for i in range(l) if g.adj[x] >> cycle[i] & 1] for x in xset}
+    xset = [v for v in range(len(adj)) if v not in cycle]
+    nbr_idx = {x: [i for i in range(l) if adj[x] >> cycle[i] & 1] for x in xset}
     pairs = 0
     for x in xset:
         idx = nbr_idx[x]
@@ -266,7 +267,7 @@ def _check_observations(g: Graph, cycle: tuple[int, ...]) -> tuple[int, str | No
         for y in xset[ai + 1:]:
             pairs += 1
             for x_, y_ in ((x, y), (y, x)):
-                xi, yrow = nbr_idx[x_], g.adj[y_]
+                xi, yrow = nbr_idx[x_], adj[y_]
                 for i, j in permutations(xi, 2):
                     for d1, d2 in ((1, 1), (-1, -1), (1, 2), (-1, -2)):
                         a, b = (i + d1) % l, (j + d2) % l
@@ -302,19 +303,19 @@ def verify_lemma_3_1(max_order: int, workers: int = 1) -> VerificationReport:
     graphs_seen = 0
     cap_hits = 0
     cex: dict | None = None
-    for g in enumerate_orders(lowest, max_order, workers=workers):
+    for adj in enumerate_orders(lowest, max_order, workers=workers):
         graphs_seen += 1
-        circ = circumference(g)
-        if not 0 < circ <= g.order - 2:
+        circ = circumference(adj)
+        if not 0 < circ <= len(adj) - 2:
             continue
-        cycles, capped = all_cycles_of_length(g.adj, circ, CYCLE_CAP)
+        cycles, capped = all_cycles_of_length(adj, circ, CYCLE_CAP)
         if capped:
             cap_hits += 1
         for cycle in cycles:
-            pairs, violation = _check_observations(g, cycle)
+            pairs, violation = _check_observations(adj, cycle)
             triples += pairs
             if violation is not None:
-                cex = _pick(cex, g, f"cycle {list(cycle)}: {violation}")
+                cex = _pick(cex, adj, f"cycle {list(cycle)}: {violation}")
     return _report("lemma3.1", params, start, triples, cex,
                    notes=(f"cycle cap hit on {cap_hits} graphs",),
                    extra={"graphs_examined": graphs_seen,
@@ -336,7 +337,7 @@ class HamiltonianHypothesisFilter(GenerationFilter):
     the new vertex paired with each of its non-neighbours included.  Its
     search for a C_m through the new vertex records the ends of each path
     found in the parent's ``ends``, so a later sibling adjacent to both
-    ends is settled without a search (``has_cycle_through_last``).  The
+    ends is settled first, without a search (``certified``).  The
     bound on adjacent pairs would prune too, but the harness counts the
     graphs without it as well, so it and 2-connectivity (not hereditary)
     are checked only at the top, by ``pair_bound_holds`` over all pairs.
@@ -372,7 +373,8 @@ class HamiltonianHypothesisFilter(GenerationFilter):
 
     def accepts(self, rows: tuple[int, ...],
                 ends: dict[int, list[int]]) -> bool:
-        return (self.pair_bound_holds(rows, adjacent=False, among=~rows[-1])
+        return (not certified(rows, (self.m,), ends)
+                and self.pair_bound_holds(rows, adjacent=False, among=~rows[-1])
                 and not has_cycle_through_last(rows, (self.m,), ends))
 
 
@@ -400,15 +402,15 @@ def verify_hamiltonian_lemma(m: int, workers: int = 1) -> VerificationReport:
     relaxed = 0
     cex: dict | None = None
     flt = HamiltonianHypothesisFilter(m)
-    for g in enumerate_parallel(m + 1, flt, workers):
-        if not two_connected(g.adj):
+    for adj in enumerate_parallel(m + 1, flt, workers):
+        if not two_connected(adj):
             continue
         relaxed += 1
-        if not flt.pair_bound_holds(g.adj, adjacent=True):
+        if not flt.pair_bound_holds(adj, adjacent=True):
             continue
         count += 1
-        if is_hamiltonian(g) is None:
-            cex = _pick(cex, g, "satisfies hypothesis but is not Hamiltonian")
+        if is_hamiltonian(adj) is None:
+            cex = _pick(cex, adj, "satisfies hypothesis but is not Hamiltonian")
     return _report("thm1.5", params, start, count, cex,
                    notes=("pair-union bound read over all distinct pairs; "
                           "nonadjacent-pairs-only reading counted in "
@@ -431,10 +433,10 @@ def verify_two_connected_lemma(n: int, m: int, workers: int = 1) -> Verification
     in_range = m >= 2 * n + 2
     count = 0
     cex: dict | None = None
-    for g in enumerate_parallel(m + 1, RamseyFilter(n, (m,)), workers):
+    for adj in enumerate_parallel(m + 1, RamseyFilter(n, (m,)), workers):
         count += 1
-        if not two_connected(complement_rows(g.adj)):
-            cex = _pick(cex, g, "complement is C_m-free but not 2-connected")
+        if not two_connected(complement_rows(adj)):
+            cex = _pick(cex, adj, "complement is C_m-free but not 2-connected")
     note = (f"stated range m >= 2n+2 = {2 * n + 2}: "
             f"{'inside' if in_range else 'outside (outcome reported, not asserted)'}")
     return _report("lemma2.6", params, start, count, cex, notes=(note,))
@@ -465,18 +467,18 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
     counts = {"degree_sum_cycle": 0, "min_degree_hamiltonian": 0,
               "nash_williams": 0, "neighborhood_union_cycle": 0}
     cex: dict | None = None
-    for g in enumerate_orders(lowest, max_order, workers=workers):
-        adj, n_ = g.adj, g.order
+    for adj in enumerate_orders(lowest, max_order, workers=workers):
+        n_ = len(adj)
         degrees = [row.bit_count() for row in adj]
         delta = min(degrees)
         two_conn = two_connected(adj)
         if not (two_conn or 2 * delta >= n_):
             continue  # no lemma below reads this graph's circumference
-        circ = circumference(g)
+        circ = circumference(adj)
         if 2 * delta >= n_:
             counts["min_degree_hamiltonian"] += 1
             if circ != n_:
-                cex = _pick(cex, g, "min_degree_hamiltonian")
+                cex = _pick(cex, adj, "min_degree_hamiltonian")
         if two_conn:
             # one pass over the pairs: the least nonadjacent degree sum k
             # and the least union ku = |N(u) | N(v) - {u, v}| over all pairs
@@ -489,15 +491,15 @@ def verify_cited_lemmas(max_order: int, workers: int = 1) -> VerificationReport:
                         k = min(k, degrees[u] + degrees[v])
             counts["degree_sum_cycle"] += 1
             if circ < min(k, n_):
-                cex = _pick(cex, g, "degree_sum_cycle")
-            if 3 * delta >= n_ + 2 and delta >= independence_number(g):
+                cex = _pick(cex, adj, "degree_sum_cycle")
+            if 3 * delta >= n_ + 2 and delta >= independence_number(adj):
                 counts["nash_williams"] += 1
                 if circ != n_:
-                    cex = _pick(cex, g, "nash_williams")
+                    cex = _pick(cex, adj, "nash_williams")
             if circ >= n_ - ku:
                 counts["neighborhood_union_cycle"] += 1
                 if circ < min(2 * ku - 2, n_ - 1):
-                    cex = _pick(cex, g, "neighborhood_union_cycle")
+                    cex = _pick(cex, adj, "neighborhood_union_cycle")
     return _report("lemma-props", params, start, sum(counts.values()), cex,
                    extra={"per_lemma_hypothesis_counts": counts})
 
@@ -509,10 +511,11 @@ def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
 
     The tree holds the K_{2,n}-free graphs whose complement has no target
     cycle (C_m, and C_{m+1} for the pair), a hereditary condition, up to
-    ``max_order``.  The value is one more than the deepest order it
-    reaches, with the least graph6 at that order as witness.  The
-    hypothesis count is the number of isomorphism classes in the tree,
-    over all orders.  A tree that reaches ``max_order`` brackets no value.
+    ``max_order`` or order 64, the most a ``Graph`` holds.  The value is
+    one more than the deepest order it reaches, with the least graph6 at
+    that order as witness.  The hypothesis count is the number of
+    isomorphism classes in the tree, over all orders.  A tree that
+    reaches the top order brackets no value.
     """
     if kind not in ("cycle", "cycle_pair"):
         raise ParameterError(f"kind must be cycle or cycle_pair, got {kind!r}")
@@ -525,21 +528,22 @@ def compute_ramsey(n: int, kind: str, m: int, max_order: int = RAMSEY_MAX_ORDER,
     if max_order < lowest:
         return _report("ramsey-exact", params, start, outcome="infeasible",
                        notes=(f"max_order >= {lowest} required",))
+    top = min(max_order, MAX_ORDER)
     flt = RamseyFilter(n, (m,) if kind == "cycle" else (m, m + 1))
     deepest = 0
     witness: str | None = None
     examined = 0
-    for g in enumerate_orders(lowest, max_order, flt, workers):
+    for adj in enumerate_orders(lowest, top, flt, workers):
         examined += 1
-        if g.order >= deepest:
-            g6 = encode_graph6(g)
-            if g.order > deepest or g6 < witness:
-                deepest, witness = g.order, g6
-    if deepest < max_order:
+        if len(adj) >= deepest:
+            g6 = encode_graph6(Graph(len(adj), adj))
+            if len(adj) > deepest or g6 < witness:
+                deepest, witness = len(adj), g6
+    if deepest < top:
         return _report("ramsey-exact", params, start, examined,
                        extra={"value": deepest + 1, "witness_graph6": witness},
                        outcome="verified")
     return _report("ramsey-exact", params, start, examined,
-                   notes=(f"no refutation up to order {max_order}; "
+                   notes=(f"no refutation up to order {top}; "
                           "cannot bracket the value",),
                    extra={"witness_graph6": witness}, outcome="infeasible")

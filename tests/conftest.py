@@ -1,11 +1,12 @@
 import random
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import networkx as nx
 import pytest
 
 from ramsey_k2n.canon import _refine, canonical_labeling
+from ramsey_k2n.enumeration import ALL_GRAPHS, GenerationFilter, enumerate_orders
 from ramsey_k2n.graphs import Graph, GraphError, bits, empty_graph
 from ramsey_k2n.invariants import cycles_through
 
@@ -23,6 +24,14 @@ def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(order, tuple(rows))
+
+
+def generated(lowest: int, highest: int, flt: GenerationFilter = ALL_GRAPHS,
+              workers: int = 1) -> Iterator[Graph]:
+    """``enumerate_orders``' stream, each row tuple built as a ``Graph``,
+    which validates it."""
+    return (Graph(len(adj), adj)
+            for adj in enumerate_orders(lowest, highest, flt, workers))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -151,7 +160,7 @@ def plain_cycle_search(adj: tuple[int, ...], lengths: Iterable[int]) -> bool:
 
 def unit_refinement(g: Graph) -> list[list[int]]:
     """g's refined unit partition, the ``base`` a node of the walk carries."""
-    return _refine(g.adj, [list(range(g.order))], [g.vertices_mask()])
+    return _refine(g.adj, [list(range(g.order))], [(1 << g.order) - 1])
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

@@ -21,14 +21,13 @@ from pathlib import Path
 import ramsey_k2n
 from ramsey_k2n.enumeration import (
     K2nFreeFilter,
-    enumerate_orders,
     unlabeled_graph_count,
 )
 from ramsey_k2n.graphs import complement, decode_graph6
 from ramsey_k2n.invariants import connectivity, has_cycle_of_length, k2n_free
 from ramsey_k2n.verifier import verify_cited_lemmas, verify_lemma_3_1
 
-from conftest import brute_force_k2n_present
+from conftest import brute_force_k2n_present, generated
 
 CLI = [sys.executable, "-m", "ramsey_k2n"]
 # the CLI runs the package these tests import, installed or not
@@ -155,8 +154,8 @@ def test_criterion_08_two_connected_lemma_nonvacuous():
         g = decode_graph6(witness)
         gbar = complement(g)
         can_fail = (g.order == 5 and not brute_force_k2n_present(g, 2)
-                    and has_cycle_of_length(gbar, 4) is None
-                    and connectivity(gbar) < 2)
+                    and has_cycle_of_length(gbar.adj, 4) is None
+                    and connectivity(gbar.adj) < 2)
     report(8, in_range and nonvacuous and can_fail,
            f"lemma2.6(2,6): exit {code}, {payload.get('outcome')}, "
            f"hypothesis_count={payload.get('hypothesis_count')}, "
@@ -181,7 +180,7 @@ def test_criterion_10_enumeration_counts():
     got = []
     for order in range(1, 10):
         assert unlabeled_graph_count(order) == expected[order - 1]
-        got.append(sum(1 for _ in enumerate_orders(order, order)))
+        got.append(sum(1 for _ in generated(order, order)))
     ok = got == expected
     report(10, ok, f"class counts orders 1-9: {got} == Burnside oracle")
 
@@ -189,14 +188,14 @@ def test_criterion_10_enumeration_counts():
 def test_criterion_11_freeness_oracle_equivalence():
     checked = 0
     for order in range(1, 8):
-        for g in enumerate_orders(order, order):
+        for g in generated(order, order):
             for n in (1, 2, 3):
-                assert k2n_free(g, n) == (not brute_force_k2n_present(g, n))
+                assert k2n_free(g.adj, n) == (not brute_force_k2n_present(g, n))
                 checked += 1
     # also cross-check the filtered generators against post-filtering
     for n in (2, 3):
-        a = sum(1 for _ in enumerate_orders(6, 6, K2nFreeFilter(n)))
-        b = sum(1 for g in enumerate_orders(6, 6) if k2n_free(g, n))
+        a = sum(1 for _ in generated(6, 6, K2nFreeFilter(n)))
+        b = sum(1 for g in generated(6, 6) if k2n_free(g.adj, n))
         assert a == b
     report(11, True, f"k2n_free == embedding oracle on {checked} "
                      f"(graph, n) cases, orders <= 7")

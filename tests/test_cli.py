@@ -392,7 +392,10 @@ def _golden_ids(cases):
     return ids
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=_golden_ids(GOLDEN))
+# a case marked slow (about 10 s or more) runs under ``pytest -m slow``
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.slow) if case.get("slow") else case
+    for case in GOLDEN], ids=_golden_ids(GOLDEN))
 def test_json_output_matches_golden(capsys, case):
     takes_workers = (case["argv"][0] == "ramsey" or case["argv"][0] == "verify"
                      and case["argv"][1] != "thm1.4")

@@ -154,8 +154,8 @@ def test_lemma41_flagship_parameters():
     assert r.measured["max_common_neighborhood"] == 6
     assert r.params["n"] == 7
     assert r.checks["max_common_equals_claim"]
-    assert k2n_free(r.graph, 7)
-    assert has_cycle_of_length(r.complement_graph, 10) is None
+    assert k2n_free(r.graph.adj, 7)
+    assert has_cycle_of_length(r.complement_graph.adj, 10) is None
 
 
 def test_lemma41_second_parameters():
@@ -202,7 +202,7 @@ def test_lemma42_flagship_parameters():
     assert r.claimed["order"] == 21
     assert r.measured["complement_circumference"] == 11
     assert r.params["n"] == 14
-    assert k2n_free(r.graph, 14)
+    assert k2n_free(r.graph.adj, 14)
     assert r.checks["max_common_at_most_n_minus_1"]
 
 

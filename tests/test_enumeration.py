@@ -37,6 +37,7 @@ from conftest import (
     canonical_form,
     complete_multipartite,
     from_nx,
+    generated,
     unit_refinement,
 )
 
@@ -49,7 +50,7 @@ def test_burnside_oracle():
 
 def test_counts_match_oracle_up_to_7():
     for order in range(1, 8):
-        assert sum(1 for _ in enumerate_orders(order, order)) \
+        assert sum(1 for _ in generated(order, order)) \
             == unlabeled_graph_count(order)
 
 
@@ -63,18 +64,18 @@ def test_no_duplicates_and_matches_labeled_dedup():
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
         forms.add(canonical_form(Graph(5, tuple(adj))))
-    generated = [canonical_form(g) for g in enumerate_orders(5, 5)]
-    assert len(generated) == len(set(generated))  # injective
-    assert set(generated) == forms
+    walked = [canonical_form(g) for g in generated(5, 5)]
+    assert len(walked) == len(set(walked))  # injective
+    assert set(walked) == forms
 
 
 def test_hereditary_pruning_soundness():
     for n in (2, 3):
         flt = K2nFreeFilter(n)
         for order in range(1, 7):
-            pruned = {canonical_form(g) for g in enumerate_orders(order, order, flt)}
-            filtered = {canonical_form(g) for g in enumerate_orders(order, order)
-                        if k2n_free(g, n)}
+            pruned = {canonical_form(g) for g in generated(order, order, flt)}
+            filtered = {canonical_form(g) for g in generated(order, order)
+                        if k2n_free(g.adj, n)}
             assert pruned == filtered
 
 
@@ -86,9 +87,9 @@ def test_candidate_masks_are_exactly_the_k2n_free_extensions():
     for n in range(1, 5):
         flt = K2nFreeFilter(n)
         for order in range(1, 8 if n < 4 else 7):
-            for g in enumerate_orders(order, order, flt):
+            for g in generated(order, order, flt):
                 brute = [s for s in range(1 << order)
-                         if k2n_free(add_vertex(g, s), n)]
+                         if k2n_free(add_vertex(g, s).adj, n)]
                 brute.sort(key=lambda s: list(bits(s)))
                 assert flt.candidate_masks(g.adj) == brute, (n, encode_graph6(g))
                 for least in range(1, order + 2):
@@ -165,14 +166,14 @@ def pool_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
-def test_one_graph_is_built_per_graph_yielded(monkeypatch, pool_sizes):
-    # generation runs on adjacency rows: the only Graph built for a graph
-    # is the one enumerate_orders yields, in the process that yields it.
-    # The in-process pool walks the seeds' subtrees here, so a Graph built
-    # there would be counted too.  Every labeling is given the graph's
-    # refined unit partition, and the walk labels every node at most once,
-    # where its first mask passes the degree pretest, for any worker count:
-    # the totals are the traced labeling counts of these trees.
+def test_generation_builds_no_graph(monkeypatch, pool_sizes):
+    # generation runs on adjacency rows and yields them: no Graph is built
+    # for a graph walked or yielded.  The in-process pool walks the seeds'
+    # subtrees here, so a Graph built there would be counted too.  Every
+    # labeling is given the graph's refined unit partition, and the walk
+    # labels every node at most once, where its first mask passes the
+    # degree pretest, for any worker count: the totals are the traced
+    # labeling counts of these trees.
     built, labeled, unlabeled = [], [], set()
     init, label, children = (Graph.__init__, enumeration.canonical_labeling,
                              enumeration._children)
@@ -201,11 +202,10 @@ def test_one_graph_is_built_per_graph_yielded(monkeypatch, pool_sizes):
             cases, (False, True), (1, 2)):
         for seen in (built, labeled, unlabeled):
             seen.clear()
-        # every order, or only the top one: a graph walked but not yielded
-        # is never built
+        # every order, or only the top one
         lowest = order if top_only else 1
-        stream = [g.adj for g in enumerate_orders(lowest, order, flt, workers)]
-        assert built == stream and len(stream) == len(set(stream))
+        stream = list(enumerate_orders(lowest, order, flt, workers))
+        assert not built and stream and len(stream) == len(set(stream))
         # labeled in their parent: every child not yielded unlabeled
         assert set(labeled) - unlabeled and unlabeled & set(labeled)
         assert len(labeled) == len(set(labeled)) == total
@@ -218,7 +218,7 @@ def test_c4_free_counts():
     # are the terms of OEIS A006786 (squarefree graphs on n nodes); the
     # acceptance gate checks order 11 (25,181).
     counts = [0] * 10
-    for g in enumerate_orders(1, 10, K2nFreeFilter(2)):
+    for g in generated(1, 10, K2nFreeFilter(2)):
         counts[g.order - 1] += 1
     assert counts == [1, 2, 4, 8, 18, 44, 117, 351, 1230, 5069]
 
@@ -239,23 +239,23 @@ def test_k2n_free_counts_match_the_graph_atlas():
         oracle = [0] * 7
         for g in atlas:
             oracle[g.order - 1] += not brute_force_k2n_present(g, n)
-        generated = [0] * 7
-        for g in enumerate_orders(1, 7, K2nFreeFilter(n)):
-            generated[g.order - 1] += 1
-        assert oracle == generated == want, n
+        walked = [0] * 7
+        for g in generated(1, 7, K2nFreeFilter(n)):
+            walked[g.order - 1] += 1
+        assert oracle == walked == want, n
 
 
 def test_parallel_equals_sequential():
     flt = K2nFreeFilter(2)
-    seq = [encode_graph6(g) for g in enumerate_orders(7, 7, flt)]
+    # the alias yields the rows of the validated stream
+    seq = [g.adj for g in generated(7, 7, flt)]
     for workers in (2, 8):
-        par = [encode_graph6(g) for g in enumerate_parallel(7, flt, workers)]
-        assert par == seq
-    one = [encode_graph6(g) for g in enumerate_parallel(7, workers=1)]
-    assert len(one) == 1044
+        assert list(enumerate_parallel(7, flt, workers)) == seq
+    one = list(enumerate_parallel(7, workers=1))
+    assert one == [g.adj for g in generated(7, 7)] and len(one) == 1044
     # lowest above the seed order, and highest at or below it
     for lowest, highest in ((6, 8), (1, 4)):
-        runs = [[encode_graph6(g) for g in enumerate_orders(lowest, highest, flt, w)]
+        runs = [[encode_graph6(g) for g in generated(lowest, highest, flt, w)]
                 for w in (1, 2, 3)]
         assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -271,32 +271,32 @@ def test_worker_pool_has_at_most_one_process_per_seed(monkeypatch, pool_sizes):
 
     monkeypatch.setattr(enumeration, "canonical_labeling", counted)
     flt = K2nFreeFilter(2)
-    walk = [encode_graph6(g) for g in enumerate_orders(1, 7, flt)]
+    walk = [encode_graph6(g) for g in generated(1, 7, flt)]
     sequential = len(labelings)
-    assert [encode_graph6(g) for g in enumerate_orders(1, 7, flt, 1000)] == walk
+    assert [encode_graph6(g) for g in generated(1, 7, flt, 1000)] == walk
     assert sizes == [18]  # the C_4-free classes of order 5
     # a seed travels with its generators or its refined unit partition:
     # it is labeled once, not again
     assert len(labelings) == 2 * sequential
     labelings.clear()
-    walk = [encode_graph6(g) for g in enumerate_orders(1, 7)]
+    walk = [encode_graph6(g) for g in generated(1, 7)]
     sequential = len(labelings)
-    assert [encode_graph6(g) for g in enumerate_orders(1, 7, workers=2)] == walk
+    assert [encode_graph6(g) for g in generated(1, 7, workers=2)] == walk
     assert len(labelings) == 2 * sequential
     # matchings whose complement has no triangle stop at order 4: no seed
     sizes.clear()
     flt = RamseyFilter(1, (3,))
-    walk = [encode_graph6(g) for g in enumerate_orders(1, 12, flt)]
+    walk = [encode_graph6(g) for g in generated(1, 12, flt)]
     assert len(walk) == 5
-    assert [encode_graph6(g) for g in enumerate_orders(1, 12, flt, 2)] == walk
+    assert [encode_graph6(g) for g in generated(1, 12, flt, 2)] == walk
     assert sizes == []
 
 
 def test_graph_survives_pickling():
-    # workers send rows back, and the process that yields a graph builds
-    # its Graph; a Graph must still pickle, and Graph is a frozen, slotted
-    # class: unpickling must not trip over the frozen fields, and it
-    # validates the graph again
+    # workers send rows back, and no Graph crosses a process; a Graph
+    # must still pickle, and Graph is a frozen, slotted class: unpickling
+    # must not trip over the frozen fields, and it validates the graph
+    # again
     for g in (empty_graph(1), PETERSEN, complete_multipartite([2, 3])):
         h = pickle.loads(pickle.dumps(g))
         assert h == g and h.adj == g.adj and type(h) is Graph
@@ -312,14 +312,14 @@ def test_graph_survives_pickling():
 def test_one_walk_gives_every_order():
     # orders 3 and 4 lie above the seeds, 5 is theirs, 6-8 come from workers
     flt = K2nFreeFilter(2)
-    walk = [encode_graph6(g) for g in enumerate_orders(3, 8, flt)]
-    par = [encode_graph6(g) for g in enumerate_orders(3, 8, flt, 2)]
+    walk = [encode_graph6(g) for g in generated(3, 8, flt)]
+    par = [encode_graph6(g) for g in generated(3, 8, flt, 2)]
     assert par == walk
     for order in range(1, 9):
-        alone = [encode_graph6(g) for g in enumerate_orders(order, order, flt)]
+        alone = [encode_graph6(g) for g in generated(order, order, flt)]
         assert [g6 for g6 in walk if ord(g6[0]) - 63 == order] \
             == alone * (order >= 3)
-    assert list(enumerate_orders(3, 2, flt, 2)) == []
+    assert list(generated(3, 2, flt, 2)) == []
 
 
 class TriangleFree(GenerationFilter):
@@ -331,19 +331,19 @@ class TriangleFree(GenerationFilter):
 
 def test_custom_predicate_filter():
     flt = TriangleFree()
-    counts = [sum(1 for _ in enumerate_orders(n, n, flt)) for n in range(1, 8)]
+    counts = [sum(1 for _ in generated(n, n, flt)) for n in range(1, 8)]
     assert counts == [1, 2, 3, 7, 14, 38, 107]  # triangle-free classes
 
 
 def test_all_graphs_filter_is_default():
-    a = [encode_graph6(g) for g in enumerate_orders(5, 5)]
-    b = [encode_graph6(g) for g in enumerate_orders(5, 5, GenerationFilter())]
+    a = [encode_graph6(g) for g in generated(5, 5)]
+    b = [encode_graph6(g) for g in generated(5, 5, GenerationFilter())]
     assert a == b
 
 
 # Per case: the count, the sha256 of the newline-joined sorted canonical
 # forms (hex), which pins the set of classes, and the sha256 of the
-# newline-joined graph6 stream of enumerate_orders(order, order, flt), which
+# newline-joined graph6 stream of generated(order, order, flt), which
 # pins the emitted representatives and their order.  A change to the acceptance rule may
 # move a representative, and so an ordered digest, only while every class
 # digest holds.
@@ -479,11 +479,11 @@ def _sha256(lines) -> str:
 def test_ordered_stream_is_pinned():
     for (name, order), (count, classes, ordered) in STREAMS.items():
         flt = STREAM_FILTERS[name]
-        graphs = list(enumerate_orders(order, order, flt))
+        graphs = list(generated(order, order, flt))
         forms = sorted(canonical_form(g).hex() for g in graphs)
         assert len(set(forms)) == len(forms), (name, order)  # one per class
         assert (len(forms), _sha256(forms)) == (count, classes), (name, order)
         stream = [encode_graph6(g) for g in graphs]
         assert _sha256(stream) == ordered, (name, order)
-        par = [encode_graph6(g) for g in enumerate_parallel(order, flt, 2)]
-        assert par == stream, (name, order)
+        par = list(enumerate_parallel(order, flt, 2))
+        assert par == [g.adj for g in graphs], (name, order)

@@ -7,7 +7,6 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from ramsey_k2n import constructions
-from ramsey_k2n.enumeration import enumerate_orders
 from ramsey_k2n.graphs import (
     Graph,
     GraphError,
@@ -23,6 +22,7 @@ from ramsey_k2n.invariants import (
     K2nWitness,
     all_cycles_of_length,
     bipartition,
+    certified,
     circumference,
     connectivity,
     cycle_spectrum,
@@ -45,6 +45,7 @@ from conftest import (
     complete_multipartite,
     from_edges,
     from_nx,
+    generated,
     is_cycle,
     is_k2n_embedding,
     path_graph,
@@ -69,23 +70,23 @@ def test_connectivity_matches_networkx(rng):
         graphs += [complete_multipartite([1, n - 1]),
                    complete_multipartite([n - 1, 1])]
     for g in graphs:
-        assert connectivity(g) == nx.node_connectivity(to_nx(g)), g
+        assert connectivity(g.adj) == nx.node_connectivity(to_nx(g)), g
 
 
 def test_connectivity_is_polynomial():
     # K_{32,32} has 2^64 vertex subsets; a subset search never ends
     start = time.monotonic()
-    assert connectivity(complete_multipartite([32, 32])) == 32
+    assert connectivity(complete_multipartite([32, 32]).adj) == 32
     assert time.monotonic() - start < 60
 
 
 def test_connectivity_known_values():
-    assert connectivity(complete_graph(5)) == 4
-    assert connectivity(cycle_graph(7)) == 2
-    assert connectivity(path_graph(4)) == 1
-    assert connectivity(disjoint_union(complete_graph(2), complete_graph(2))) == 0
-    assert connectivity(disjoint_union(empty_graph(1), empty_graph(1))) == 0
-    assert connectivity(empty_graph(1)) == 0
+    assert connectivity(complete_graph(5).adj) == 4
+    assert connectivity(cycle_graph(7).adj) == 2
+    assert connectivity(path_graph(4).adj) == 1
+    assert connectivity(disjoint_union(complete_graph(2), complete_graph(2)).adj) == 0
+    assert connectivity(disjoint_union(empty_graph(1), empty_graph(1)).adj) == 0
+    assert connectivity(empty_graph(1).adj) == 0
 
 
 def test_two_connected_matches_connectivity_and_networkx(rng):
@@ -106,7 +107,7 @@ def test_two_connected_matches_connectivity_and_networkx(rng):
                complete_multipartite([32, 32])]
     for g in graphs:
         expected = g.order >= 3 and nx.is_biconnected(to_nx(g))
-        assert two_connected(g.adj) == expected == (connectivity(g) >= 2), g
+        assert two_connected(g.adj) == expected == (connectivity(g.adj) >= 2), g
 
 
 # ------------------------------------------------------------------ cycles
@@ -137,24 +138,24 @@ def test_cycle_spectrum_matches_networkx(rng):
                 graphs.append(from_edges(n, rng.sample(pairs, edges)))
     for g in graphs:
         lengths = nx_cycle_lengths(g)
-        assert cycle_spectrum(g) == lengths, g
-        assert girth(g) == (min(lengths) if lengths else math.inf), g
+        assert cycle_spectrum(g.adj) == lengths, g
+        assert girth(g.adj) == (min(lengths) if lengths else math.inf), g
 
 
 def test_girth_and_circumference():
-    assert girth(cycle_graph(7)) == 7
-    assert circumference(cycle_graph(7)) == 7
-    assert girth(path_graph(5)) == math.inf
-    assert circumference(path_graph(5)) == 0
-    assert girth(complete_graph(6)) == 3
-    assert circumference(complete_graph(6)) == 6
+    assert girth(cycle_graph(7).adj) == 7
+    assert circumference(cycle_graph(7).adj) == 7
+    assert girth(path_graph(5).adj) == math.inf
+    assert circumference(path_graph(5).adj) == 0
+    assert girth(complete_graph(6).adj) == 3
+    assert circumference(complete_graph(6).adj) == 6
     # every class of order 3..7, and an unbalanced complete bipartite graph
-    graphs = [g for order in range(3, 8) for g in enumerate_orders(order, order)]
+    graphs = [g for order in range(3, 8) for g in generated(order, order)]
     graphs.append(complete_multipartite([3, 5]))
     for g in graphs:
         lengths = nx_cycle_lengths(g)
-        assert circumference(g) == (max(lengths) if lengths else 0), g
-        assert girth(g) == (min(lengths) if lengths else math.inf), g
+        assert circumference(g.adj) == (max(lengths) if lengths else 0), g
+        assert girth(g.adj) == (min(lengths) if lengths else math.inf), g
 
 
 def scan_down_circumference(g: Graph) -> int:
@@ -176,22 +177,22 @@ def random_bipartite(a: int, b: int, p: float, rng) -> Graph:
 
 
 def test_circumference_equals_full_downward_scan(rng):
-    graphs = [g for order in range(1, 8) for g in enumerate_orders(order, order)]
+    graphs = [g for order in range(1, 8) for g in generated(order, order)]
     for _ in range(60):
         graphs.append(random_bipartite(rng.randint(1, 7), rng.randint(1, 7),
                                        rng.random(), rng))
     for g in graphs:
-        assert circumference(g) == scan_down_circumference(g), g
+        assert circumference(g.adj) == scan_down_circumference(g), g
 
 
 def test_circumference_of_complete_bipartite_graphs():
     for a in range(2, 9):
         for b in range(2, 9):
-            assert circumference(complete_multipartite([a, b])) == 2 * min(a, b)
+            assert circumference(complete_multipartite([a, b]).adj) == 2 * min(a, b)
 
 
 def test_bipartition_matches_networkx(rng):
-    graphs = [g for order in range(1, 8) for g in enumerate_orders(order, order)]
+    graphs = [g for order in range(1, 8) for g in generated(order, order)]
     graphs += [random_graph(rng.randint(1, 16), rng.random() / 2, rng)
                for _ in range(300)]
     for g in graphs:
@@ -199,7 +200,7 @@ def test_bipartition_matches_networkx(rng):
         assert (sides is not None) == nx.is_bipartite(to_nx(g)), g
         if sides is not None:
             a, b = sides
-            assert a | b == g.vertices_mask() and not a & b, g
+            assert a | b == (1 << g.order) - 1 and not a & b, g
             assert all(not g.adj[v] & side for side in sides for v in bits(side)), g
 
 
@@ -207,19 +208,19 @@ def test_cycle_witness_validates(rng):
     for _ in range(40):
         g = random_graph(rng.randint(3, 9), rng.random(), rng)
         for m in range(3, g.order + 3):
-            w = has_cycle_of_length(g, m)
-            assert (w is not None) == (m in cycle_spectrum(g))
+            w = has_cycle_of_length(g.adj, m)
+            assert (w is not None) == (m in cycle_spectrum(g.adj))
             if w is not None:
                 assert len(w) == m
                 assert is_cycle(g, w)
         with pytest.raises(GraphError):
-            has_cycle_of_length(g, 2)
+            has_cycle_of_length(g.adj, 2)
 
 
 def test_witnesses_read_back_their_fields():
     # a cycle is the plain tuple of its vertices
     g = cycle_graph(5)
-    w = has_cycle_of_length(g, 5)
+    w = has_cycle_of_length(g.adj, 5)
     assert w == (0, 1, 2, 3, 4) and type(w) is tuple
     assert is_cycle(g, w) and not is_cycle(g, (0, 2, 4))
     assert not is_cycle(g, (0, 1, 2, 3, 3)) and not is_cycle(g, (0, 1))
@@ -232,7 +233,7 @@ def test_witnesses_read_back_their_fields():
     assert not is_k2n_embedding(k23, (0, 1), ())
     assert not is_k2n_embedding(k23, (0, 1), (2, 2))
     assert not is_k2n_embedding(k23, (2, 3), (0, 2))
-    found = find_k2n(k23, 3)
+    found = find_k2n(k23.adj, 3)
     assert is_k2n_embedding(k23, found.pair, found.common)
     assert len(found.common) == 3
 
@@ -240,7 +241,7 @@ def test_witnesses_read_back_their_fields():
 def test_cycle_through_last_matches_cycle_membership():
     # every class of order <= 7, with each vertex in turn made the last one;
     # through[ln]: the vertices on some C_ln, by networkx
-    for g in enumerate_orders(3, 7):
+    for g in generated(3, 7):
         through = {ln: set() for ln in range(3, g.order + 1)}
         for c in nx.simple_cycles(to_nx(g), length_bound=g.order):
             if len(c) >= 3:
@@ -280,14 +281,17 @@ def _check_recorded_ends(rows, ends) -> None:
 def test_cycle_through_last_shares_ends_among_siblings():
     # every child of every class of order <= 6, its masks asked in
     # ascending and in descending order with one ends dict per parent,
-    # gets the answer of a search with nothing recorded
-    for g in enumerate_orders(2, 6):
+    # gets the answer of a search with nothing recorded, and a cycle
+    # certified by the recorded ends is one that search finds
+    for g in generated(2, 6):
         lengths = range(3, g.order + 2)
         children = [add_vertex(g, s).adj for s in range(1 << g.order)]
         for asked in (children, children[::-1]):
             ends = {}
             for rows in asked:
                 for ln in lengths:
+                    assert not certified(rows, (ln,), ends) \
+                        or has_cycle_through_last(rows, (ln,), {}), (rows, ln)
                     assert has_cycle_through_last(rows, (ln,), ends) \
                         == has_cycle_through_last(rows, (ln,), {}), (rows, ln)
                 assert has_cycle_through_last(rows, lengths, ends) \
@@ -307,7 +311,7 @@ def _brute_cycles_through(g, s: int, others: int, m: int) -> list[tuple]:
 def test_cycles_through_lists_the_cycles_inside_others(rng):
     # every class of order <= 6 and every s, against every others mask at
     # orders <= 5 and a sample of masks at order 6
-    for g in enumerate_orders(3, 6):
+    for g in generated(3, 6):
         k = g.order
         masks = range(1 << k) if k <= 5 else rng.sample(range(1 << k), 16)
         for s in range(k):
@@ -323,7 +327,7 @@ def test_cycles_through_stops_at_the_cap(rng):
     # random graphs of order 8 and clique unions with and without an apex,
     # which hold many cycles of each length; every s, against the whole
     # vertex set and one sampled others mask
-    graphs = [*rng.sample(list(enumerate_orders(7, 7)), 4),
+    graphs = [*rng.sample(list(generated(7, 7)), 4),
               *(random_graph(8, p, rng) for p in (0.4, 0.6, 0.8)),
               constructions._clique_union([3, 4]),
               constructions._apex_over_cliques([3, 4]),
@@ -342,8 +346,8 @@ def test_cycles_through_stops_at_the_cap(rng):
 
 def test_fixed_length_search_is_deterministic():
     g = complete_graph(7)
-    w1 = has_cycle_of_length(g, 6)
-    w2 = has_cycle_of_length(g, 6)
+    w1 = has_cycle_of_length(g.adj, 6)
+    w2 = has_cycle_of_length(g.adj, 6)
     assert w1 == w2 == (0, 1, 2, 3, 4, 5)
 
 
@@ -352,7 +356,7 @@ def test_clique_union_apex_circumference_is_fast():
     # a Hamiltonian path of one clique closed through the apex.
     big = join(empty_graph(1),
                disjoint_union(complete_graph(10), complete_graph(10)))
-    assert circumference(big) == 11
+    assert circumference(big.adj) == 11
 
 
 def test_all_longest_cycles_dedup_and_cap(rng):
@@ -372,10 +376,10 @@ def test_all_longest_cycles_dedup_and_cap(rng):
 
 
 def test_hamiltonicity_and_pancyclicity():
-    assert is_hamiltonian(complete_graph(5)) is not None
-    assert is_hamiltonian(path_graph(5)) is None
+    assert is_hamiltonian(complete_graph(5).adj) is not None
+    assert is_hamiltonian(path_graph(5).adj) is None
     g = disjoint_union(cycle_graph(3), cycle_graph(5))
-    assert girth(g) == 3 and circumference(g) == 5
+    assert girth(g.adj) == 3 and circumference(g.adj) == 5
 
 
 # ------------------------------------------------- K_{2,n} and neighborhoods
@@ -383,27 +387,27 @@ def test_hamiltonicity_and_pancyclicity():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_k2n_free_matches_embedding_oracle_exhaustive(n):
     for order in range(1, 7):
-        for g in enumerate_orders(order, order):
-            assert k2n_free(g, n) == (not brute_force_k2n_present(g, n))
+        for g in generated(order, order):
+            assert k2n_free(g.adj, n) == (not brute_force_k2n_present(g, n))
 
 
 def test_k2n_witness_validates(rng):
     for _ in range(60):
         g = random_graph(rng.randint(2, 9), rng.random(), rng)
         for n in (1, 2, 3):
-            wit = find_k2n(g, n)
-            assert (wit is None) == k2n_free(g, n)
+            wit = find_k2n(g.adj, n)
+            assert (wit is None) == k2n_free(g.adj, n)
             if wit is not None:
                 assert len(wit.common) >= n
                 assert is_k2n_embedding(g, wit.pair, wit.common)
 
 
 def test_max_common_neighborhood():
-    assert max_common_neighborhood(complete_multipartite([2, 3])) == 3
-    assert max_common_neighborhood(complete_graph(6)) == 4
-    assert max_common_neighborhood(empty_graph(4)) == 0
+    assert max_common_neighborhood(complete_multipartite([2, 3]).adj) == 3
+    assert max_common_neighborhood(complete_graph(6).adj) == 4
+    assert max_common_neighborhood(empty_graph(4).adj) == 0
     star = complete_multipartite([1, 5])
-    assert max_common_neighborhood(star) == 1
+    assert max_common_neighborhood(star.adj) == 1
 
 
 # ---------------------------------------------------------------- various
@@ -412,4 +416,4 @@ def test_degrees_bipartite_independence(rng):
     for _ in range(50):
         g = random_graph(rng.randint(1, 9), rng.random(), rng)
         cliques = list(nx.find_cliques(to_nx(complement(g))))
-        assert independence_number(g) == max(len(c) for c in cliques)
+        assert independence_number(g.adj) == max(len(c) for c in cliques)

@@ -9,7 +9,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 from ramsey_k2n import invariants, verifier
 from ramsey_k2n.constructions import star_witness
-from ramsey_k2n.enumeration import K2nFreeFilter, enumerate_orders, unlabeled_graph_count
+from ramsey_k2n.enumeration import K2nFreeFilter, unlabeled_graph_count
 from ramsey_k2n.graphs import (
     Graph,
     bits,
@@ -47,6 +47,7 @@ from conftest import (
     brute_force_k2n_present,
     from_edges,
     from_nx,
+    generated,
     plain_cycle_search,
     to_nx,
 )
@@ -80,8 +81,8 @@ def test_upper_bound_outside_range_finds_counterexample():
     assert r.outcome == "counterexample"
     assert r.exit_code == 1
     g = decode_graph6(r.counterexample["graph6"])
-    assert k2n_free(g, 2)
-    assert has_cycle_of_length(complement(g), 4) is None
+    assert k2n_free(g.adj, 2)
+    assert has_cycle_of_length(complement(g).adj, 4) is None
 
 
 def test_upper_bound_infeasible_guard():
@@ -109,11 +110,11 @@ def test_upper_bound_matches_a_search_of_every_graph():
     for n, m in itertools.product((2, 3), range(3, 8)):
         uncovered += sum(
             not plain_cycle_search(complement_rows(g.adj), (m,))
-            for g in enumerate_orders(m, m, K2nFreeFilter(n)))
+            for g in generated(m, m, K2nFreeFilter(n)))
         for variant in ("single", "pair"):
             lengths = (m,) if variant == "single" else (m, m + 1)
             count, least = 0, None
-            for g in enumerate_orders(m + 1, m + 1, K2nFreeFilter(n)):
+            for g in generated(m + 1, m + 1, K2nFreeFilter(n)):
                 count += 1
                 if not plain_cycle_search(complement_rows(g.adj), lengths):
                     g6 = encode_graph6(g)
@@ -240,15 +241,15 @@ def test_lemma_3_1_violations_are_exactly_the_literal_ones():
     # iff the literal search finds one, and each implies a longer cycle
     cycles = 0
     first = set()
-    for g in enumerate_orders(4, 7):
+    for g in generated(4, 7):
         for m in range(3, g.order - 1):
             for cycle in all_cycles_of_length(g.adj, m, math.inf)[0]:
                 cycles += 1
-                _, violation = _check_observations(g, cycle)
+                _, violation = _check_observations(g.adj, cycle)
                 assert (violation is not None) \
                     == lemma_3_1_violated(g, cycle), (g, cycle)
                 if violation is not None:
-                    assert circumference(g) > m, (g, cycle)
+                    assert circumference(g.adj) > m, (g, cycle)
                     first.add(violation.split(":")[0])
     assert cycles == 25_743
     # obs3 is never the first violation here: the hand-built cases cover it
@@ -276,7 +277,7 @@ def test_lemma_3_1_first_violation(cycle_order, x_edges, y_edges, detail):
                    + [(x, v) for v in x_edges] + [(y, v) for v in y_edges])
     cycle = tuple(range(cycle_order))
     pairs = 0 if detail.startswith("obs1") else 1  # obs1 is checked first
-    assert _check_observations(g, cycle) == (pairs, detail)
+    assert _check_observations(g.adj, cycle) == (pairs, detail)
     assert lemma_3_1_violated(g, cycle)
 
 
@@ -298,14 +299,14 @@ def test_hamiltonian_lemma_vacuous_at_6():
 def test_hamiltonian_lemma_relaxed_reading_is_sound():
     # independent spot check of the relaxed (nonadjacent pairs) count at m=6
     count = 0
-    for g in enumerate_orders(7, 7):
-        if connectivity(g) < 2 or has_cycle_of_length(g, 6) is not None:
+    for g in generated(7, 7):
+        if connectivity(g.adj) < 2 or has_cycle_of_length(g.adj, 6) is not None:
             continue
         h = to_nx(g)
         if all(2 * len((set(h[u]) | set(h[v])) - {u, v}) >= 6
                for u, v in nx.non_edges(h)):
             count += 1
-            assert is_hamiltonian(g) is not None
+            assert is_hamiltonian(g.adj) is not None
     assert count == 5
 
 
@@ -313,19 +314,29 @@ def test_hamiltonian_lemma_search_count(monkeypatch):
     # at m=7 a C_7 found through one child's new vertex settles each later
     # sibling adjacent to both ends of its path, so the filter's searches,
     # with is_hamiltonian's on the 5 hypothesis graphs, are 1,157 where
-    # searching every child takes 3,853
+    # searching every child takes 3,853.  The certificates are read before
+    # the pair bound, so of the 4,643 children asked only 1,636 pay for it
     calls = 0
+    bounds = []
     search = invariants.cycles_through
+    flt = HamiltonianHypothesisFilter
+    bound = flt.pair_bound_holds
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return search(*args)
 
+    def counted_bound(self, adj, adjacent, among=-1):
+        bounds.append(adjacent)
+        return bound(self, adj, adjacent, among)
+
     monkeypatch.setattr(invariants, "cycles_through", counted)
+    monkeypatch.setattr(flt, "pair_bound_holds", counted_bound)
     r = verify_hamiltonian_lemma(7)
     assert (r.outcome, r.hypothesis_count) == ("verified", 5)
     assert calls == 1157
+    assert bounds.count(False) == 1636 and bounds.count(True) == 16
 
 
 def test_two_connected_lemma_vacuous_at_2_6():
@@ -355,9 +366,9 @@ def test_compute_ramsey_pair():
     assert r.extra["value"] == 7
     witness = decode_graph6(r.extra["witness_graph6"])
     assert witness.order == 6
-    assert k2n_free(witness, 2)
+    assert k2n_free(witness.adj, 2)
     gbar = complement(witness)
-    assert has_cycle_of_length(gbar, 6) is None
+    assert has_cycle_of_length(gbar.adj, 6) is None
 
 
 def test_compute_ramsey_cross_check():
@@ -372,6 +383,20 @@ def test_compute_ramsey_cross_check():
 def test_compute_ramsey_cannot_bracket():
     r = compute_ramsey(2, "cycle_pair", 6, max_order=5)
     assert r.outcome == "infeasible" and r.exit_code == 2
+
+
+def test_compute_ramsey_stops_at_the_largest_graph_order(monkeypatch):
+    # a tree that ends below order 64 keeps its value at any max_order
+    r = compute_ramsey(2, "cycle", 4, max_order=100)
+    assert (r.outcome, r.extra) == ("verified",
+                                    {"value": 6, "witness_graph6": "DEk"})
+    # the matchings reach every order, so the walk stops at the ceiling,
+    # here lowered to 6; the real one, order 64, is a slow golden CLI case
+    monkeypatch.setattr(verifier, "MAX_ORDER", 6)
+    r = compute_ramsey(1, "cycle", 66, max_order=70)
+    assert (r.outcome, r.notes) == (
+        "infeasible", ("no refutation up to order 6; cannot bracket the value",))
+    assert r.extra == {"witness_graph6": "E???"} and r.hypothesis_count == 15
 
 
 def test_reports_serialize():
@@ -433,7 +458,7 @@ def test_hamiltonian_lemma_matches_networkx_oracle_small():
 
 
 def test_hamiltonian_lemma_matches_networkx_oracle_at_7():
-    graphs = (to_nx(g) for g in enumerate_orders(8, 8))
+    graphs = (to_nx(g) for g in generated(8, 8))
     _check_hamiltonian_lemma_against_oracle(7, graphs, (5, 16))
 
 
@@ -495,7 +520,8 @@ def test_harnesses_ask_two_connected_what_exact_connectivity_answers(monkeypatch
 
     def checked(adj):
         answer = sweep(adj)
-        assert answer == (connectivity(Graph(len(adj), adj)) >= 2), adj
+        Graph(len(adj), adj)  # the rows asked about are a valid graph's
+        assert answer == (connectivity(adj) >= 2), adj
         asked.append(adj)
         return answer
 
@@ -519,7 +545,7 @@ def _brute_ramsey_ok(g, n: int, lengths: tuple[int, ...]) -> bool:
     order of a nearly complete complement takes tens of seconds."""
     hbar = nx.complement(to_nx(g))
     rows = complement_rows(g.adj)
-    return find_k2n(g, n) is None and not any(
+    return find_k2n(g.adj, n) is None and not any(
         _hamiltonian_by_subset_dp(rows) if ln == g.order
         else _nx_has_cycle(hbar, ln) for ln in lengths)
 
@@ -535,7 +561,7 @@ def _check_filter_contract(flt, passes, key=None, floor=lambda order: 0) -> None
     reverse."""
     for order in range(1, 7):
         least = floor(order + 1)
-        for g in enumerate_orders(order, order, flt):
+        for g in generated(order, order, flt):
             listed = list(flt.candidate_masks(g.adj))
             brute = []
             for s in range(1 << order):
@@ -582,7 +608,7 @@ def test_degree_floor_lemma():
         for order in range(max(3, 3 * n - 1), 10):
             floor = order - n - 1
             below[n, order] = 0
-            for g in enumerate_orders(order, order, K2nFreeFilter(n)):
+            for g in generated(order, order, K2nFreeFilter(n)):
                 if max(row.bit_count() for row in g.adj) < floor:
                     below[n, order] += 1
                     assert _hamiltonian_by_subset_dp(complement_rows(g.adj)), \
@@ -645,7 +671,7 @@ def test_hamiltonian_filter_rechecks_only_pairs_outside_the_new_neighbourhood(m)
     # with the full recheck of every nonadjacent pair
     flt = HamiltonianHypothesisFilter(m)
     for order in range(1, 8):
-        for g in enumerate_orders(order, order, flt):
+        for g in generated(order, order, flt):
             ends = {}  # shared by the children of g, as in generation
             for s in flt.candidate_masks(g.adj):
                 rows = add_vertex(g, s).adj
@@ -664,18 +690,18 @@ def test_complement_row_search_agrees_with_graph_search(n):
     # bipartite rule and of has_cycle_of_length on the complement's Graph,
     # for every graph and every length
     answers = set()
-    for g in enumerate_orders(9, 9, K2nFreeFilter(n)):
+    for g in generated(9, 9, K2nFreeFilter(n)):
         rows = complement_rows(g.adj)
         gbar = complement(g)
         assert rows == gbar.adj
         for ln in range(3, 10):
             found = plain_cycle_search(rows, (ln,))
             assert found == bool(all_cycles_of_length(rows, ln, 1)[0]) \
-                == (has_cycle_of_length(gbar, ln) is not None), \
+                == (has_cycle_of_length(gbar.adj, ln) is not None), \
                 (encode_graph6(g), ln)
             answers.add(found)
         assert plain_cycle_search(rows, (8, 9)) == any(
-            has_cycle_of_length(gbar, ln) for ln in (8, 9))
+            has_cycle_of_length(gbar.adj, ln) for ln in (8, 9))
     assert answers == {False, True}
 
 
@@ -686,8 +712,8 @@ def _ramsey_by_post_filter(n: int, lengths: tuple[int, ...], max_order: int):
     witness = None
     for order in range(1, max_order + 1):
         found = [encode_graph6(g)
-                 for g in enumerate_orders(order, order, K2nFreeFilter(n))
-                 if all(has_cycle_of_length(complement(g), ln) is None
+                 for g in generated(order, order, K2nFreeFilter(n))
+                 if all(has_cycle_of_length(complement(g).adj, ln) is None
                         for ln in lengths)]
         if not found:
             return order, witness, count
@@ -770,7 +796,7 @@ def test_goodness_upper_bounds_of_8_hold_on_every_graph_of_order_8():
              for (n, kind, m), value in GOODNESS_TABLE.items() if value == 8]
     assert len(cells) == 7
     classes = 0
-    for g in enumerate_orders(8, 8):
+    for g in generated(8, 8):
         classes += 1
         rows = complement_rows(g.adj)
         for n, lengths in cells:
